@@ -9,6 +9,7 @@ transfer an identity that can be checked, not assumed.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Optional, Union
 
 
@@ -155,111 +156,63 @@ def star(e: Entity) -> Entity:
 # term    ::= IDENT | '<' term ',' term '>' | '{' [term {',' term}] '}'
 
 
-class Term:
+class _Node:
+    """Immutable syntax node; equality and hashing compare the `__slots__` fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if cls.__slots__:
+            cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("immutable")
+
+    def __eq__(self, o):
+        return type(o) is type(self) and self._fields(self) == o._fields(o)
+
+    def __hash__(self):
+        return hash((type(self), self._fields(self)))
+
+
+class Term(_Node):
     __slots__ = ()
 
 
 class Name(Term):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, o):
-        return isinstance(o, Name) and self.name == o.name
-
-    def __hash__(self):
-        return hash(("name", self.name))
-
 
 class PairTerm(Term):
     __slots__ = ("first", "second")
-
-    def __init__(self, first: Term, second: Term):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, o):
-        return isinstance(o, PairTerm) and self.first == o.first and self.second == o.second
-
-    def __hash__(self):
-        return hash(("pair", self.first, self.second))
 
 
 class SetTerm(Term):
     __slots__ = ("items",)
 
     def __init__(self, items: Iterable[Term]):
-        object.__setattr__(self, "items", tuple(items))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, o):
-        return isinstance(o, SetTerm) and self.items == o.items
-
-    def __hash__(self):
-        return hash(("set", self.items))
+        super().__init__(tuple(items))
 
 
-class Formula:
+class Formula(_Node):
     __slots__ = ()
 
 
 class Eq(Formula):
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: Term, rhs: Term):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, o):
-        return isinstance(o, Eq) and self.lhs == o.lhs and self.rhs == o.rhs
-
-    def __hash__(self):
-        return hash(("eq", self.lhs, self.rhs))
-
 
 class Member(Formula):
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: Term, rhs: Term):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, o):
-        return isinstance(o, Member) and self.lhs == o.lhs and self.rhs == o.rhs
-
-    def __hash__(self):
-        return hash(("in", self.lhs, self.rhs))
-
 
 class Not(Formula):
     __slots__ = ("body",)
-
-    def __init__(self, body: Formula):
-        object.__setattr__(self, "body", body)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, o):
-        return isinstance(o, Not) and self.body == o.body
-
-    def __hash__(self):
-        return hash(("not", self.body))
 
 
 class BinOp(Formula):
@@ -267,18 +220,7 @@ class BinOp(Formula):
 
     def __init__(self, op: str, lhs: Formula, rhs: Formula):
         assert op in ("and", "or", "=>", "<=>")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, o):
-        return isinstance(o, BinOp) and (self.op, self.lhs, self.rhs) == (o.op, o.lhs, o.rhs)
-
-    def __hash__(self):
-        return hash((self.op, self.lhs, self.rhs))
+        super().__init__(op, lhs, rhs)
 
 
 class Quant(Formula):
@@ -286,24 +228,7 @@ class Quant(Formula):
 
     def __init__(self, kind: str, var: str, bound: Term, body: Formula):
         assert kind in ("forall", "exists")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "body", body)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, o):
-        return isinstance(o, Quant) and (self.kind, self.var, self.bound, self.body) == (
-            o.kind,
-            o.var,
-            o.bound,
-            o.body,
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.var, self.bound, self.body))
+        super().__init__(kind, var, bound, body)
 
 
 _KEYWORDS = {"forall", "exists", "in", "and", "or", "not"}

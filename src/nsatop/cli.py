@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from fractions import Fraction
 
 from . import bqf, fintop, germs, hull, hyperreal
+from .poly import _frac_str
 
 
 def _emit(obj, fmt: str) -> None:
@@ -63,10 +64,6 @@ def _error(kind: str, message: str, fmt: str, witness=None) -> int:
         payload["error"]["witness"] = witness
     _emit(payload, fmt)
     return 2
-
-
-def _frac_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 # -- hyper ------------------------------------------------------------------------
@@ -219,9 +216,6 @@ def _load_space(path: str) -> fintop.FinSpace:
 def cmd_topo(args, fmt: str) -> int:
     try:
         space = _load_space(args.space)
-    except (OSError, json.JSONDecodeError, fintop.SpaceError) as exc:
-        return _error(type(exc).__name__, str(exc), fmt)
-    try:
         if args.action == "check":
             names = [args.property] if args.property else None
             verdicts = fintop.check_properties(space, names)
@@ -282,9 +276,7 @@ def run_full_audit(max_points: int, seed: int = 0) -> dict:
                 robinson_failures.append(f"{space.describe()}: closure {space.sorted_labels(m)}")
             if space.interior_robinson_mask(m) != space.interior_classical_mask(m):
                 robinson_failures.append(f"{space.describe()}: interior {space.sorted_labels(m)}")
-    counts = {}
-    for n in range(1, max_points + 1):
-        counts[str(n)] = sum(1 for _ in fintop.enumerate_topologies(n))
+    counts = {str(n): sum(1 for s in spaces if s.n == n) for n in range(1, max_points + 1)}
     report = {
         "max_points": max_points,
         "seed": seed,
@@ -390,7 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        code = _dispatch(build_parser().parse_args(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (as `nsatop audit | head -1` does); send
+        # what is left to devnull so the interpreter's last flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _dispatch(args) -> int:
     fmt = args.format
     if fmt == "dot" and not (args.command == "topo" and args.action == "dot"):
         return _error("BadFormat", "dot output only applies to 'topo dot'", "json")

@@ -149,12 +149,6 @@ class FinSpace:
     def monad_set(self, subset: SubsetLike) -> frozenset:
         return self.labels(self.monad_set_mask(self.mask(subset)))
 
-    def le(self, x, y) -> bool:
-        """Monad-inclusion order: x <= y iff monad(x) is contained in monad(y)."""
-        a = self._monad[self._index[x]]
-        b = self._monad[self._index[y]]
-        return a | b == b
-
     # -- closure and interior ---------------------------------------------------
 
     def closure_robinson_mask(self, mask: int) -> int:
@@ -312,6 +306,15 @@ def _separated_by_disjoint_opens(space: FinSpace, a: int, b: int) -> bool:
     return False
 
 
+def _point_closed_pairs(space: FinSpace):
+    """(i, F) for every closed set F that misses point i."""
+    closed = space.closed_sets()
+    for i in range(space.n):
+        for f in closed:
+            if not f >> i & 1:
+                yield i, f
+
+
 def is_t0(space: FinSpace) -> PropertyVerdict:
     holds, witness = True, None
     robinson = True
@@ -383,43 +386,48 @@ def is_weakly_hausdorff(space: FinSpace) -> PropertyVerdict:
 
 def is_regular(space: FinSpace) -> PropertyVerdict:
     holds, witness = True, None
-    for i in range(space.n):
-        bit = 1 << i
-        for f in space.closed_sets():
-            if f & bit:
-                continue
-            if space._monad[i] & space.monad_set_mask(f):
-                holds = False
-                witness = witness or [str(space.points[i]), space.sorted_labels(f)]
+    for i, f in _point_closed_pairs(space):
+        if space._monad[i] & space.monad_set_mask(f):
+            holds = False
+            witness = witness or [str(space.points[i]), space.sorted_labels(f)]
     point_form = True
     for i in range(space.n):
         for j in range(space.n):
             if not space._monad[j] >> i & 1:
                 if space._monad[i] & space._monad[j]:
                     point_form = False
-    oracle = True
-    for i in range(space.n):
-        bit = 1 << i
-        for f in space.closed_sets():
-            if not f & bit and f and not _separated_by_disjoint_opens(space, bit, f):
-                oracle = False
+    oracle = all(
+        _separated_by_disjoint_opens(space, 1 << i, f)
+        for i, f in _point_closed_pairs(space)
+        if f
+    )
     return PropertyVerdict("regular", holds, oracle, {"point_form": point_form}, witness)
+
+
+def _disjoint_closed_pairs(space: FinSpace):
+    closed = space.closed_sets()
+    for a in closed:
+        for b in closed:
+            if a <= b and not a & b:
+                yield a, b
+
+
+def _classically_normal(space: FinSpace) -> bool:
+    """Disjoint nonempty closed sets have disjoint open neighbourhoods."""
+    return all(
+        _separated_by_disjoint_opens(space, a, b)
+        for a, b in _disjoint_closed_pairs(space)
+        if a and b
+    )
 
 
 def is_normal(space: FinSpace) -> PropertyVerdict:
     holds, witness = True, None
-    oracle = True
-    closed = space.closed_sets()
-    for a in closed:
-        for b in closed:
-            if a > b or a & b:
-                continue
-            if space.monad_set_mask(a) & space.monad_set_mask(b):
-                holds = False
-                witness = witness or [space.sorted_labels(a), space.sorted_labels(b)]
-            if a and b and not _separated_by_disjoint_opens(space, a, b):
-                oracle = False
-    return PropertyVerdict("normal", holds, oracle, {}, witness)
+    for a, b in _disjoint_closed_pairs(space):
+        if space.monad_set_mask(a) & space.monad_set_mask(b):
+            holds = False
+            witness = witness or [space.sorted_labels(a), space.sorted_labels(b)]
+    return PropertyVerdict("normal", holds, _classically_normal(space), {}, witness)
 
 
 # -- zero-set blocks ---------------------------------------------------------------
@@ -472,9 +480,6 @@ class ZBlockPartition:
 
     def block_mask(self, i: int) -> int:
         return self.blocks[self.block_of[i]]
-
-    def mu_z_point(self, i: int) -> int:
-        return self.block_mask(i)
 
     def mu_z_set(self, mask: int) -> int:
         out = 0
@@ -535,23 +540,19 @@ def is_completely_regular(space: FinSpace) -> PropertyVerdict:
     zp = z_partition(space)
     holds, witness = True, None
     oracle = True
-    for i in range(space.n):
-        bit = 1 << i
-        for f in space.closed_sets():
-            if f & bit:
-                continue
-            if zp.mu_z_point(i) & zp.mu_z_set(f):
-                holds = False
-                witness = witness or [str(space.points[i]), space.sorted_labels(f)]
-            if f:
-                ind = zp.indicator(zp.block_of[i])
-                ok = (
-                    _is_continuous_value_map(space, ind)
-                    and ind[space.points[i]] == 1
-                    and all(ind[p] == 0 for p in space.sorted_labels(f))
-                )
-                if not ok:
-                    oracle = False
+    for i, f in _point_closed_pairs(space):
+        if zp.block_mask(i) & zp.mu_z_set(f):
+            holds = False
+            witness = witness or [str(space.points[i]), space.sorted_labels(f)]
+        if f:
+            ind = zp.indicator(zp.block_of[i])
+            ok = (
+                _is_continuous_value_map(space, ind)
+                and ind[space.points[i]] == 1
+                and all(ind[p] == 0 for p in space.sorted_labels(f))
+            )
+            if not ok:
+                oracle = False
     return PropertyVerdict("completely_regular", holds, oracle, {}, witness)
 
 
@@ -559,16 +560,11 @@ def is_z_normal(space: FinSpace) -> PropertyVerdict:
     """Normality phrased through zero-set monads; its oracle is plain normality."""
     zp = z_partition(space)
     holds, witness = True, None
-    closed = space.closed_sets()
-    for a in closed:
-        for b in closed:
-            if a > b or a & b:
-                continue
-            if zp.mu_z_set(a) & zp.mu_z_set(b):
-                holds = False
-                witness = witness or [space.sorted_labels(a), space.sorted_labels(b)]
-    oracle = is_normal(space).oracle
-    return PropertyVerdict("z_normal", holds, oracle, {}, witness)
+    for a, b in _disjoint_closed_pairs(space):
+        if zp.mu_z_set(a) & zp.mu_z_set(b):
+            holds = False
+            witness = witness or [space.sorted_labels(a), space.sorted_labels(b)]
+    return PropertyVerdict("z_normal", holds, _classically_normal(space), {}, witness)
 
 
 def _is_continuous_value_map(space: FinSpace, values: dict) -> bool:
@@ -832,15 +828,6 @@ def continuous_maps(src: FinSpace, dst: FinSpace) -> Iterator[dict]:
 # -- specialization preorder and DOT export ----------------------------------------
 
 
-def specialization_pairs(space: FinSpace) -> list[tuple]:
-    return [
-        (x, y)
-        for x in space.points
-        for y in space.points
-        if x != y and space.le(x, y)
-    ]
-
-
 def dot_specialization(space: FinSpace) -> str:
     """DOT digraph of the monad-inclusion order, transitively reduced.
 
@@ -939,11 +926,11 @@ def theorem_audit(spaces: Iterable[FinSpace]) -> dict:
             checks["hausdorff_implies_sober"].append(desc)
         if not sob:
             checks["every_finite_space_sober"].append(desc)
-        star = _star_space(space)
-        if is_normal(star).holds != nor:
+        # the star space equals the space, so its verdicts are the ones above
+        star_is_space = _star_space(space) == space
+        if not star_is_space:
             checks["star_space_normal_iff_normal"].append(desc)
-        clopen = all(space.is_closed(o) for o in space.opens)
-        if is_regular(star).holds != clopen:
+        if not star_is_space or reg != all(space.is_closed(o) for o in space.opens):
             checks["star_space_regular_iff_all_opens_clopen"].append(desc)
         closed = space.closed_sets()
         for a in closed:

@@ -114,10 +114,6 @@ class RationalGerm:
             raise ZeroDivisionError(f"denominator vanishes at n={n}")
         return self.num.eval(n) / d
 
-    def defined_from(self) -> int:
-        """An index beyond every root of the denominator."""
-        return _cauchy_bound(self.den)
-
 
 class PeriodicGerm:
     """Eventually periodic sequence, normalized to minimal period and preperiod."""
@@ -231,8 +227,7 @@ def _align_pair(a: Germ, b: Germ) -> tuple[Germ, Germ]:
 def _aligned_tail(a: PeriodicGerm, b: PeriodicGerm) -> tuple[int, int]:
     """Common preperiod length and period length for a pair."""
     pre = max(len(a.preperiod), len(b.preperiod))
-    la, lb = len(a.period), len(b.period)
-    return pre, la * lb // math.gcd(la, lb)
+    return pre, math.lcm(len(a.period), len(b.period))
 
 
 # -- arithmetic ------------------------------------------------------------------
@@ -450,7 +445,10 @@ def _tokenize_qf(text: str) -> list:
                 j += 1
                 while j < len(text) and text[j].isdigit():
                     j += 1
-            out.append(("num", Fraction(text[i:j])))
+            try:
+                out.append(("num", Fraction(text[i:j])))
+            except ZeroDivisionError:
+                raise GermSyntaxError(f"zero denominator in {text[i:j]!r} at position {i}") from None
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -580,15 +578,14 @@ def _term_vars(node, acc):
         _term_vars(node[1], acc)
 
 
-def _formula_vars(node, acc):
+def _atoms(node):
     if isinstance(node, _QfAtom):
-        _term_vars(node.lhs, acc)
-        _term_vars(node.rhs, acc)
+        yield node
     elif isinstance(node, _QfNot):
-        _formula_vars(node.body, acc)
+        yield from _atoms(node.body)
     else:
-        _formula_vars(node.lhs, acc)
-        _formula_vars(node.rhs, acc)
+        yield from _atoms(node.lhs)
+        yield from _atoms(node.rhs)
 
 
 def _eval_term_germ(node, env) -> Germ:
@@ -629,12 +626,13 @@ def _eval_term_at(node, env, n: int) -> Fraction:
     return a * b
 
 
+def _atom_difference(atom: _QfAtom, env) -> RationalGerm:
+    """rhs - lhs as a rational germ (it comes out periodic only for constant atoms)."""
+    return _to_rational(sub(_eval_term_germ(atom.rhs, env), _eval_term_germ(atom.lhs, env)))
+
+
 def _atom_eventual_truth(atom: _QfAtom, env) -> bool:
-    diff = sub(_eval_term_germ(atom.rhs, env), _eval_term_germ(atom.lhs, env))
-    if isinstance(diff, PeriodicGerm):
-        # happens only for atoms built from constants alone
-        diff = _to_rational(diff)
-    s = _eventual_sign(diff)
+    s = _eventual_sign(_atom_difference(atom, env))
     return {
         "=": s == 0,
         "!=": s != 0,
@@ -697,6 +695,20 @@ def _align_environment(env: dict) -> tuple[dict, bool]:
     raise MixedClasses("assignment mixes sequence classes")
 
 
+def _prepare(formula, assignment: dict):
+    """(parsed formula, aligned environment of its variables, is_rational_class)."""
+    node = parse_qf(formula) if isinstance(formula, str) else formula
+    names = set()
+    for atom in _atoms(node):
+        _term_vars(atom.lhs, names)
+        _term_vars(atom.rhs, names)
+    missing = names - set(assignment)
+    if missing:
+        raise GermError(f"unbound variables: {sorted(missing)}")
+    env, rational = _align_environment({k: assignment[k] for k in names})
+    return node, env, rational
+
+
 def los_check_qf(formula, assignment: dict) -> AeVerdict:
     """Three-valued a.e. truth of a quantifier-free formula under the assignment.
 
@@ -705,21 +717,12 @@ def los_check_qf(formula, assignment: dict) -> AeVerdict:
     the formula is decided per residue class of the common period; a mixed
     outcome is ultrafilter dependent.
     """
-    node = parse_qf(formula) if isinstance(formula, str) else formula
-    names = set()
-    _formula_vars(node, names)
-    missing = names - set(assignment)
-    if missing:
-        raise GermError(f"unbound variables: {sorted(missing)}")
-    env, rational = _align_environment({k: assignment[k] for k in names})
+    node, env, rational = _prepare(formula, assignment)
     if rational:
         truth = _formula_eventual_truth(node, env)
         return AeVerdict.TRUE_AE if truth else AeVerdict.FALSE_AE
     pre = max((len(g.preperiod) for g in env.values()), default=0)
-    length = 1
-    for g in env.values():
-        lg = len(g.period)
-        length = length * lg // math.gcd(length, lg)
+    length = math.lcm(*(len(g.period) for g in env.values()))
     flags = [_formula_truth_at(node, env, pre + j + 1) for j in range(length)]
     return _verdict_from_flags(flags)
 
@@ -730,40 +733,21 @@ def stabilization_bound(formula, assignment: dict) -> int:
     Only meaningful for rational-function assignments: past every root of
     every atom's cross-multiplied difference, atom truth values are constant.
     """
-    node = parse_qf(formula) if isinstance(formula, str) else formula
-    names = set()
-    _formula_vars(node, names)
-    env, rational = _align_environment({k: assignment[k] for k in names})
+    node, env, rational = _prepare(formula, assignment)
     if not rational:
-        pre = max((len(g.preperiod) for g in env.values()), default=0)
-        return pre
+        return max((len(g.preperiod) for g in env.values()), default=0)
     bound = 1
-
-    def visit(n):
-        nonlocal bound
-        if isinstance(n, _QfAtom):
-            diff = sub(_eval_term_germ(n.rhs, env), _eval_term_germ(n.lhs, env))
-            if isinstance(diff, PeriodicGerm):
-                diff = _to_rational(diff)
-            if not diff.num.is_zero():
-                bound = max(bound, _cauchy_bound(diff.num))
-            bound = max(bound, _cauchy_bound(diff.den))
-        elif isinstance(n, _QfNot):
-            visit(n.body)
-        else:
-            visit(n.lhs)
-            visit(n.rhs)
-
-    visit(node)
+    for atom in _atoms(node):
+        diff = _atom_difference(atom, env)
+        if not diff.num.is_zero():
+            bound = max(bound, _cauchy_bound(diff.num))
+        bound = max(bound, _cauchy_bound(diff.den))
     return bound
 
 
 def check_pointwise(formula, assignment: dict, n: int) -> bool:
     """Plain truth of the formula at one index (cross-check helper)."""
-    node = parse_qf(formula) if isinstance(formula, str) else formula
-    names = set()
-    _formula_vars(node, names)
-    env, _ = _align_environment({k: assignment[k] for k in names})
+    node, env, _ = _prepare(formula, assignment)
     return _formula_truth_at(node, env, n)
 
 
@@ -779,7 +763,7 @@ def parse_germ(text: str) -> Germ:
         return _parse_ep(text[3:-1])
     try:
         return embed_constant(Fraction(text))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise GermSyntaxError(f"not a germ: {text!r}") from None
 
 
@@ -789,30 +773,11 @@ def _parse_rf(body: str) -> RationalGerm:
     node = parser.term()
     if parser.peek() is not None:
         raise GermSyntaxError(f"trailing tokens in rf(): {parser.peek()!r}")
-    env = {"n": RationalGerm(Poly.X)}
     names = set()
     _term_vars(node, names)
     if not names <= {"n"}:
         raise GermSyntaxError(f"unknown symbols in rf(): {sorted(names - {'n'})}")
-
-    def build(nd) -> RationalGerm:
-        kind = nd[0]
-        if kind == "const":
-            return RationalGerm(Poly.const(nd[1]))
-        if kind == "var":
-            return env["n"]
-        if kind == "neg":
-            return neg(build(nd[1]))
-        a, b = build(nd[1]), build(nd[2])
-        if kind == "add":
-            return add(a, b)
-        if kind == "sub":
-            return sub(a, b)
-        if kind == "div":
-            return div(a, b)
-        return mul(a, b)
-
-    return build(node)
+    return _to_rational(_eval_term_germ(node, {"n": RationalGerm(Poly.X)}))
 
 
 def _parse_ep(body: str) -> PeriodicGerm:
@@ -829,7 +794,7 @@ def _parse_ep(body: str) -> PeriodicGerm:
             return []
         try:
             return [Fraction(piece.strip()) for piece in inner.split(",")]
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise GermSyntaxError(f"bad rational in list: {exc}") from None
 
     pre, per = parse_list(parts[0]), parse_list(parts[1])

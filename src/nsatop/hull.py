@@ -21,12 +21,14 @@ from .fintop import (
     FinSpace,
     SpaceError,
     ZBlockPartition,
+    _point_closed_pairs,
     is_completely_regular,
     is_t0,
     is_t2,
     is_weakly_hausdorff,
     z_partition,
 )
+from .poly import _frac_str
 
 
 class DiscontinuousFamilyMember(SpaceError):
@@ -118,10 +120,6 @@ class Hull:
         }
 
 
-def _frac_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def _build_quotient(space: FinSpace, classes: list[int], class_of: list[int], lifted_src, kind):
     labels = tuple("|".join(str(x) for x in space.sorted_labels(m)) for m in classes)
     k = len(classes)
@@ -204,18 +202,13 @@ def hewitt_finite(space: FinSpace) -> Hull:
 
 def distinguishes_points_and_closed_sets(space: FinSpace, family: Family) -> bool:
     """For every closed F and x outside it, some member separates x from F's values."""
-    for i in range(space.n):
-        bit = 1 << i
+    for i, f in _point_closed_pairs(space):
         p = space.points[i]
-        for f in space.closed_sets():
-            if f & bit:
-                continue
-            f_points = space.sorted_labels(f)
-            if not any(
-                table[p] not in {table[y] for y in f_points}
-                for table in family.values()
-            ):
-                return False
+        f_points = space.sorted_labels(f)
+        if not any(
+            table[p] not in {table[y] for y in f_points} for table in family.values()
+        ):
+            return False
     return True
 
 

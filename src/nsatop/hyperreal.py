@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .poly import Poly
+from .poly import Poly, _frac_str
 
 
 class HyperrealError(Exception):
@@ -35,6 +35,10 @@ class NotFinite(HyperrealError):
 
 class NegativeEvenRoot(HyperrealError):
     pass
+
+
+class BadRootDegree(HyperrealError, ValueError):
+    """A root degree below 1."""
 
 
 class NotRepresentable(HyperrealError):
@@ -106,10 +110,7 @@ class StandardPart:
         return f"StandardPart({self.kind!r})"
 
     def __str__(self) -> str:
-        if self.is_real:
-            v = self.value
-            return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        return self.kind
+        return _frac_str(self.value) if self.is_real else self.kind
 
 
 Scalar = Union[int, Fraction]
@@ -355,26 +356,6 @@ def normalize(num, den, ram: int = 1) -> Hyperreal:
     return Hyperreal(num, den, ram)
 
 
-def add(a: Hyperreal, b: Hyperreal) -> Hyperreal:
-    return a + b
-
-
-def sub(a: Hyperreal, b: Hyperreal) -> Hyperreal:
-    return a - b
-
-
-def mul(a: Hyperreal, b: Hyperreal) -> Hyperreal:
-    return a * b
-
-
-def div(a: Hyperreal, b: Hyperreal) -> Hyperreal:
-    return a / b
-
-
-def neg(a: Hyperreal) -> Hyperreal:
-    return -a
-
-
 def inv(a: Hyperreal) -> Hyperreal:
     return a.inverse()
 
@@ -409,11 +390,12 @@ def nth_root(a: Hyperreal, n: int) -> Hyperreal:
 
     The pure power of e is absorbed by ramification; the remaining unit part
     must be an exact n-th power of a rational function (extra ramification
-    cannot help there).  Raises NotRepresentable when no root exists, and
-    NegativeEvenRoot for even roots of negative elements.
+    cannot help there).  Raises NotRepresentable when no root exists,
+    NegativeEvenRoot for even roots of negative elements, and BadRootDegree
+    for n < 1.
     """
     if n < 1:
-        raise ValueError("root index must be a positive integer")
+        raise BadRootDegree(f"root degree must be a positive integer, got {n}")
     if n == 1:
         return a
     s = a.sign()

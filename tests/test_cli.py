@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +71,11 @@ class TestHyper:
         code, got = run_json(capsys, "hyper", "root", "4*e^2", "2")
         assert code == 0 and got["root"] == "2*e"
 
+    def test_root_degree_below_one_exits_2(self, capsys):
+        for degree in ("0", "-2"):
+            code, got = run_json(capsys, "hyper", "root", "e", degree)
+            assert code == 2 and got["error"]["type"] == "BadRootDegree"
+
     def test_unrepresentable_root_exits_1(self, capsys):
         code, got = run_json(capsys, "hyper", "root", "1+e", "2")
         assert code == 1 and got["root_exists"] is False
@@ -89,6 +98,10 @@ class TestGerm:
     def test_mixed_classes_exit_2(self, capsys):
         code, got = run_json(capsys, "germ", "compare", "rf(n)", "ep([];[0,1])", "eq")
         assert code == 2 and got["error"]["type"] == "MixedClasses"
+
+    def test_zero_denominator_exits_2(self, capsys):
+        code, got = run_json(capsys, "germ", "los", "x < 1/0", "--bind", "x=rf(n)")
+        assert code == 2 and got["error"]["type"] == "GermSyntaxError"
 
     def test_classify(self, capsys):
         code, got = run_json(capsys, "germ", "classify", "rf((2*n+1)/(n+3))")
@@ -193,6 +206,31 @@ class TestAudit:
     def test_audit_too_large(self, capsys):
         code, got = run_json(capsys, "audit", "--max-points", "9")
         assert code == 2 and got["error"]["type"] == "TooLarge"
+
+
+class TestClosedPipe:
+    def test_no_traceback_when_reader_stops_after_one_line(self):
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("pipe buffer size cannot be set here")
+        read_fd, write_fd = os.pipe()
+        # a pipe smaller than the report keeps the writer busy until we close
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nsatop", "audit", "--max-points", "4"],
+            stdout=write_fd,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        os.close(write_fd)
+        assert os.read(read_fd, 2) == b"{\n"
+        os.close(read_fd)
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 141
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
 
 
 class TestDeterminism:

@@ -217,6 +217,15 @@ class TestLosCheck:
         assert G.los_check_qf("x = 0 or not x = 0", {"x": x}) is AeVerdict.TRUE_AE
         assert G.los_check_qf("x = 0 and not x = 0", {"x": x}) is AeVerdict.FALSE_AE
 
+    def test_unbound_names_are_germ_errors(self):
+        for check in (
+            lambda: G.los_check_qf("x < y", {"x": N}),
+            lambda: G.stabilization_bound("x < y", {"x": N}),
+            lambda: G.check_pointwise("x < y", {"x": N}, 5),
+        ):
+            with pytest.raises(G.GermError, match="unbound variables"):
+                check()
+
     def test_quantifier_rejected(self):
         with pytest.raises(G.QuantifierPresent):
             G.los_check_qf("forall x = 0", {"x": N})
@@ -271,6 +280,6 @@ class TestParsing:
         assert G.parse_germ("ep([];[0])") == G.embed_constant(0)
 
     def test_bad_forms(self):
-        for text in ("rf(m+1)", "ep([1];[])", "ep([1])", "zz"):
+        for text in ("rf(m+1)", "ep([1];[])", "ep([1])", "zz", "rf(1/0)", "ep([1/0];[1])", "1/0"):
             with pytest.raises(G.GermSyntaxError):
                 G.parse_germ(text)
