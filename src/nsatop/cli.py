@@ -26,7 +26,8 @@ bare rational for a constant germ.  Verdicts serialize as true-ae / false-ae /
 ultrafilter-dependent.
 
 Space JSON: {"points": ["a","b"], "opens": [[], ["a"], ["a","b"]]}.
-Family JSON: {"f": {"a": "0", "b": "1/2"}}.
+Family JSON: {"f": {"a": "0", "b": "1/2"}}; `topo hull` takes at most one of a
+family file, --stone-cech and --t0-reflect.
 """
 
 from __future__ import annotations
@@ -214,6 +215,10 @@ def _load_space(path: str) -> fintop.FinSpace:
 
 
 def cmd_topo(args, fmt: str) -> int:
+    inputs = (args.family, args.stone_cech, args.t0_reflect) if args.action == "hull" else ()
+    if sum(map(bool, inputs)) > 1:
+        message = "topo hull takes at most one of a family file, --stone-cech and --t0-reflect"
+        return _error("ConflictingInputs", message, fmt)
     try:
         space = _load_space(args.space)
         if args.action == "check":
@@ -230,18 +235,15 @@ def cmd_topo(args, fmt: str) -> int:
         if args.action == "dot":
             print(fintop.dot_specialization(space))
             return 0
-        if args.action == "reflect" or (args.action == "hull" and args.t0_reflect):
-            report = hull.t0_reflection_report(space)
-            _emit(report, fmt)
+        if args.action == "reflect" or args.t0_reflect:
+            _emit(hull.t0_reflection_report(space), fmt)
             return 0
-        # hull
         if args.family:
             with open(args.family, "r", encoding="utf-8") as fh:
-                family = hull.family_from_json(space, json.load(fh))
-            report = hull.hull_report(space, family, seed=args.seed)
+                built = hull.build_hull(space, json.load(fh))
         else:
-            report = hull.hull_report(space, seed=args.seed)
-        _emit(report, fmt)
+            built = hull.stone_cech_finite(space)
+        _emit(hull.hull_report(built), fmt)
         return 0
     except hull.DiscontinuousFamilyMember as exc:
         return _error(
@@ -369,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", nargs="?", default=None)
     p.add_argument("--stone-cech", action="store_true", help="use the canonical family")
     p.add_argument("--t0-reflect", action="store_true", help="build the T0 reflection instead")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p = topo_sub.add_parser("reflect", help="T0 reflection")
     p.add_argument("space")
     p = topo_sub.add_parser("dot", help="specialization preorder as DOT")

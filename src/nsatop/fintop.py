@@ -53,10 +53,28 @@ class AuditFailure(SpaceError):
 SubsetLike = Union[int, Iterable]
 
 
-class FinSpace:
-    """A validated finite topological space with cached monads."""
+def _partition_by(n: int, key) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Group points 0..n-1 by key(i): (class masks ordered by smallest member,
+    point index -> class index)."""
+    reps: dict = {}
+    classes: list[int] = []
+    class_of = []
+    for i in range(n):
+        idx = reps.setdefault(key(i), len(classes))
+        if idx == len(classes):
+            classes.append(0)
+        classes[idx] |= 1 << i
+        class_of.append(idx)
+    return tuple(classes), tuple(class_of)
 
-    __slots__ = ("points", "opens", "n", "full", "_index", "_monad", "_opens_set")
+
+class FinSpace:
+    """A validated finite topological space; monads, closed sets and z-blocks
+    are computed once, on construction."""
+
+    __slots__ = (
+        "points", "opens", "n", "full", "_index", "_monad", "_opens_set", "_closed", "_zblocks"
+    )
 
     def __init__(self, points: Sequence, opens: Iterable[int], _validated: bool = False):
         pts = tuple(points)
@@ -71,6 +89,7 @@ class FinSpace:
             masks = _check_topology(masks, self.full)
         object.__setattr__(self, "opens", masks)
         object.__setattr__(self, "_opens_set", frozenset(masks))
+        object.__setattr__(self, "_closed", tuple(sorted(self.full ^ o for o in masks)))
         monad = []
         for i in range(self.n):
             m = self.full
@@ -80,6 +99,18 @@ class FinSpace:
                     m &= o
             monad.append(m)
         object.__setattr__(self, "_monad", tuple(monad))
+
+        def component(i):
+            # connected component of i under "y lies in the monad of x"
+            grown, c = 1 << i, 0
+            while grown != c:
+                c = grown
+                for j, m in enumerate(monad):
+                    if m & c:
+                        grown |= 1 << j | m
+            return c
+
+        object.__setattr__(self, "_zblocks", _partition_by(self.n, component))
 
     def __setattr__(self, *a):
         raise AttributeError("FinSpace is immutable")
@@ -127,8 +158,8 @@ class FinSpace:
     def is_closed(self, subset: SubsetLike) -> bool:
         return (self.full ^ self.mask(subset)) in self._opens_set
 
-    def closed_sets(self) -> list[int]:
-        return sorted(self.full ^ o for o in self.opens)
+    def closed_sets(self) -> tuple[int, ...]:
+        return self._closed
 
     # -- monads --------------------------------------------------------------
 
@@ -228,7 +259,10 @@ def _check_topology(masks: tuple, full: int) -> tuple:
 def validate(points: Sequence, opens: Iterable) -> FinSpace:
     """Build a FinSpace from labels and label-sets, enforcing the axioms."""
     pts = tuple(points)
-    index = {p: i for i, p in enumerate(pts)}
+    try:
+        index = {p: i for i, p in enumerate(pts)}
+    except TypeError:
+        raise SpaceError(f"point labels must be hashable: {pts!r}") from None
     masks = []
     for o in opens:
         if isinstance(o, int):
@@ -238,7 +272,7 @@ def validate(points: Sequence, opens: Iterable) -> FinSpace:
             for label in o:
                 try:
                     m |= 1 << index[label]
-                except KeyError:
+                except (KeyError, TypeError):
                     raise SpaceError(f"unknown point {label!r} in an open set") from None
             masks.append(m)
     return FinSpace(pts, masks)
@@ -247,7 +281,11 @@ def validate(points: Sequence, opens: Iterable) -> FinSpace:
 def space_from_json(obj: dict) -> FinSpace:
     if not isinstance(obj, dict) or "points" not in obj or "opens" not in obj:
         raise SpaceError("space JSON needs 'points' and 'opens' keys")
-    return validate(obj["points"], obj["opens"])
+    points, opens = obj["points"], obj["opens"]
+    lists = isinstance(points, list) and isinstance(opens, list)
+    if not lists or not all(isinstance(o, (list, int)) for o in opens):
+        raise SpaceError("space JSON needs a list of point labels and a list of label lists")
+    return validate(points, opens)
 
 
 # -- property verdicts -----------------------------------------------------------
@@ -444,39 +482,8 @@ class ZBlockPartition:
     __slots__ = ("space", "blocks", "block_of")
 
     def __init__(self, space: FinSpace):
-        n = space.n
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
-        for i in range(n):
-            m = space._monad[i]
-            for j in range(n):
-                if m >> j & 1:
-                    union(i, j)
-        roots = {}
-        masks = []
-        block_of = []
-        for i in range(n):
-            r = find(i)
-            if r not in roots:
-                roots[r] = len(masks)
-                masks.append(0)
-            k = roots[r]
-            masks[k] |= 1 << i
-            block_of.append(k)
         self.space = space
-        self.blocks = tuple(masks)
-        self.block_of = tuple(block_of)
+        self.blocks, self.block_of = space._zblocks
 
     def block_mask(self, i: int) -> int:
         return self.blocks[self.block_of[i]]
@@ -508,18 +515,22 @@ class ZBlockPartition:
             for i, p in enumerate(self.space.points)
         }
 
-    def to_json(self) -> dict:
-        return {
-            "blocks": [self.space.sorted_labels(b) for b in self.blocks],
-        }
-
 
 def z_partition(space: FinSpace) -> ZBlockPartition:
     return ZBlockPartition(space)
 
 
+def _block_indicators(space: FinSpace, zp: ZBlockPartition) -> list[tuple[dict, bool]]:
+    """Each block's 0/1 indicator, with whether it is continuous."""
+    return [
+        (ind, _is_continuous_value_map(space, ind))
+        for ind in map(zp.indicator, range(len(zp.blocks)))
+    ]
+
+
 def is_functionally_separated(space: FinSpace) -> PropertyVerdict:
     zp = z_partition(space)
+    indicators = _block_indicators(space, zp)
     holds, witness = True, None
     oracle = True
     for i, j in _point_pairs(space):
@@ -527,17 +538,15 @@ def is_functionally_separated(space: FinSpace) -> PropertyVerdict:
             holds = False
             witness = witness or _pair_witness(space, i, j)
         # oracle: an explicit 0/1 continuous function taking different values
-        ind = zp.indicator(zp.block_of[j])
-        separated = _is_continuous_value_map(space, ind) and ind[space.points[i]] != ind[
-            space.points[j]
-        ]
-        if not separated:
+        ind, continuous = indicators[zp.block_of[j]]
+        if not (continuous and ind[space.points[i]] != ind[space.points[j]]):
             oracle = False
     return PropertyVerdict("functionally_separated", holds, oracle, {}, witness)
 
 
 def is_completely_regular(space: FinSpace) -> PropertyVerdict:
     zp = z_partition(space)
+    indicators = _block_indicators(space, zp)
     holds, witness = True, None
     oracle = True
     for i, f in _point_closed_pairs(space):
@@ -545,9 +554,9 @@ def is_completely_regular(space: FinSpace) -> PropertyVerdict:
             holds = False
             witness = witness or [str(space.points[i]), space.sorted_labels(f)]
         if f:
-            ind = zp.indicator(zp.block_of[i])
+            ind, continuous = indicators[zp.block_of[i]]
             ok = (
-                _is_continuous_value_map(space, ind)
+                continuous
                 and ind[space.points[i]] == 1
                 and all(ind[p] == 0 for p in space.sorted_labels(f))
             )
@@ -590,7 +599,7 @@ def irreducible_closed_sets(space: FinSpace) -> list[int]:
     return out
 
 
-def _is_irreducible_closed(space: FinSpace, a: int, closed: list[int]) -> bool:
+def _is_irreducible_closed(space: FinSpace, a: int, closed: Sequence[int]) -> bool:
     if not a:
         return False
     parts = [c for c in closed if c & a == c and c != a]
@@ -834,15 +843,9 @@ def dot_specialization(space: FinSpace) -> str:
     Points with equal monads form cycles; distinct monad classes get the
     Hasse edges of the induced order on classes.
     """
-    classes: list[list[int]] = []
-    index_of = {}
-    for i in range(space.n):
-        key = space._monad[i]
-        if key not in index_of:
-            index_of[key] = len(classes)
-            classes.append([])
-        classes[index_of[key]].append(i)
-    keys = list(index_of)
+    masks, _ = _partition_by(space.n, space._monad.__getitem__)
+    classes = [[i for i in range(space.n) if m >> i & 1] for m in masks]
+    keys = [space._monad[cls[0]] for cls in classes]
 
     def class_le(a: int, b: int) -> bool:
         return keys[a] | keys[b] == keys[b]

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .fintop import (
     AuditFailure,
     FinSpace,
     SpaceError,
     ZBlockPartition,
+    _partition_by,
     _point_closed_pairs,
     is_completely_regular,
     is_t0,
@@ -46,7 +47,10 @@ Family = dict  # name -> {point label -> Fraction}
 
 
 def validate_family(space: FinSpace, family: Family) -> Family:
-    """Check totality and continuity (constant on every monad) of each member."""
+    """Check totality, rational values and continuity (constant on every
+    monad) of each member."""
+    if not isinstance(family, dict) or not all(isinstance(v, dict) for v in family.values()):
+        raise SpaceError("a family maps names to point->value tables")
     out = {}
     for name in sorted(family):
         values = family[name]
@@ -54,7 +58,10 @@ def validate_family(space: FinSpace, family: Family) -> Family:
         for p in space.points:
             if p not in values:
                 raise SpaceError(f"family member {name!r} missing a value at {p!r}")
-            table[p] = Fraction(values[p])
+            try:
+                table[p] = Fraction(values[p])
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise SpaceError(f"family member {name!r} has no rational value at {p!r}") from None
         for i, p in enumerate(space.points):
             monad = space.labels(space.monad_mask(i))
             for q in monad:
@@ -64,24 +71,19 @@ def validate_family(space: FinSpace, family: Family) -> Family:
     return out
 
 
-def family_from_json(space: FinSpace, obj: dict) -> Family:
-    if not isinstance(obj, dict):
-        raise SpaceError("family JSON must map names to point->value tables")
-    return validate_family(space, obj)
-
-
 class Hull:
-    """A quotient space together with its map and lifted function tables."""
+    """A quotient space with its map, validated family and lifted tables."""
 
-    __slots__ = ("source", "classes", "quotient", "class_of", "lifted", "kind")
+    __slots__ = ("source", "classes", "quotient", "class_of", "lifted", "kind", "family")
 
-    def __init__(self, source, classes, quotient, class_of, lifted, kind):
+    def __init__(self, source, classes, quotient, class_of, lifted, kind, family):
         self.source = source
         self.classes = classes  # tuple of masks, ordered by smallest member
         self.quotient = quotient  # FinSpace on class labels
         self.class_of = class_of  # tuple: point index -> class index
         self.lifted = lifted  # name -> tuple of values per class
         self.kind = kind
+        self.family = family  # name -> {point label -> Fraction}
 
     def class_index(self, point) -> int:
         return self.class_of[self.source._index[point]]
@@ -120,7 +122,7 @@ class Hull:
         }
 
 
-def _build_quotient(space: FinSpace, classes: list[int], class_of: list[int], lifted_src, kind):
+def _build_quotient(space: FinSpace, classes, class_of, family: Family, kind: str) -> Hull:
     labels = tuple("|".join(str(x) for x in space.sorted_labels(m)) for m in classes)
     k = len(classes)
     opens = []
@@ -133,35 +135,18 @@ def _build_quotient(space: FinSpace, classes: list[int], class_of: list[int], li
             opens.append(v)
     quotient = FinSpace(labels, opens, _validated=True)
     lifted = {}
-    for name, table in sorted(lifted_src.items()):
+    for name, table in sorted(family.items()):
         values = []
         for m in classes:
             rep = next(space.points[i] for i in range(space.n) if m >> i & 1)
             values.append(table[rep])
         lifted[name] = tuple(values)
-    return Hull(space, tuple(classes), quotient, tuple(class_of), lifted, kind)
-
-
-def _partition_by(space: FinSpace, key) -> tuple[list[int], list[int]]:
-    reps: dict = {}
-    classes: list[int] = []
-    class_of = [0] * space.n
-    for i in range(space.n):
-        k = key(i)
-        if k not in reps:
-            reps[k] = len(classes)
-            classes.append(0)
-        idx = reps[k]
-        classes[idx] |= 1 << i
-        class_of[i] = idx
-    return classes, class_of
+    return Hull(space, classes, quotient, class_of, lifted, kind, family)
 
 
 def t0_reflection(space: FinSpace) -> Hull:
     """Quotient identifying points with equal closures, with the quotient topology."""
-    classes, class_of = _partition_by(
-        space, lambda i: space.closure_classical_mask(1 << i)
-    )
+    classes, class_of = _partition_by(space.n, lambda i: space.closure_classical_mask(1 << i))
     return _build_quotient(space, classes, class_of, {}, "t0-reflection")
 
 
@@ -174,7 +159,7 @@ def build_hull(space: FinSpace, family: Family, kind: str = "hull") -> Hull:
     family = validate_family(space, family)
     names = sorted(family)
     classes, class_of = _partition_by(
-        space, lambda i: tuple(family[name][space.points[i]] for name in names)
+        space.n, lambda i: tuple(family[name][space.points[i]] for name in names)
     )
     return _build_quotient(space, classes, class_of, family, kind)
 
@@ -212,21 +197,15 @@ def distinguishes_points_and_closed_sets(space: FinSpace, family: Family) -> boo
     return True
 
 
-def hull_report(space: FinSpace, family: Optional[Family] = None, seed: int = 0) -> dict:
-    """Build a hull and audit the quotient laws on it.
+def hull_report(hull: Hull) -> dict:
+    """Audit the quotient laws on a built hull.
 
     Checks: the quotient topology is discrete and Hausdorff, every family
     member factors exactly through the quotient map, the map is onto, each
     monad sits inside its point's class, and a distinguishing family forces
     class = monad.  Raises AuditFailure on any violation.
     """
-    if family is None:
-        family = canonical_family(space)
-        kind = "stone-cech"
-    else:
-        family = validate_family(space, family)
-        kind = "hull"
-    hull = build_hull(space, family, kind=kind)
+    space, family = hull.source, hull.family
     report = {"hull": hull.to_json(), "checks": {}}
     k = len(hull.classes)
 
@@ -270,9 +249,7 @@ def hull_report(space: FinSpace, family: Optional[Family] = None, seed: int = 0)
     report["checks"]["all_points_kept"] = True
     report["checks"]["quotient_compact"] = "finite space; compactness is automatic"
 
-    cr = is_completely_regular(space).holds
-    t2 = is_t2(space).holds
-    if cr and t2 and disting:
+    if disting and is_t2(space).holds and is_completely_regular(space).holds:
         # the quotient map must embed the space: classes are singletons and
         # lifted values restrict to the original ones
         embeds = k == space.n and all(
@@ -373,11 +350,11 @@ def zero_set_formulas(space: FinSpace, seed: int = 0) -> dict:
     """
     zp = z_partition(space)
     family = canonical_family(space)
-    family.update(validate_family(space, _random_combinations(space, zp, seed)))
+    family.update(_random_combinations(space, zp, seed))
     hull = build_hull(space, family, kind="stone-cech")
     checked = {"lifted_zero_sets": 0, "closure_images": 0, "intersection_images": 0}
 
-    for name, table in sorted(family.items()):
+    for name, table in sorted(hull.family.items()):
         z_mask = 0
         for i, p in enumerate(space.points):
             if table[p] == 0:
@@ -417,8 +394,9 @@ def zero_set_formulas(space: FinSpace, seed: int = 0) -> dict:
     return {"checked": checked, "failures": []}
 
 
-def ring_correspondence(space: FinSpace, seed: int = 0) -> dict:
-    """Composition with the quotient map is a ring isomorphism at finite scale.
+def ring_correspondence(hull: Hull, seed: int = 0) -> dict:
+    """Composition with the quotient map of the Stone-Cech hull is a ring
+    isomorphism at finite scale.
 
     Continuous functions on the space are exactly the block-constant ones;
     functions on the hull correspond to them one-to-one through the map, and
@@ -426,8 +404,8 @@ def ring_correspondence(space: FinSpace, seed: int = 0) -> dict:
     point the functions vanishing there form an ideal, and evaluations at
     distinct points are distinct homomorphisms.
     """
+    space = hull.source
     zp = z_partition(space)
-    hull = stone_cech_finite(space)
     k = len(hull.classes)
     rng = random.Random(seed)
     checked = {"bijection": 0, "homomorphism": 0, "ideals": 0, "distinct_evaluations": 0}
@@ -516,24 +494,23 @@ def hull_theorem_audit(spaces: Iterable[FinSpace], seed: int = 0) -> dict:
         hw = hewitt_finite(space)
         if sc.classes != hw.classes or sc.quotient.opens != hw.quotient.opens:
             failures["stone_cech_equals_hewitt"].append(desc)
-        try:
-            hull_report(space, seed=seed)
+
+        def hull_laws():
+            hull_report(sc)
             for t in range(2):
-                hull_report(space, generator_subfamily(space, seed + t), seed=seed)
-        except AuditFailure as exc:
-            failures["hull_laws"].append(f"{desc}: {exc}")
-        try:
-            t0_reflection_report(space)
-        except AuditFailure as exc:
-            failures["t0_reflection_laws"].append(f"{desc}: {exc}")
-        try:
-            zero_set_formulas(space, seed=seed)
-        except AuditFailure as exc:
-            failures["zero_set_formulas"].append(f"{desc}: {exc}")
-        try:
-            ring_correspondence(space, seed=seed)
-        except AuditFailure as exc:
-            failures["ring_correspondence"].append(f"{desc}: {exc}")
+                hull_report(build_hull(space, generator_subfamily(space, seed + t)))
+
+        audits = {
+            "hull_laws": hull_laws,
+            "t0_reflection_laws": lambda: t0_reflection_report(space),
+            "zero_set_formulas": lambda: zero_set_formulas(space, seed=seed),
+            "ring_correspondence": lambda: ring_correspondence(sc, seed=seed),
+        }
+        for name, audit in audits.items():
+            try:
+                audit()
+            except AuditFailure as exc:
+                failures[name].append(f"{desc}: {exc}")
     report = {
         "spaces_checked": count,
         "asserted": {

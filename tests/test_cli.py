@@ -160,10 +160,18 @@ class TestTopo:
         assert all(v["holds"] for v in got["properties"].values())
 
     def test_malformed_space_exits_2(self, capsys, tmp_path):
+        cases = [
+            ({"points": ["a", "b"], "opens": [[], ["a"]]}, "MissingEmptyOrFull"),
+            # an unhashable label, and strings where lists belong
+            ({"points": [["a"], "b"], "opens": [[], [["a"], "b"]]}, "SpaceError"),
+            ({"points": "ab", "opens": [[], ["a", "b"]]}, "SpaceError"),
+            ({"points": ["a", "b"], "opens": [[], "ab"]}, "SpaceError"),
+        ]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"points": ["a", "b"], "opens": [[], ["a"]]}))
-        code, got = run_json(capsys, "topo", "check", str(bad))
-        assert code == 2 and got["error"]["type"] == "MissingEmptyOrFull"
+        for body, kind in cases:
+            bad.write_text(json.dumps(body))
+            code, got = run_json(capsys, "topo", "check", str(bad))
+            assert code == 2 and got["error"]["type"] == kind, body
 
     def test_hull_stone_cech(self, capsys, fan3):
         code, got = run_json(capsys, "topo", "hull", fan3, "--stone-cech")
@@ -184,6 +192,22 @@ class TestTopo:
         assert code == 2
         assert got["error"]["type"] == "DiscontinuousFamilyMember"
         assert got["error"]["witness"]["monad"] == ["a", "b"]
+        # malformed families: a member that is not a table, values that are not rationals
+        for body in ({"f": 3}, *({"f": {"a": v, "b": v}} for v in ("x", None, "1/0"))):
+            fam.write_text(json.dumps(body))
+            code, got = run_json(capsys, "topo", "hull", sierp, str(fam))
+            assert code == 2 and got["error"]["type"] == "SpaceError", body
+
+    def test_hull_takes_one_input(self, capsys, disc3, tmp_path):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"f": {"a": "0", "b": "0", "c": "1"}}))
+        for extra in (
+            [str(fam), "--stone-cech"],
+            [str(fam), "--t0-reflect"],
+            ["--stone-cech", "--t0-reflect"],
+        ):
+            code, got = run_json(capsys, "topo", "hull", disc3, *extra)
+            assert code == 2 and got["error"]["type"] == "ConflictingInputs", extra
 
     def test_reflect(self, capsys, sierp):
         code, got = run_json(capsys, "topo", "reflect", sierp)

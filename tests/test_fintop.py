@@ -165,6 +165,14 @@ class TestZeroBlocks:
             for blk in zp.blocks:
                 assert s.is_open(blk) and s.is_closed(blk)
 
+    def test_blocks_are_the_minimal_nonempty_clopen_sets(self):
+        for s in all_spaces(4):
+            zp = F.z_partition(s)
+            clopen = [m for m in s.opens if m and s.is_closed(m)]
+            minimal = {m for m in clopen if not any(c != m and c & m == c for c in clopen)}
+            assert set(zp.blocks) == minimal and len(zp.blocks) == len(minimal)
+            assert all(zp.blocks[zp.block_of[i]] >> i & 1 for i in range(s.n))
+
     def test_continuous_functions_constant_on_blocks(self):
         for s in all_spaces(3):
             zp = F.z_partition(s)

@@ -122,7 +122,7 @@ class TestStoneCechHewitt:
 class TestHullLaws:
     def test_reports_pass_over_enumeration(self):
         for s in all_spaces(3):
-            report = H.hull_report(s)
+            report = H.hull_report(H.stone_cech_finite(s))
             checks = report["checks"]
             assert checks["quotient_discrete_hausdorff"] is True
             assert checks["lifted_factorization"] is True
@@ -138,7 +138,7 @@ class TestHullLaws:
                     assert s.monad_mask(i) == hull.classes[hull.class_of[i]]
 
     def test_embedding_on_discrete(self):
-        report = H.hull_report(DISC3)
+        report = H.hull_report(H.stone_cech_finite(DISC3))
         assert report["checks"]["embedding_on_completely_regular_hausdorff"] is True
 
     def test_monad_strictly_smaller_when_family_brutal(self):
@@ -161,16 +161,18 @@ class TestZeroSetFormulas:
 
 class TestRingCorrespondence:
     def test_two_point_discrete(self):
-        report = H.ring_correspondence(space(["a", "b"], [[], ["a"], ["b"], ["a", "b"]]))
+        report = H.ring_correspondence(
+            H.stone_cech_finite(space(["a", "b"], [[], ["a"], ["b"], ["a", "b"]]))
+        )
         assert report["failures"] == []
 
     def test_collapsing_spaces(self):
         for s in (SIERP, FAN3):
-            assert H.ring_correspondence(s)["failures"] == []
+            assert H.ring_correspondence(H.stone_cech_finite(s))["failures"] == []
 
     def test_over_enumeration(self):
         for s in all_spaces(3):
-            assert H.ring_correspondence(s)["failures"] == []
+            assert H.ring_correspondence(H.stone_cech_finite(s))["failures"] == []
 
 
 class TestHullAudit:
