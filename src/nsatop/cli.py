@@ -321,8 +321,20 @@ def cmd_audit(args, fmt: str) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors so that `main` reports them in the error schema;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nsatop",
         description="infinitesimal arithmetic, germs, bounded-quantifier formulas, "
         "and monad-based finite topology",
@@ -384,7 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        code = _dispatch(build_parser().parse_args(argv))
+        try:
+            code = _dispatch(build_parser().parse_args(argv))
+        except _UsageError as exc:
+            code = _error("UsageError", str(exc), "json")
         sys.stdout.flush()
         return code
     except BrokenPipeError:

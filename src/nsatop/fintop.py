@@ -240,6 +240,8 @@ class FinSpace:
 def _check_topology(masks: tuple, full: int) -> tuple:
     seen = set()
     for m in masks:
+        if not 0 <= m <= full:
+            raise SpaceError(f"open mask {m} out of range 0..{full}")
         if m in seen:
             raise DuplicateOpen(f"open set repeated: {m:b}")
         seen.add(m)

@@ -117,6 +117,8 @@ Scalar = Union[int, Fraction]
 
 
 def _reduce_ramification(num: Poly, den: Poly, ram: int) -> tuple[Poly, Poly, int]:
+    if ram == 1:
+        return num, den, ram
     d = math.gcd(num.exponent_gcd(), den.exponent_gcd())
     k = math.gcd(d, ram) if d else ram
     if k > 1:
@@ -276,23 +278,42 @@ class Hyperreal:
         low = self.num.lowest
         return 1 if low > 0 else -1
 
+    def _order_sign(self, other: "Hyperreal") -> int:
+        """Sign of self - other without building it.
+
+        self - other = (an*bd - bn*ad) / (ad*bd), and the lowest coefficient
+        of ad*bd is positive, so the sign is that of the lowest coefficient
+        of an*bd - bn*ad.
+        """
+        an, ad, bn, bd, _ = self._rebase(other)
+        diff = an * bd - bn * ad
+        if diff.is_zero():
+            return 0
+        return 1 if diff.lowest > 0 else -1
+
     def __lt__(self, other) -> bool:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return (self - other).sign() < 0
+        return self._order_sign(other) < 0
 
     def __le__(self, other) -> bool:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return (self - other).sign() <= 0
+        return self._order_sign(other) <= 0
 
     def __gt__(self, other) -> bool:
-        return _coerce(other) < self
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._order_sign(other) > 0
 
     def __ge__(self, other) -> bool:
-        return _coerce(other) <= self
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._order_sign(other) >= 0
 
     # -- classification ------------------------------------------------------------
 
@@ -405,8 +426,8 @@ def nth_root(a: Hyperreal, n: int) -> Hyperreal:
         raise NegativeEvenRoot("even root of a negative element")
 
     vn, vd = a.num.valuation, a.den.valuation
-    unit_num = Poly(a.num.coeffs[vn:])
-    unit_den = Poly(a.den.coeffs[vd:])
+    unit_num = a.num.shift_down(vn)
+    unit_den = a.den.shift_down(vd)
     if s < 0:
         # odd n: take the root of -a and negate
         root = nth_root(-a, n)

@@ -2,41 +2,89 @@
 
 Shared arithmetic core for the infinitesimal field (polynomials in a formal
 infinitesimal) and the germ sandbox (polynomials in the sequence index).
-All coefficients are `fractions.Fraction`; nothing here is approximate.
+A polynomial is stored as integer numerators over one positive common
+denominator; the ring operations work on integers only.  Coefficients are
+read and written as `fractions.Fraction`; nothing here is approximate.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
 
-def _trim(coeffs: list) -> tuple:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
+def _from_ints(ints, den: int = 1) -> "Poly":
+    """Poly with coefficients ints[i]/den (den > 0), trimmed and reduced.
+
+    Tuples here are built from lists, not generators: CPython over-allocates
+    a tuple built from a generator and then shrinks it, and the freed blocks
+    pile up in its per-size tuple free lists (measurable as peak RSS).
+    """
+    n = len(ints)
+    while n and not ints[n - 1]:
         n -= 1
-    return tuple(coeffs[:n])
+    ints = tuple(ints[:n])
+    if den != 1:
+        g = math.gcd(den, *ints) if ints else den
+        if g != 1:
+            ints = tuple([c // g for c in ints])
+            den //= g
+    p = object.__new__(Poly)
+    p.ints = ints
+    p.den = den
+    return p
+
+
+def _combine(a: "Poly", b: "Poly", sign: int) -> "Poly":
+    """a + sign*b."""
+    x, y = a.ints, b.ints
+    if a.den == b.den:
+        den = a.den
+    else:
+        den = a.den * b.den // math.gcd(a.den, b.den)
+        ka, kb = den // a.den, den // b.den
+        x = [c * ka for c in x]
+        y = [c * kb for c in y]
+    if sign < 0:
+        y = [-c for c in y]
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for i, c in enumerate(y):
+        out[i] += c
+    return _from_ints(out, den)
 
 
 class Poly:
     """Immutable polynomial; ``coeffs[i]`` is the coefficient of x**i.
 
-    The zero polynomial is represented by an empty coefficient tuple.
+    Stored as ``ints[i] / den``: ``ints`` is trimmed of trailing zeros,
+    ``den`` is positive and coprime to the content of ``ints``.  That form
+    is canonical, so equality and hashing compare it directly.  The zero
+    polynomial is ``ints == ()``, ``den == 1``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cleaned = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", _trim(cleaned))
+        fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in fracs])
+        # every prime power of den divides some coefficient's denominator
+        # fully, so the scaled numerators are already coprime to den
+        n = len(fracs)
+        while n and not fracs[n - 1]:
+            n -= 1
+        self.ints = tuple([c.numerator * (den // c.denominator) for c in fracs[:n]])
+        self.den = den if n else 1
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly((Fraction(c),))
+        return Poly((c,))
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
-        return Poly((0,) * k + (Fraction(c),))
+        return Poly((0,) * k + (c,))
 
     ZERO: "Poly"
     ONE: "Poly"
@@ -44,46 +92,53 @@ class Poly:
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        d = self.den
+        return tuple([Fraction(c, d) for c in self.ints])
+
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def degree(self) -> int:
         """Degree, with the convention degree(0) == -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def valuation(self) -> Optional[int]:
         """Index of the lowest nonzero coefficient; None for zero."""
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.ints):
             if c:
                 return i
         return None
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     @property
     def lowest(self) -> Fraction:
         v = self.valuation
         if v is None:
             raise ValueError("zero polynomial has no lowest coefficient")
-        return self.coeffs[v]
+        return Fraction(self.ints[v], self.den)
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        if 0 <= i < len(self.ints):
+            return Fraction(self.ints[i], self.den)
+        return Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.ints == other.ints and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
@@ -91,35 +146,29 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _combine(self, other, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _from_ints([-c for c in self.ints], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        a, b = self.ints, other.ints
         if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return Poly.ZERO
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
+                for j, cb in enumerate(b, i):
                     if cb:
-                        out[i + j] += ca * cb
-        return Poly(out)
+                        out[j] += ca * cb
+        return _from_ints(out, self.den * other.den)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
-        return Poly([k * c for k in self.coeffs])
+        return _from_ints([k * c.numerator for k in self.ints], self.den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -134,19 +183,36 @@ class Poly:
         return result
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+        """Quotient and remainder by integer pseudo-division.
+
+        With l the leading numerator of other and k quotient terms,
+        l**k * self.ints = q * other.ints + r over the integers, and every
+        step of the long division of l**k * self.ints is exact.
+        """
+        b = other.ints
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = other.leading
-        ddeg = other.degree
-        q = [Fraction(0)] * max(0, len(rem) - ddeg)
+        ddeg = len(b) - 1
+        k = len(self.ints) - ddeg
+        if k <= 0:
+            return Poly.ZERO, self
+        lead = b[-1]
+        mult = lead**k
+        rem = [c * mult for c in self.ints]
+        q = [0] * k
         for i in range(len(rem) - 1, ddeg - 1, -1):
             if rem[i]:
-                f = rem[i] / dlead
+                f = rem[i] // lead
                 q[i - ddeg] = f
-                for j, c in enumerate(other.coeffs):
-                    rem[i - ddeg + j] -= f * c
-        return Poly(q), Poly(rem)
+                for j, c in enumerate(b, i - ddeg):
+                    rem[j] -= f * c
+        # self = (q * other.den / (mult * self.den)) * other + r / (mult * self.den)
+        den = mult * self.den
+        if den < 0:
+            den = -den
+            q = [-c for c in q]
+            rem = [-c for c in rem]
+        return _from_ints([c * other.den for c in q], den), _from_ints(rem, den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
@@ -155,25 +221,12 @@ class Poly:
         return self.divmod(other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self.ints:
             return self
-        return self.scale(1 / self.leading)
-
-    def _primitive_ints(self) -> list:
-        """Integer coefficient list (content removed), same roots."""
-        import math
-
-        den = 1
-        for c in self.coeffs:
-            d = c.denominator
-            den = den * d // math.gcd(den, d)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        return ints
+        lead = self.ints[-1]
+        if lead < 0:
+            return _from_ints([-c for c in self.ints], -lead)
+        return _from_ints(self.ints, lead)
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor (primitive remainder sequence)."""
@@ -181,61 +234,54 @@ class Poly:
             return other.monic()
         if other.is_zero():
             return self.monic()
-        a = self._primitive_ints()
-        b = other._primitive_ints()
+        a, b = self.ints, other.ints
         if len(a) < len(b):
             a, b = b, a
         while b:
             a, b = b, _int_prem(a, b)
-        return Poly(a).monic()
+        return _from_ints(a).monic()
 
     # -- evaluation and substitutions ---------------------------------------
 
     def eval(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Value at an integer or Fraction x (homogeneous integer Horner)."""
+        ints = self.ints
+        if not ints:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc, qpow = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            qpow *= q
+            acc = acc * p + c * qpow
+        return Fraction(acc, self.den * qpow)
 
     def shift_down(self, k: int) -> "Poly":
         """Divide by x**k; requires valuation >= k."""
         if k == 0 or self.is_zero():
             return self
-        if any(self.coeffs[:k]):
+        if any(self.ints[:k]):
             raise ValueError("valuation too small in shift_down")
-        return Poly(self.coeffs[k:])
+        return _from_ints(self.ints[k:], self.den)
 
     def stretch(self, k: int) -> "Poly":
         """Substitute x -> x**k."""
         if k == 1 or self.is_zero():
             return self
-        out = [Fraction(0)] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * k] = c
-        return Poly(out)
+        out = [0] * (self.degree * k + 1)
+        out[::k] = self.ints
+        return _from_ints(out, self.den)
 
     def decimate(self, k: int) -> "Poly":
         """Inverse of stretch; every nonzero exponent must be divisible by k."""
         if k == 1 or self.is_zero():
             return self
-        out = [Fraction(0)] * (self.degree // k + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                if i % k:
-                    raise ValueError("exponent not divisible in decimate")
-                out[i // k] = c
-        return Poly(out)
+        if any(c for i, c in enumerate(self.ints) if i % k):
+            raise ValueError("exponent not divisible in decimate")
+        return _from_ints(self.ints[::k], self.den)
 
     def exponent_gcd(self) -> int:
         """Gcd of the exponents of the nonzero terms (0 for constants and zero)."""
-        import math
-
-        g = 0
-        for i, c in enumerate(self.coeffs):
-            if c:
-                g = math.gcd(g, i)
-        return g
+        return math.gcd(*[i for i, c in enumerate(self.ints) if c])
 
     def reversed_to(self, length: int) -> "Poly":
         """Coefficients reversed within a window of the given length.
@@ -244,8 +290,8 @@ class Poly:
         """
         if self.degree >= length:
             raise ValueError("polynomial too long for window")
-        padded = list(self.coeffs) + [Fraction(0)] * (length - len(self.coeffs))
-        return Poly(padded[::-1])
+        padded = self.ints + (0,) * (length - len(self.ints))
+        return _from_ints(padded[::-1], self.den)
 
     # -- roots ----------------------------------------------------------------
 
@@ -263,8 +309,8 @@ class Poly:
             return None
         if (self.degree - v) % n:
             return None
-        body = Poly(self.coeffs[v:])
-        c0 = rational_nth_root(body.coeffs[0], n)
+        body = self.shift_down(v)
+        c0 = rational_nth_root(body.coeff(0), n)
         if c0 is None:
             return None
         deg = body.degree // n
@@ -288,9 +334,10 @@ class Poly:
         if self.is_zero():
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.ints):
             if not c:
                 continue
+            c = Fraction(c, self.den)
             e = Fraction(i, ram)
             if e == 0:
                 body = _frac_str(c)
@@ -318,32 +365,23 @@ def _frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _int_prem(u: list, v: list) -> list:
-    """Content-free pseudo-remainder of integer coefficient lists."""
-    import math
-
+def _int_prem(u, v) -> list:
+    """Content-free pseudo-remainder of trimmed integer coefficient lists."""
     u = list(u)
     dv = len(v) - 1
     lv = v[-1]
-    while len(u) - 1 >= dv:
+    while len(u) > dv:
         lead = u[-1]
-        if lead == 0:
-            u.pop()
-            continue
-        shift = len(u) - 1 - dv
         u = [lv * c for c in u]
-        for j, vc in enumerate(v):
-            u[shift + j] -= lead * vc
-        while u and u[-1] == 0:
+        for j, vc in enumerate(v, len(u) - 1 - dv):
+            u[j] -= lead * vc
+        u.pop()
+        while u and not u[-1]:
             u.pop()
-        if not u:
-            return []
-        g = 0
-        for c in u:
-            g = math.gcd(g, c)
-        if g > 1:
-            u = [c // g for c in u]
-    return u
+    if not u:
+        return u
+    g = math.gcd(*u)
+    return [c // g for c in u] if g > 1 else u
 
 
 def integer_nth_root(m: int, n: int) -> Optional[int]:

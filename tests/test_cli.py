@@ -166,12 +166,16 @@ class TestTopo:
             ({"points": [["a"], "b"], "opens": [[], [["a"], "b"]]}, "SpaceError"),
             ({"points": "ab", "opens": [[], ["a", "b"]]}, "SpaceError"),
             ({"points": ["a", "b"], "opens": [[], "ab"]}, "SpaceError"),
+            # integer masks outside 0..full
+            ({"points": ["a"], "opens": [0, 1, 2, 3]}, "SpaceError"),
+            ({"points": ["a"], "opens": [-1, 0, 1]}, "SpaceError"),
         ]
         bad = tmp_path / "bad.json"
         for body, kind in cases:
             bad.write_text(json.dumps(body))
-            code, got = run_json(capsys, "topo", "check", str(bad))
-            assert code == 2 and got["error"]["type"] == kind, body
+            for argv in (("check", str(bad)), ("hull", str(bad), "--stone-cech")):
+                code, got = run_json(capsys, "topo", *argv)
+                assert code == 2 and got["error"]["type"] == kind, (body, argv)
 
     def test_hull_stone_cech(self, capsys, fan3):
         code, got = run_json(capsys, "topo", "hull", fan3, "--stone-cech")
@@ -218,6 +222,25 @@ class TestTopo:
         code, out = run(capsys, "topo", "dot", fan3)
         assert code == 0
         assert out.startswith("digraph") and '"0" -> "1";' in out
+
+
+class TestUsage:
+    def test_usage_error_uses_error_schema(self, capsys, sierp):
+        for argv in (
+            ("topo", "hull", sierp, "--bogus"),
+            ("hyper", "root", "e", "two"),
+            ("germ", "compare", "1", "2", "gt"),
+            (),
+        ):
+            code, got = run_json(capsys, *argv)
+            assert code == 2 and got["error"]["type"] == "UsageError", argv
+            assert got["error"]["message"].startswith("nsatop"), argv
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["topo", "hull", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nsatop topo hull")
 
 
 class TestAudit:

@@ -93,6 +93,36 @@ class TestOrder:
             if ZERO < a and ZERO < b:
                 assert ZERO < a * b
 
+    def test_operators_agree_with_compare(self):
+        # compare() subtracts and reads the sign; the operators do not
+        rng = random.Random(41)
+        rams = set()
+        for _ in range(400):
+            a = rand_hyperreal(rng, rams=(1, 2, 3))
+            b = rng.choice((a, rand_hyperreal(rng, rams=(1, 2, 3))))
+            rams.update((a.ram, b.ram))
+            q = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for lhs, rhs, c in (
+                (a, b, H.compare(a, b)),
+                (a, q, H.compare(a, Hyperreal.from_rational(q))),
+                (q, a, H.compare(Hyperreal.from_rational(q), a)),
+            ):
+                assert (lhs < rhs, lhs <= rhs, lhs > rhs, lhs >= rhs) == (
+                    c < 0, c <= 0, c > 0, c >= 0
+                ), (lhs, rhs)
+        assert {1, 2, 3} <= rams
+
+    def test_order_rejects_non_numbers(self):
+        for other in ("x", 0.5):
+            for op in (
+                lambda: ONE < other,
+                lambda: ONE <= other,
+                lambda: ONE > other,
+                lambda: ONE >= other,
+            ):
+                with pytest.raises(TypeError):
+                    op()
+
 
 class TestClassification:
     def test_examples(self):

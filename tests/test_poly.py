@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,12 @@ def test_zero_and_degree():
     assert Poly((0, 0, 3)).valuation == 2
 
 
+def assert_canonical(p):
+    # integer numerators over a positive denominator coprime to their content
+    assert p.den > 0 and math.gcd(p.den, *p.ints) == 1
+    assert not p.ints or p.ints[-1]
+
+
 def test_arithmetic_identities():
     rng = random.Random(7)
     for _ in range(200):
@@ -24,26 +31,50 @@ def test_arithmetic_identities():
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+        for r in (a + b, a - b, -a, a * b, a.scale(Fraction(-2, 3)), a.monic(), a.stretch(2)):
+            assert_canonical(r)
+    # unreduced Fractions, ints and computed results give one canonical form
+    p = Poly((Fraction(2, 4), Fraction(-6, 3), Fraction(0, 5), 0))
+    for q in (
+        Poly((Fraction(1, 2), -2)),
+        Poly((1, -4)).scale(Fraction(1, 2)),
+        Poly((3, -12)) * Poly.const(Fraction(1, 6)),
+        Poly((Fraction(3, 2), -1)) - Poly((1, 1)),
+    ):
+        assert p == q and hash(p) == hash(q)
+    assert Poly((Fraction(6, 3), Fraction(-8, 2))) == Poly((2, -4))
+    assert hash(Poly((Fraction(6, 3), Fraction(-8, 2)))) == hash(Poly((2, -4)))
+
+
+# divisors whose leading coefficient is negative and not a unit
+NEGATIVE_LEADS = (
+    Poly((1, 2, -3)),
+    Poly((Fraction(1, 2), Fraction(-4, 3))),
+    Poly((Fraction(-5, 7),)),
+)
 
 
 def test_divmod_invariant():
     rng = random.Random(8)
-    for _ in range(200):
+    for i in range(200):
         a = rand_poly(rng, 4)
-        b = rand_poly(rng, 2, zero_ok=False)
+        b = rand_poly(rng, 2, zero_ok=False) if i % 4 else NEGATIVE_LEADS[i // 4 % 3]
         q, r = a.divmod(b)
         assert q * b + r == a
         assert r.is_zero() or r.degree < b.degree
+        assert_canonical(q)
+        assert_canonical(r)
 
 
 def test_gcd_divides_both():
     rng = random.Random(9)
-    for _ in range(100):
-        g = rand_poly(rng, 1, zero_ok=False)
+    for i in range(100):
+        g = rand_poly(rng, 1, zero_ok=False) if i % 4 else NEGATIVE_LEADS[i // 4 % 3]
         a = g * rand_poly(rng, 2, zero_ok=False)
         b = g * rand_poly(rng, 2, zero_ok=False)
         d = a.gcd(b)
         assert (a % d).is_zero() and (b % d).is_zero()
+        assert d.leading == 1 and (d % g.monic()).is_zero()
 
 
 def test_stretch_decimate_roundtrip():
