@@ -40,6 +40,16 @@ class QuantifierOverAtom(BqfError):
     pass
 
 
+class NestingTooDeep(BqfError):
+    """A formula or an entity nested deeper than MAX_DEPTH levels."""
+
+
+# deepest nesting the parser and entity_from_json accept; evaluation, printing
+# and hashing recurse once per level, so this keeps them far from Python's
+# recursion limit
+MAX_DEPTH = 100
+
+
 class AuditFailure(BqfError):
     def __init__(self, message: str, instance=None):
         super().__init__(message)
@@ -73,6 +83,8 @@ class Atom(Entity):
 
 
 class FSet(Entity):
+    """Finite set of entities; `FSet(...)` type-checks its members."""
+
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[Entity] = ()):
@@ -121,9 +133,16 @@ def entity_key(e: Entity):
     return (1, "", tuple(entity_key(m) for m in sorted(e.members, key=entity_key)))
 
 
+def _fset(members: frozenset) -> FSet:
+    """FSet of members already known to be entities (no type check)."""
+    s = object.__new__(FSet)
+    object.__setattr__(s, "members", members)
+    return s
+
+
 def make_pair(a: Entity, b: Entity) -> FSet:
     """Ordered pair as the two-element coding {{a},{a,b}}."""
-    return FSet((FSet((a,)), FSet((a, b))))
+    return _fset(frozenset((_fset(frozenset((a,))), _fset(frozenset((a, b))))))
 
 
 def entity_to_json(e: Entity):
@@ -132,11 +151,13 @@ def entity_to_json(e: Entity):
     return [entity_to_json(m) for m in e]
 
 
-def entity_from_json(obj) -> Entity:
+def entity_from_json(obj, _depth: int = 0) -> Entity:
     if isinstance(obj, str):
         return Atom(obj)
     if isinstance(obj, list):
-        return FSet(entity_from_json(x) for x in obj)
+        if _depth == MAX_DEPTH:
+            raise NestingTooDeep(f"entity nested deeper than {MAX_DEPTH} levels")
+        return FSet([entity_from_json(x, _depth + 1) for x in obj])
     raise TypeError(f"cannot decode entity from {obj!r}")
 
 
@@ -281,10 +302,31 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+def _nested(parse):
+    """Count the nesting depth of a recursive parse method.
+
+    A parse that goes past MAX_DEPTH raises and is abandoned, so the count
+    is only unwound on success.
+    """
+
+    def method(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise NestingTooDeep(
+                f"formula nested deeper than {MAX_DEPTH} levels (at token position {self.pos})"
+            )
+        node = parse(self)
+        self.depth -= 1
+        return node
+
+    return method
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Optional[tuple]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -304,6 +346,7 @@ class _Parser:
         self.pos += 1
         return tok
 
+    @_nested
     def parse_formula(self) -> Formula:
         tok = self.peek()
         if tok is None:
@@ -367,6 +410,7 @@ class _Parser:
             ("=", "in"),
         )
 
+    @_nested
     def parse_term(self) -> Term:
         tok = self.peek()
         if tok is None:
@@ -467,19 +511,28 @@ def constants(f: Formula) -> set[str]:
 
 def _eval_term(t: Term, env: dict) -> Entity:
     if isinstance(t, Name):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise UnboundConstant(f"no entity bound to {t.name!r}") from None
+        return env[t.name]
     if isinstance(t, PairTerm):
         return make_pair(_eval_term(t.first, env), _eval_term(t.second, env))
     return FSet(_eval_term(item, env) for item in t.items)
 
 
+def _check_bound(f: Formula, bound: Iterable[str]) -> None:
+    """Raise UnboundConstant unless every free name of f is in `bound`."""
+    missing = sorted(constants(f).difference(bound))
+    if missing:
+        raise UnboundConstant(f"no entity bound to {', '.join(map(repr, missing))}")
+
+
 def evaluate(f: Formula, bindings: dict) -> bool:
-    """Classical truth value; quantifiers enumerate the bounding set's members."""
+    """Classical truth value; quantifiers enumerate the bounding set's members.
+
+    Every free name must be bound; this is checked before evaluation, since
+    connectives short-circuit and might otherwise never reach one.
+    """
     if isinstance(f, str):
         f = parse(f)
+    _check_bound(f, bindings)
     return _eval(f, dict(bindings))
 
 
@@ -495,14 +548,14 @@ def _eval(f: Formula, env: dict) -> bool:
         return not _eval(f.body, env)
     if isinstance(f, BinOp):
         a = _eval(f.lhs, env)
-        b = _eval(f.rhs, env)
-        if f.op == "and":
-            return a and b
-        if f.op == "or":
-            return a or b
-        if f.op == "=>":
-            return (not a) or b
-        return a == b
+        op = f.op
+        if op == "and":
+            return a and _eval(f.rhs, env)
+        if op == "or":
+            return a or _eval(f.rhs, env)
+        if op == "=>":
+            return not a or _eval(f.rhs, env)
+        return a == _eval(f.rhs, env)
     if isinstance(f, Quant):
         bound = _eval_term(f.bound, env)
         if isinstance(bound, Atom):
@@ -552,6 +605,7 @@ def define_set(
                 f"expected exactly one designated free variable, found {free or 'none'}"
             )
         var = free[0]
+    _check_bound(formula, [*bindings, var])
     env = dict(bindings)
     members = []
     for m in bound.members:

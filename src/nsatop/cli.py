@@ -163,13 +163,21 @@ def cmd_germ(args, fmt: str) -> int:
 # -- bqf ---------------------------------------------------------------------------
 
 
+def _entity(text: str) -> bqf.Entity:
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise bqf.NestingTooDeep("JSON value nested too deeply to decode") from None
+    return bqf.entity_from_json(obj)
+
+
 def _parse_bindings(pairs) -> dict:
     out = {}
     for binding in pairs or []:
         name, sep, text = binding.partition("=")
         if not sep:
             raise bqf.BqfError(f"binding {binding!r} is not name=json")
-        out[name.strip()] = bqf.entity_from_json(json.loads(text))
+        out[name.strip()] = _entity(text)
     return out
 
 
@@ -178,8 +186,8 @@ def cmd_bqf(args, fmt: str) -> int:
         bindings = _parse_bindings(args.bind)
         formula = bqf.parse(args.formula)
         if args.action == "eval":
-            value = bqf.evaluate(formula, bindings)
             transfer = bqf.check_transfer_finite(formula, bindings)
+            value = transfer["standard_truth"]
             _emit(
                 {
                     "formula": bqf.print_formula(formula),
@@ -189,7 +197,7 @@ def cmd_bqf(args, fmt: str) -> int:
                 fmt,
             )
             return 0 if value else 1
-        bound = bqf.entity_from_json(json.loads(args.bound))
+        bound = _entity(args.bound)
         if not isinstance(bound, bqf.FSet):
             return _error("QuantifierOverAtom", "comprehension bound must be a set", fmt)
         result = bqf.define_set(bound, formula, bindings, var=args.var)

@@ -57,6 +57,10 @@ class ExprSyntaxError(HyperrealError):
         self.position = position
 
 
+class NestingTooDeep(ExprSyntaxError):
+    """An expression nested deeper than MAX_DEPTH levels."""
+
+
 class Classification(Enum):
     ZERO = "zero"
     INFINITESIMAL = "infinitesimal"
@@ -260,13 +264,15 @@ class Hyperreal:
     def __pow__(self, n: int) -> "Hyperreal":
         if n < 0:
             return self.inverse() ** (-n)
+        # right-to-left binary method; the base is not squared past the top bit
         result = Hyperreal.from_rational(1)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- order -------------------------------------------------------------------
@@ -483,11 +489,16 @@ def in_star_interval(a: Hyperreal, lo: Scalar, hi: Scalar, kind: str = "closed")
 #
 # 'e' is the positive infinitesimal; rationals are written with '/', e.g. 1/3.
 
+# deepest nesting of parentheses and signs the parser accepts; each level
+# costs five Python frames, so this stays well inside the recursion limit
+MAX_DEPTH = 100
+
 
 class _ExprParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise ExprSyntaxError(message, self.pos)
@@ -535,14 +546,22 @@ class _ExprParser:
         return value
 
     def unary(self) -> Hyperreal:
+        # every nested parenthesis or sign passes through here; a parse that
+        # goes too deep raises and is abandoned, so the count only unwinds
+        # on success
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise NestingTooDeep(f"expression nested deeper than {MAX_DEPTH} levels", self.pos)
         ch = self.peek()
-        if ch == "-":
+        if ch in ("-", "+"):
             self.pos += 1
-            return -self.unary()
-        if ch == "+":
-            self.pos += 1
-            return self.unary()
-        return self.power()
+            value = self.unary()
+            if ch == "-":
+                value = -value
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self) -> Hyperreal:
         base = self.atom()

@@ -14,8 +14,17 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 
-def _from_ints(ints, den: int = 1) -> "Poly":
-    """Poly with coefficients ints[i]/den (den > 0), trimmed and reduced.
+def _new(ints: tuple, den: int, val: int) -> "Poly":
+    """Poly from a canonical (ints, den, val) triple, unchecked."""
+    p = object.__new__(Poly)
+    p.ints = ints
+    p.den = den
+    p.val = val
+    return p
+
+
+def _from_ints(ints, den: int = 1, val: int = 0) -> "Poly":
+    """Poly with coefficient ints[i]/den at x**(val+i) (den > 0), trimmed and reduced.
 
     Tuples here are built from lists, not generators: CPython over-allocates
     a tuple built from a generator and then shrinks it, and the freed blocks
@@ -24,20 +33,32 @@ def _from_ints(ints, den: int = 1) -> "Poly":
     n = len(ints)
     while n and not ints[n - 1]:
         n -= 1
-    ints = tuple(ints[:n])
+    if not n:
+        return Poly.ZERO
+    lo = 0
+    while not ints[lo]:
+        lo += 1
+    ints = tuple(ints[lo:n])
     if den != 1:
-        g = math.gcd(den, *ints) if ints else den
+        g = math.gcd(den, *ints)
         if g != 1:
             ints = tuple([c // g for c in ints])
             den //= g
-    p = object.__new__(Poly)
-    p.ints = ints
-    p.den = den
-    return p
+    return _new(ints, den, val + lo)
+
+
+def _dense(p: "Poly") -> list:
+    """Integer numerators of x**0 .. x**degree, zeros below the valuation included."""
+    return [0] * p.val + list(p.ints)
 
 
 def _combine(a: "Poly", b: "Poly", sign: int) -> "Poly":
     """a + sign*b."""
+    # zero has val 0; aligning with it would pad the other side to dense form
+    if not b.ints:
+        return a
+    if not a.ints:
+        return -b if sign < 0 else b
     x, y = a.ints, b.ints
     if a.den == b.den:
         den = a.den
@@ -48,35 +69,49 @@ def _combine(a: "Poly", b: "Poly", sign: int) -> "Poly":
         y = [c * kb for c in y]
     if sign < 0:
         y = [-c for c in y]
+    # align both at the lower valuation
+    val = min(a.val, b.val)
+    if a.val > val:
+        x = [0] * (a.val - val) + list(x)
+    if b.val > val:
+        y = [0] * (b.val - val) + list(y)
     if len(x) < len(y):
         x, y = y, x
     out = list(x)
     for i, c in enumerate(y):
         out[i] += c
-    return _from_ints(out, den)
+    return _from_ints(out, den, val)
 
 
 class Poly:
     """Immutable polynomial; ``coeffs[i]`` is the coefficient of x**i.
 
-    Stored as ``ints[i] / den``: ``ints`` is trimmed of trailing zeros,
-    ``den`` is positive and coprime to the content of ``ints``.  That form
-    is canonical, so equality and hashing compare it directly.  The zero
-    polynomial is ``ints == ()``, ``den == 1``.
+    Stored as ``ints[i] / den`` times ``x**(val + i)``: ``ints`` is trimmed of
+    zeros at both ends, so ``val`` is the valuation, and ``den`` is positive
+    and coprime to the content of ``ints``.  That form is canonical, so
+    equality and hashing compare it directly.  The zero polynomial is
+    ``ints == ()``, ``den == 1``, ``val == 0``.  A power of x times a dense
+    polynomial, such as e**N in the infinitesimal field, costs only the
+    dense part.
     """
 
-    __slots__ = ("ints", "den")
+    __slots__ = ("ints", "den", "val")
 
     def __init__(self, coeffs: Iterable = ()):
         fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        den = math.lcm(*[c.denominator for c in fracs])
-        # every prime power of den divides some coefficient's denominator
-        # fully, so the scaled numerators are already coprime to den
         n = len(fracs)
         while n and not fracs[n - 1]:
             n -= 1
-        self.ints = tuple([c.numerator * (den // c.denominator) for c in fracs[:n]])
-        self.den = den if n else 1
+        lo = 0
+        while lo < n and not fracs[lo]:
+            lo += 1
+        fracs = fracs[lo:n]
+        den = math.lcm(*[c.denominator for c in fracs])
+        # every prime power of den divides some coefficient's denominator
+        # fully, so the scaled numerators are already coprime to den
+        self.ints = tuple([c.numerator * (den // c.denominator) for c in fracs])
+        self.den = den
+        self.val = lo
 
     @staticmethod
     def const(c) -> "Poly":
@@ -84,7 +119,8 @@ class Poly:
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
-        return Poly((0,) * k + (c,))
+        p = Poly((c,))
+        return _new(p.ints, p.den, k) if p.ints else p
 
     ZERO: "Poly"
     ONE: "Poly"
@@ -95,7 +131,7 @@ class Poly:
     @property
     def coeffs(self) -> tuple:
         d = self.den
-        return tuple([Fraction(c, d) for c in self.ints])
+        return (_FRACTION_ZERO,) * self.val + tuple([Fraction(c, d) for c in self.ints])
 
     def __bool__(self) -> bool:
         return bool(self.ints)
@@ -106,15 +142,12 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree, with the convention degree(0) == -1."""
-        return len(self.ints) - 1
+        return self.val + len(self.ints) - 1
 
     @property
     def valuation(self) -> Optional[int]:
         """Index of the lowest nonzero coefficient; None for zero."""
-        for i, c in enumerate(self.ints):
-            if c:
-                return i
-        return None
+        return self.val if self.ints else None
 
     @property
     def leading(self) -> Fraction:
@@ -124,21 +157,26 @@ class Poly:
 
     @property
     def lowest(self) -> Fraction:
-        v = self.valuation
-        if v is None:
+        if not self.ints:
             raise ValueError("zero polynomial has no lowest coefficient")
-        return Fraction(self.ints[v], self.den)
+        return Fraction(self.ints[0], self.den)
 
     def coeff(self, i: int) -> Fraction:
+        i -= self.val
         if 0 <= i < len(self.ints):
             return Fraction(self.ints[i], self.den)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.ints == other.ints and self.den == other.den
+        return (
+            isinstance(other, Poly)
+            and self.ints == other.ints
+            and self.den == other.den
+            and self.val == other.val
+        )
 
     def __hash__(self) -> int:
-        return hash((self.ints, self.den))
+        return hash((self.ints, self.den, self.val))
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
@@ -149,7 +187,7 @@ class Poly:
         return _combine(self, other, 1)
 
     def __neg__(self) -> "Poly":
-        return _from_ints([-c for c in self.ints], self.den)
+        return _new(tuple([-c for c in self.ints]), self.den, self.val)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return _combine(self, other, -1)
@@ -164,22 +202,24 @@ class Poly:
                 for j, cb in enumerate(b, i):
                     if cb:
                         out[j] += ca * cb
-        return _from_ints(out, self.den * other.den)
+        return _from_ints(out, self.den * other.den, self.val + other.val)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
-        return _from_ints([k * c.numerator for k in self.ints], self.den * c.denominator)
+        return _from_ints([k * c.numerator for k in self.ints], self.den * c.denominator, self.val)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        # right-to-left binary method; the base is not squared past the top bit
         result = Poly.ONE
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -189,16 +229,16 @@ class Poly:
         l**k * self.ints = q * other.ints + r over the integers, and every
         step of the long division of l**k * self.ints is exact.
         """
-        b = other.ints
-        if not b:
+        if not other.ints:
             raise ZeroDivisionError("polynomial division by zero")
+        b = _dense(other)
         ddeg = len(b) - 1
-        k = len(self.ints) - ddeg
+        k = self.degree + 1 - ddeg
         if k <= 0:
             return Poly.ZERO, self
         lead = b[-1]
         mult = lead**k
-        rem = [c * mult for c in self.ints]
+        rem = [c * mult for c in _dense(self)]
         q = [0] * k
         for i in range(len(rem) - 1, ddeg - 1, -1):
             if rem[i]:
@@ -225,11 +265,15 @@ class Poly:
             return self
         lead = self.ints[-1]
         if lead < 0:
-            return _from_ints([-c for c in self.ints], -lead)
-        return _from_ints(self.ints, lead)
+            return _from_ints([-c for c in self.ints], -lead, self.val)
+        return _from_ints(self.ints, lead, self.val)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor (primitive remainder sequence)."""
+        """Monic greatest common divisor (primitive remainder sequence).
+
+        Neither ``ints`` has a root at 0, so the power of x in the gcd is
+        the smaller valuation and the remainder sequence runs on ``ints``.
+        """
         if self.is_zero():
             return other.monic()
         if other.is_zero():
@@ -239,15 +283,15 @@ class Poly:
             a, b = b, a
         while b:
             a, b = b, _int_prem(a, b)
-        return _from_ints(a).monic()
+        return _from_ints(a, 1, min(self.val, other.val)).monic()
 
     # -- evaluation and substitutions ---------------------------------------
 
     def eval(self, x) -> Fraction:
         """Value at an integer or Fraction x (homogeneous integer Horner)."""
-        ints = self.ints
-        if not ints:
+        if not self.ints:
             return Fraction(0)
+        ints = _dense(self)
         p, q = x.numerator, x.denominator
         acc, qpow = ints[-1], 1
         for c in reversed(ints[:-1]):
@@ -259,29 +303,30 @@ class Poly:
         """Divide by x**k; requires valuation >= k."""
         if k == 0 or self.is_zero():
             return self
-        if any(self.ints[:k]):
+        if k > self.val:
             raise ValueError("valuation too small in shift_down")
-        return _from_ints(self.ints[k:], self.den)
+        return _new(self.ints, self.den, self.val - k)
 
     def stretch(self, k: int) -> "Poly":
         """Substitute x -> x**k."""
         if k == 1 or self.is_zero():
             return self
-        out = [0] * (self.degree * k + 1)
+        out = [0] * ((len(self.ints) - 1) * k + 1)
         out[::k] = self.ints
-        return _from_ints(out, self.den)
+        return _new(tuple(out), self.den, self.val * k)
 
     def decimate(self, k: int) -> "Poly":
         """Inverse of stretch; every nonzero exponent must be divisible by k."""
         if k == 1 or self.is_zero():
             return self
-        if any(c for i, c in enumerate(self.ints) if i % k):
+        if self.val % k or any(c for i, c in enumerate(self.ints) if i % k):
             raise ValueError("exponent not divisible in decimate")
-        return _from_ints(self.ints[::k], self.den)
+        return _new(self.ints[::k], self.den, self.val // k)
 
     def exponent_gcd(self) -> int:
         """Gcd of the exponents of the nonzero terms (0 for constants and zero)."""
-        return math.gcd(*[i for i, c in enumerate(self.ints) if c])
+        v = self.val
+        return math.gcd(*[v + i for i, c in enumerate(self.ints) if c])
 
     def reversed_to(self, length: int) -> "Poly":
         """Coefficients reversed within a window of the given length.
@@ -290,7 +335,7 @@ class Poly:
         """
         if self.degree >= length:
             raise ValueError("polynomial too long for window")
-        padded = self.ints + (0,) * (length - len(self.ints))
+        padded = _dense(self) + [0] * (length - 1 - self.degree)
         return _from_ints(padded[::-1], self.den)
 
     # -- roots ----------------------------------------------------------------
@@ -334,7 +379,7 @@ class Poly:
         if self.is_zero():
             return "0"
         parts = []
-        for i, c in enumerate(self.ints):
+        for i, c in enumerate(self.ints, self.val):
             if not c:
                 continue
             c = Fraction(c, self.den)
@@ -416,6 +461,7 @@ def rational_nth_root(q: Fraction, n: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
+_FRACTION_ZERO = Fraction(0)
 Poly.ZERO = Poly()
 Poly.ONE = Poly((1,))
 Poly.X = Poly((0, 1))

@@ -97,6 +97,13 @@ class TestParse:
         with pytest.raises(B.FormulaSyntaxError):
             B.parse("{a, } = b")
 
+    def test_nesting_limit(self):
+        B.parse("not " * 50 + "a = a")
+        B.parse("{" * 50 + "}" * 50 + " = a")
+        for text in ("not " * 3000 + "a = a", "(" * 3000 + "a = a", "{" * 3000 + "}" * 3000 + " = a"):
+            with pytest.raises(B.NestingTooDeep):
+                B.parse(text)
+
     def test_corpus_roundtrip(self):
         assert len(CORPUS) == 50
         for text in CORPUS:
@@ -161,6 +168,26 @@ class TestEval:
     def test_unbound_constant(self):
         with pytest.raises(B.UnboundConstant):
             B.evaluate("missing = a", {"a": a})
+        # rejected before evaluation, even where no member or connective
+        # would reach the name
+        with pytest.raises(B.UnboundConstant):
+            B.evaluate("(exists x in A) y = x", {"A": B.EMPTY})
+        with pytest.raises(B.UnboundConstant):
+            B.evaluate("(a in A and y in A)", {"a": a, "A": B.EMPTY})
+        with pytest.raises(B.UnboundConstant):
+            B.define_set(B.EMPTY, "(x = a or x = zz)", {"a": a}, var="x")
+
+    def test_connectives_short_circuit(self):
+        # the right side quantifies over an atom, which raises if evaluated
+        bad = "(forall x in a) x = x"
+        env = {"a": a, "b": b}
+        assert B.evaluate(f"(a = b and {bad})", env) is False
+        assert B.evaluate(f"(a = a or {bad})", env) is True
+        assert B.evaluate(f"(a = b => {bad})", env) is True
+        # where the left side does not settle it, and always for <=>
+        for lhs, op in (("a = a", "and"), ("a = b", "or"), ("a = a", "=>"), ("a = a", "<=>"), ("a = b", "<=>")):
+            with pytest.raises(B.QuantifierOverAtom):
+                B.evaluate(f"({lhs} {op} {bad})", env)
 
     def test_shadowing(self):
         f = B.parse("(forall a in S) a in S")
@@ -196,6 +223,14 @@ class TestEntities:
             nest = FSet([lvl1, rng.choice(atoms)])
             nest2 = FSet([dup, nest.members.__iter__().__next__()])
             assert (nest == nest2) == (nest.members == nest2.members)
+
+    def test_json_nesting_limit(self):
+        deep = []
+        for _ in range(B.MAX_DEPTH - 1):
+            deep = [deep]
+        assert B.type_level(B.entity_from_json(deep)) == B.MAX_DEPTH
+        with pytest.raises(B.NestingTooDeep):
+            B.entity_from_json([deep])
 
     def test_json_roundtrip(self):
         for e in (a, B.EMPTY, AB, B.make_pair(a, b), FSet([AB, FSet([c])])):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,17 @@ class TestHyper:
             code, got = run_json(capsys, "hyper", "root", "e", degree)
             assert code == 2 and got["error"]["type"] == "BadRootDegree"
 
+    def test_nesting_limit_exits_2(self, capsys):
+        for depth in (200, 10**4):
+            code, got = run_json(capsys, "hyper", "eval", "(" * depth + "e" + ")" * depth)
+            assert code == 2 and got["error"]["type"] == "NestingTooDeep"
+
+    def test_huge_power_of_e_is_quick(self, capsys):
+        start = time.perf_counter()
+        code, got = run_json(capsys, "hyper", "eval", "e^10000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and got["order"] == "10000000"
+
     def test_unrepresentable_root_exits_1(self, capsys):
         code, got = run_json(capsys, "hyper", "root", "1+e", "2")
         assert code == 1 and got["root_exists"] is False
@@ -137,6 +149,26 @@ class TestBqf:
     def test_unbounded_exits_2(self, capsys):
         code, got = run_json(capsys, "bqf", "eval", "(forall x)(x = x)")
         assert code == 2 and got["error"]["type"] == "UnboundedQuantifier"
+
+    def test_unbound_name_exits_2(self, capsys):
+        cases = (
+            ("eval", "(exists x in A) y = x", "--bind", "A=[]"),
+            ("define", "(x = a or x = zz)", "--bound", "[]", "--bind", 'a="a"', "--var", "x"),
+        )
+        for argv in cases:
+            code, got = run_json(capsys, "bqf", *argv)
+            assert code == 2 and got["error"]["type"] == "UnboundConstant"
+
+    def test_nesting_limit_exits_2(self, capsys):
+        deep_formula = "not " * 3000 + "a = a"
+        for argv in (
+            ("eval", deep_formula, "--bind", 'a="a"'),
+            ("eval", "a = a", "--bind", "a=" + "[" * 1000 + "]" * 1000),
+            ("eval", "a = a", "--bind", "a=" + "[" * 10**5 + "]" * 10**5),
+            ("define", "x = x", "--bound", "[" * 1000 + "]" * 1000),
+        ):
+            code, got = run_json(capsys, "bqf", *argv)
+            assert code == 2 and got["error"]["type"] == "NestingTooDeep"
 
     def test_define(self, capsys):
         code, got = run_json(

@@ -293,6 +293,16 @@ class TestParser:
         with pytest.raises(H.ExprSyntaxError):
             H_("2 + * e")
 
+    def test_nesting_limit(self):
+        assert H_("(" * 50 + "1+e" + ")" * 50) == 1 + EPSILON
+        assert H_("-" * 50 + "e") == EPSILON
+        for depth in (200, 10**4):
+            for text in ("(" * depth + "e" + ")" * depth, "-" * depth + "e"):
+                with pytest.raises(H.NestingTooDeep) as err:
+                    H_(text)
+                assert isinstance(err.value, H.HyperrealError)
+                assert err.value.position == H.MAX_DEPTH
+
     def test_division_by_zero_expression(self):
         with pytest.raises(H.ZeroDenominator):
             H_("(1)/(0)")

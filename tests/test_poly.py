@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nsatop.hyperreal import EPSILON
 from nsatop.poly import Poly, integer_nth_root, rational_nth_root
 
 from helpers import rand_poly
@@ -18,9 +19,13 @@ def test_zero_and_degree():
 
 
 def assert_canonical(p):
-    # integer numerators over a positive denominator coprime to their content
+    # integer numerators over a positive denominator coprime to their content,
+    # trimmed at both ends, times x**val
     assert p.den > 0 and math.gcd(p.den, *p.ints) == 1
-    assert not p.ints or p.ints[-1]
+    if p.ints:
+        assert p.ints[0] and p.ints[-1] and p.val >= 0
+    else:
+        assert p.val == 0
 
 
 def test_arithmetic_identities():
@@ -80,8 +85,10 @@ def test_gcd_divides_both():
 def test_stretch_decimate_roundtrip():
     p = Poly((1, 0, 2, 0, 0, -1))
     assert p.stretch(3).decimate(3) == p
-    with pytest.raises(ValueError):
-        Poly((1, 1)).decimate(2)
+    assert Poly((0, 0, 1, 0, 3)).decimate(2) == Poly((0, 1, 3))
+    for p in (Poly((1, 1)), Poly((0, 1)), Poly((0, 0, 0, 1, 0, 1))):
+        with pytest.raises(ValueError):
+            p.decimate(2)
 
 
 def test_reversed_window():
@@ -122,3 +129,102 @@ def test_poly_nth_root_rejects_non_powers():
     assert Poly((1, 1)).nth_root(2) is None  # 1 + x
     assert Poly((0, 1)).nth_root(2) is None  # x alone has odd valuation
     assert Poly((2,)).nth_root(2) is None  # sqrt(2) is irrational
+
+
+# -- the stored valuation against a dense list of Fractions -------------------------
+
+
+def _trim(c):
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _dense_add(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _dense_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _dense_divmod(a, b):
+    rem, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        f = rem[i + len(b) - 1] / b[-1]
+        q[i] = f
+        for j, y in enumerate(b):
+            rem[i + j] -= f * y
+    return _trim(q), _trim(rem)
+
+
+def _dense_gcd(a, b):
+    while b:
+        a, b = b, _dense_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _rand_sparse(rng):
+    """A random polynomial with valuation 0..40, as (Poly, dense Fraction list)."""
+    body = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+    dense = _trim([Fraction(0)] * rng.randint(0, 40) + body)
+    return Poly(dense), dense
+
+
+def test_stored_valuation_against_dense_oracle():
+    rng = random.Random(11)
+    for _ in range(300):
+        (a, da), (b, db) = _rand_sparse(rng), _rand_sparse(rng)
+        assert list(a.coeffs) == da
+        assert a.valuation == (next((i for i, c in enumerate(da) if c), None))
+        results = [
+            (a + b, _dense_add(da, db)),
+            (a - b, _dense_add(da, [-c for c in db])),
+            (a * b, _dense_mul(da, db)),
+        ]
+        k = rng.randint(1, 3)
+        stretched = [da[i // k] if i % k == 0 else 0 for i in range(k * len(da) - k + 1)]
+        results.append((a.stretch(k), stretched))
+        results.append((a.stretch(k).decimate(k), da))
+        if a:
+            shift = rng.randint(0, a.valuation)
+            results.append((a.shift_down(shift), da[shift:]))
+            with pytest.raises(ValueError):
+                a.shift_down(a.valuation + 1)
+        if b:
+            q, r = a.divmod(b)
+            results += [(q, _dense_divmod(da, db)[0]), (r, _dense_divmod(da, db)[1])]
+            if a:
+                results.append((a.gcd(b), _dense_gcd(da, db)))
+        for got, want in results:
+            assert_canonical(got)
+            assert list(got.coeffs) == want
+        x = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        assert a.eval(x) == sum(c * x**i for i, c in enumerate(da))
+
+
+def test_power_builds_no_product_past_the_result(monkeypatch):
+    # binary powering must not square the base once more after the top bit
+    degrees = []
+    mul = Poly.__mul__
+
+    def recording_mul(self, other):
+        product = mul(self, other)
+        degrees.append(product.degree)
+        return product
+
+    monkeypatch.setattr(Poly, "__mul__", recording_mul)
+    result = (1 + EPSILON) ** 2000
+    assert result.num.degree == 2000
+    assert max(degrees) <= 2000
+    degrees.clear()
+    assert Poly((1, 1)) ** 100 == Poly([math.comb(100, i) for i in range(101)])
+    assert max(degrees) <= 100
