@@ -217,9 +217,12 @@ def cmd_bqf(args, fmt: str) -> int:
 # -- topo --------------------------------------------------------------------------
 
 
-def _load_space(path: str) -> fintop.FinSpace:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return fintop.space_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise fintop.SpaceError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def cmd_topo(args, fmt: str) -> int:
@@ -228,7 +231,7 @@ def cmd_topo(args, fmt: str) -> int:
         message = "topo hull takes at most one of a family file, --stone-cech and --t0-reflect"
         return _error("ConflictingInputs", message, fmt)
     try:
-        space = _load_space(args.space)
+        space = fintop.space_from_json(_load_json(args.space))
         if args.action == "check":
             names = [args.property] if args.property else None
             verdicts = fintop.check_properties(space, names)
@@ -247,8 +250,7 @@ def cmd_topo(args, fmt: str) -> int:
             _emit(hull.t0_reflection_report(space), fmt)
             return 0
         if args.family:
-            with open(args.family, "r", encoding="utf-8") as fh:
-                built = hull.build_hull(space, json.load(fh))
+            built = hull.build_hull(space, hull.validate_family(space, _load_json(args.family)))
         else:
             built = hull.stone_cech_finite(space)
         _emit(hull.hull_report(built), fmt)

@@ -507,25 +507,20 @@ class ZBlockPartition:
                     m |= self.blocks[t]
             yield m
 
-    def indicator(self, block_index: int) -> dict:
-        """The 0/1 indicator function of one block, as a point -> value map."""
-        from fractions import Fraction
-
+    def indicator(self, block_index: int) -> tuple:
+        """The 0/1 indicator function of one block, as values by point index."""
         mask = self.blocks[block_index]
-        return {
-            p: Fraction(1) if mask >> i & 1 else Fraction(0)
-            for i, p in enumerate(self.space.points)
-        }
+        return tuple([mask >> i & 1 for i in range(self.space.n)])
 
 
 def z_partition(space: FinSpace) -> ZBlockPartition:
     return ZBlockPartition(space)
 
 
-def _block_indicators(space: FinSpace, zp: ZBlockPartition) -> list[tuple[dict, bool]]:
+def _block_indicators(space: FinSpace, zp: ZBlockPartition) -> list[tuple[tuple, bool]]:
     """Each block's 0/1 indicator, with whether it is continuous."""
     return [
-        (ind, _is_continuous_value_map(space, ind))
+        (ind, _discontinuity(space, ind) is None)
         for ind in map(zp.indicator, range(len(zp.blocks)))
     ]
 
@@ -541,7 +536,7 @@ def is_functionally_separated(space: FinSpace) -> PropertyVerdict:
             witness = witness or _pair_witness(space, i, j)
         # oracle: an explicit 0/1 continuous function taking different values
         ind, continuous = indicators[zp.block_of[j]]
-        if not (continuous and ind[space.points[i]] != ind[space.points[j]]):
+        if not (continuous and ind[i] != ind[j]):
             oracle = False
     return PropertyVerdict("functionally_separated", holds, oracle, {}, witness)
 
@@ -559,8 +554,8 @@ def is_completely_regular(space: FinSpace) -> PropertyVerdict:
             ind, continuous = indicators[zp.block_of[i]]
             ok = (
                 continuous
-                and ind[space.points[i]] == 1
-                and all(ind[p] == 0 for p in space.sorted_labels(f))
+                and ind[i] == 1
+                and all(ind[j] == 0 for j in range(space.n) if f >> j & 1)
             )
             if not ok:
                 oracle = False
@@ -578,14 +573,16 @@ def is_z_normal(space: FinSpace) -> PropertyVerdict:
     return PropertyVerdict("z_normal", holds, _classically_normal(space), {}, witness)
 
 
-def _is_continuous_value_map(space: FinSpace, values: dict) -> bool:
+def _discontinuity(space: FinSpace, values: Sequence) -> Optional[int]:
+    """Index of the first point on whose monad `values` (one per point index)
+    is not constant; None when the function is continuous."""
     for i in range(space.n):
-        vi = values[space.points[i]]
+        vi = values[i]
         m = space._monad[i]
         for j in range(space.n):
-            if m >> j & 1 and values[space.points[j]] != vi:
-                return False
-    return True
+            if m >> j & 1 and values[j] != vi:
+                return i
+    return None
 
 
 # -- soberness -------------------------------------------------------------------

@@ -42,6 +42,10 @@ class GermSyntaxError(GermError):
     pass
 
 
+class NestingTooDeep(GermSyntaxError):
+    """A formula or term nested deeper than MAX_DEPTH levels."""
+
+
 class AeVerdict(Enum):
     TRUE_AE = "true-ae"
     FALSE_AE = "false-ae"
@@ -396,6 +400,11 @@ def to_hyperreal(a: Germ) -> Hyperreal:
 # term    := factor {('+'|'-') factor} ;  factor := base {'*' base}
 # base    := NUMBER | IDENT | '-' base | '(' term ')'
 
+# deepest nesting of 'not', signs and parentheses the parser accepts; each
+# level costs about five Python frames, so this stays well inside the
+# recursion limit
+MAX_DEPTH = 100
+
 
 class _QfNode:
     pass
@@ -475,9 +484,22 @@ class _QfParser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def nested(self, parse):
+        """Run parse() one level deeper, past a 'not', a sign or a '('.
+
+        A parse that fails leaves the count raised; whoever backtracks
+        restores it."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise NestingTooDeep(f"formula nested deeper than {MAX_DEPTH} levels")
+        node = parse()
+        self.depth -= 1
+        return node
 
     def take(self, tok):
         if self.peek() != tok:
@@ -507,16 +529,16 @@ class _QfParser:
     def not_expr(self):
         if self.peek() == "not":
             self.pos += 1
-            return _QfNot(self.not_expr())
+            return _QfNot(self.nested(self.not_expr))
         if self.peek() == "(":
             # could be a grouped formula or a parenthesized term; try the atom
-            save = self.pos
+            save = self.pos, self.depth
             try:
                 return self.atom()
             except GermSyntaxError:
-                self.pos = save
+                self.pos, self.depth = save
             self.take("(")
-            node = self.or_expr()
+            node = self.nested(self.or_expr)
             self.take(")")
             return node
         return self.atom()
@@ -552,10 +574,10 @@ class _QfParser:
         tok = self.peek()
         if tok == "-":
             self.pos += 1
-            return ("neg", self.base())
+            return ("neg", self.nested(self.base))
         if tok == "(":
             self.pos += 1
-            node = self.term()
+            node = self.nested(self.term)
             self.take(")")
             return node
         if isinstance(tok, tuple) and tok[0] == "num":

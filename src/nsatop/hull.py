@@ -21,6 +21,7 @@ from .fintop import (
     FinSpace,
     SpaceError,
     ZBlockPartition,
+    _discontinuity,
     _partition_by,
     _point_closed_pairs,
     is_completely_regular,
@@ -43,31 +44,27 @@ class DiscontinuousFamilyMember(SpaceError):
         self.monad = monad
 
 
-Family = dict  # name -> {point label -> Fraction}
+Family = dict  # name -> tuple of values by point index
 
 
-def validate_family(space: FinSpace, family: Family) -> Family:
-    """Check totality, rational values and continuity (constant on every
-    monad) of each member."""
+def validate_family(space: FinSpace, family: dict) -> Family:
+    """Read a label-keyed family ({name: {point label: value}}, the JSON
+    format) into value tuples by point index; every point needs a rational
+    value.  Continuity is checked by build_hull."""
     if not isinstance(family, dict) or not all(isinstance(v, dict) for v in family.values()):
         raise SpaceError("a family maps names to point->value tables")
     out = {}
     for name in sorted(family):
         values = family[name]
-        table = {}
+        table = []
         for p in space.points:
             if p not in values:
                 raise SpaceError(f"family member {name!r} missing a value at {p!r}")
             try:
-                table[p] = Fraction(values[p])
+                table.append(Fraction(values[p]))
             except (TypeError, ValueError, ZeroDivisionError):
                 raise SpaceError(f"family member {name!r} has no rational value at {p!r}") from None
-        for i, p in enumerate(space.points):
-            monad = space.labels(space.monad_mask(i))
-            for q in monad:
-                if table[q] != table[p]:
-                    raise DiscontinuousFamilyMember(name, p, monad)
-        out[name] = table
+        out[name] = tuple(table)
     return out
 
 
@@ -83,7 +80,7 @@ class Hull:
         self.class_of = class_of  # tuple: point index -> class index
         self.lifted = lifted  # name -> tuple of values per class
         self.kind = kind
-        self.family = family  # name -> {point label -> Fraction}
+        self.family = family  # name -> tuple of values per point
 
     def class_index(self, point) -> int:
         return self.class_of[self.source._index[point]]
@@ -134,13 +131,8 @@ def _build_quotient(space: FinSpace, classes, class_of, family: Family, kind: st
         if space.is_open(pre):
             opens.append(v)
     quotient = FinSpace(labels, opens, _validated=True)
-    lifted = {}
-    for name, table in sorted(family.items()):
-        values = []
-        for m in classes:
-            rep = next(space.points[i] for i in range(space.n) if m >> i & 1)
-            values.append(table[rep])
-        lifted[name] = tuple(values)
+    reps = [(m & -m).bit_length() - 1 for m in classes]
+    lifted = {name: tuple([table[i] for i in reps]) for name, table in sorted(family.items())}
     return Hull(space, classes, quotient, class_of, lifted, kind, family)
 
 
@@ -153,14 +145,19 @@ def t0_reflection(space: FinSpace) -> Hull:
 def build_hull(space: FinSpace, family: Family, kind: str = "hull") -> Hull:
     """Quotient by "all family members take equal values", with lifted tables.
 
-    The family must be continuous; every point is kept (every value of a
+    Each member is a tuple of values by point index and must be continuous,
+    that is constant on every monad; every point is kept (every value of a
     rational-valued function on a finite space is finite).
     """
-    family = validate_family(space, family)
     names = sorted(family)
-    classes, class_of = _partition_by(
-        space.n, lambda i: tuple(family[name][space.points[i]] for name in names)
-    )
+    for name in names:
+        table = family[name]
+        if len(table) != space.n:
+            raise SpaceError(f"family member {name!r} has {len(table)} values for {space.n} points")
+        i = _discontinuity(space, table)
+        if i is not None:
+            raise DiscontinuousFamilyMember(name, space.points[i], space.labels(space.monad_mask(i)))
+    classes, class_of = _partition_by(space.n, lambda i: tuple([family[name][i] for name in names]))
     return _build_quotient(space, classes, class_of, family, kind)
 
 
@@ -188,11 +185,8 @@ def hewitt_finite(space: FinSpace) -> Hull:
 def distinguishes_points_and_closed_sets(space: FinSpace, family: Family) -> bool:
     """For every closed F and x outside it, some member separates x from F's values."""
     for i, f in _point_closed_pairs(space):
-        p = space.points[i]
-        f_points = space.sorted_labels(f)
-        if not any(
-            table[p] not in {table[y] for y in f_points} for table in family.values()
-        ):
+        members = [j for j in range(space.n) if f >> j & 1]
+        if not any(table[i] not in {table[j] for j in members} for table in family.values()):
             return False
     return True
 
@@ -216,11 +210,12 @@ def hull_report(hull: Hull) -> dict:
     report["checks"]["quotient_discrete_hausdorff"] = True
 
     for name, table in sorted(family.items()):
-        for p in space.points:
-            if table[p] != hull.lifted[name][hull.class_index(p)]:
+        lifted = hull.lifted[name]
+        for i, c in enumerate(hull.class_of):
+            if table[i] != lifted[c]:
                 raise AuditFailure(
                     "lifted function does not factor the original",
-                    witness={"function": name, "point": str(p)},
+                    witness={"function": name, "point": str(space.points[i])},
                 )
     report["checks"]["lifted_factorization"] = True
 
@@ -253,9 +248,9 @@ def hull_report(hull: Hull) -> dict:
         # the quotient map must embed the space: classes are singletons and
         # lifted values restrict to the original ones
         embeds = k == space.n and all(
-            family[name][p] == hull.lifted[name][hull.class_index(p)]
+            family[name][i] == hull.lifted[name][c]
             for name in family
-            for p in space.points
+            for i, c in enumerate(hull.class_of)
         )
         if not embeds:
             raise AuditFailure("embedding audit failed on a completely regular Hausdorff space")
@@ -303,20 +298,14 @@ def t0_reflection_report(space: FinSpace) -> dict:
     return report
 
 
-def _random_combinations(space: FinSpace, zp: ZBlockPartition, seed: int, count: int = 3) -> Family:
+def _random_combinations(zp: ZBlockPartition, seed: int, count: int = 3) -> Family:
+    """Seeded rational combinations of the block indicators, plus a constant."""
     rng = random.Random(seed)
     fams: Family = {}
     for t in range(count):
-        table = {p: Fraction(0) for p in space.points}
-        for k in range(len(zp.blocks)):
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            ind = zp.indicator(k)
-            for p in space.points:
-                table[p] += c * ind[p]
-        shift = Fraction(rng.randint(-1, 1))
-        for p in space.points:
-            table[p] += shift
-        fams[f"g{t}"] = table
+        per_block = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in zp.blocks]
+        shift = rng.randint(-1, 1)
+        fams[f"g{t}"] = tuple([per_block[b] + shift for b in zp.block_of])
     return fams
 
 
@@ -331,12 +320,12 @@ def generator_subfamily(space: FinSpace, seed: int) -> Family:
             fam[f"ind{t}"] = ind
     for t in range(rng.randint(0, 2)):
         a, b = rng.choice(indicators), rng.choice(indicators)
-        fam[f"sum{t}"] = {p: a[p] + b[p] for p in space.points}
-        fam[f"prod{t}"] = {p: a[p] * b[p] for p in space.points}
+        fam[f"sum{t}"] = tuple([x + y for x, y in zip(a, b)])
+        fam[f"prod{t}"] = tuple([x * y for x, y in zip(a, b)])
     for t in range(rng.randint(0, 2)):
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         a = rng.choice(indicators)
-        fam[f"scale{t}"] = {p: c * a[p] for p in space.points}
+        fam[f"scale{t}"] = tuple([c * x for x in a])
     return fam
 
 
@@ -350,14 +339,14 @@ def zero_set_formulas(space: FinSpace, seed: int = 0) -> dict:
     """
     zp = z_partition(space)
     family = canonical_family(space)
-    family.update(_random_combinations(space, zp, seed))
+    family.update(_random_combinations(zp, seed))
     hull = build_hull(space, family, kind="stone-cech")
     checked = {"lifted_zero_sets": 0, "closure_images": 0, "intersection_images": 0}
 
     for name, table in sorted(hull.family.items()):
         z_mask = 0
-        for i, p in enumerate(space.points):
-            if table[p] == 0:
+        for i, v in enumerate(table):
+            if v == 0:
                 z_mask |= 1 << i
         image = hull.q_image_mask(z_mask)
         lifted_zero = 0
@@ -412,64 +401,57 @@ def ring_correspondence(hull: Hull, seed: int = 0) -> dict:
 
     # sample hull functions as value vectors per class
     samples = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)) for _ in range(6)]
-    samples += [tuple(Fraction(int(t == j)) for t in range(k)) for j in range(k)]
+    samples += [tuple([int(t == j) for t in range(k)]) for j in range(k)]
 
     def compose(vec):
-        return {p: vec[hull.class_index(p)] for p in space.points}
+        return tuple([vec[c] for c in hull.class_of])
 
+    composed = [compose(a) for a in samples]
     # injectivity: distinct vectors compose to distinct functions (q is onto)
-    for a in samples:
-        for b in samples:
-            fa, fb = compose(a), compose(b)
+    for a, fa in zip(samples, composed):
+        for b, fb in zip(samples, composed):
             if (a == b) != (fa == fb):
                 raise AuditFailure("composition with the quotient map is not injective")
             checked["bijection"] += 1
     # surjectivity: every block-constant function on the source arises as a composition
+    reps = [(m & -m).bit_length() - 1 for m in hull.classes]
     for _ in range(6):
-        table = {}
-        per_block = [Fraction(rng.randint(-4, 4)) for _ in zp.blocks]
-        for i, p in enumerate(space.points):
-            table[p] = per_block[zp.block_of[i]]
-        vec = tuple(
-            table[next(space.points[i] for i in range(space.n) if m >> i & 1)]
-            for m in hull.classes
-        )
-        if compose(vec) != table:
+        per_block = [rng.randint(-4, 4) for _ in zp.blocks]
+        table = tuple([per_block[b] for b in zp.block_of])
+        if compose(tuple([table[i] for i in reps])) != table:
             raise AuditFailure("a continuous function fails to factor through the hull")
         checked["bijection"] += 1
     # ring operations
-    for a in samples[:4]:
-        for b in samples[:4]:
-            plus = tuple(x + y for x, y in zip(a, b))
-            times = tuple(x * y for x, y in zip(a, b))
-            fa, fb = compose(a), compose(b)
-            if compose(plus) != {p: fa[p] + fb[p] for p in space.points}:
+    for a, fa in zip(samples[:4], composed):
+        for b, fb in zip(samples[:4], composed):
+            plus = tuple([x + y for x, y in zip(a, b)])
+            times = tuple([x * y for x, y in zip(a, b)])
+            if compose(plus) != tuple([x + y for x, y in zip(fa, fb)]):
                 raise AuditFailure("composition does not preserve sums")
-            if compose(times) != {p: fa[p] * fb[p] for p in space.points}:
+            if compose(times) != tuple([x * y for x, y in zip(fa, fb)]):
                 raise AuditFailure("composition does not preserve products")
             checked["homomorphism"] += 1
-    const_vec = tuple(Fraction(7) for _ in range(k))
-    if compose(const_vec) != {p: Fraction(7) for p in space.points}:
+    if compose((7,) * k) != (7,) * space.n:
         raise AuditFailure("composition does not preserve constants")
 
     # maximal ideal audit per hull point
+    zero_vec = (0,) * k
     for pidx in range(k):
         vanishing = [vec for vec in samples if vec[pidx] == 0]
-        zero_vec = tuple(Fraction(0) for _ in range(k))
         vanishing.append(zero_vec)
         for a in vanishing:
             for b in vanishing:
-                s = tuple(x + y for x, y in zip(a, b))
+                s = tuple([x + y for x, y in zip(a, b)])
                 if s[pidx] != 0:
                     raise AuditFailure("vanishing functions are not closed under sums")
             for h in samples:
-                prod = tuple(x * y for x, y in zip(a, h))
+                prod = tuple([x * y for x, y in zip(a, h)])
                 if prod[pidx] != 0:
                     raise AuditFailure("vanishing set does not absorb products")
         checked["ideals"] += 1
     for p1 in range(k):
         for p2 in range(p1 + 1, k):
-            separating = tuple(Fraction(int(t == p1)) for t in range(k))
+            separating = tuple([int(t == p1) for t in range(k)])
             if separating[p1] == separating[p2]:
                 raise AuditFailure("evaluations at distinct hull points coincide")
             checked["distinct_evaluations"] += 1

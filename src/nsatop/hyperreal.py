@@ -161,7 +161,8 @@ class Hyperreal:
             if num.degree > 0 and den.degree > 0:
                 g = num.gcd(den)
                 if g.degree > 0:
-                    num, den = num // g, den // g
+                    # one side has valuation 0, so g has a nonzero constant term
+                    num, den = num.exact_div(g), den.exact_div(g)
             low = den.lowest
             if low != 1:
                 num, den = num.scale(1 / low), den.scale(1 / low)

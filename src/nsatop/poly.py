@@ -254,6 +254,16 @@ class Poly:
             rem = [-c for c in rem]
         return _from_ints([c * other.den for c in q], den), _from_ints(rem, den)
 
+    def exact_div(self, other: "Poly") -> "Poly":
+        """self / other for a divisor of self with a nonzero constant term.
+
+        Such a divisor divides the part above the valuation, so the long
+        division never pads self to dense form."""
+        if not self.val:
+            return self.divmod(other)[0]
+        q = _new(self.ints, self.den, 0).divmod(other)[0]
+        return _new(q.ints, q.den, q.val + self.val)
+
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
 

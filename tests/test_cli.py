@@ -88,6 +88,12 @@ class TestHyper:
         assert time.perf_counter() - start < 1.0
         assert code == 0 and got["order"] == "10000000"
 
+    def test_cancelled_factor_of_huge_power_is_quick(self, capsys):
+        start = time.perf_counter()
+        code, out = run(capsys, "hyper", "eval", "e^10000000*(1+e)/(1+e)")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == run(capsys, "hyper", "eval", "e^10000000")
+
     def test_unrepresentable_root_exits_1(self, capsys):
         code, got = run_json(capsys, "hyper", "root", "1+e", "2")
         assert code == 1 and got["root_exists"] is False
@@ -129,6 +135,25 @@ class TestGerm:
     def test_los(self, capsys):
         code, got = run_json(capsys, "germ", "los", "x < x*x", "--bind", "x=rf(n)")
         assert code == 0 and got["verdict"] == "true-ae"
+
+    def test_nesting_limit_exits_2(self, capsys):
+        def argvs(depth):
+            wrap = "(" * depth + "{}" + ")" * depth
+            return (
+                ("los", wrap.format("x < x*x"), "--bind", "x=rf(n)"),
+                ("los", wrap.format("x") + " < x*x", "--bind", "x=rf(n)"),
+                ("los", "not " * depth + "x < x*x", "--bind", "x=rf(n)"),
+                ("classify", "rf(" + wrap.format("n") + ")"),
+                ("classify", "rf(" + "-" * depth + "n)"),
+            )
+
+        for argv in argvs(99):
+            code, got = run_json(capsys, "germ", *argv)
+            assert code in (0, 1) and "error" not in got, argv
+        for depth in (329, 10**4):
+            for argv in argvs(depth):
+                code, got = run_json(capsys, "germ", *argv)
+                assert code == 2 and got["error"]["type"] == "NestingTooDeep", argv
 
 
 class TestBqf:
@@ -208,6 +233,13 @@ class TestTopo:
             for argv in (("check", str(bad)), ("hull", str(bad), "--stone-cech")):
                 code, got = run_json(capsys, "topo", *argv)
                 assert code == 2 and got["error"]["type"] == kind, (body, argv)
+
+    def test_deep_json_exits_2(self, capsys, sierp, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 10**5 + "]" * 10**5)
+        for argv in (("check", str(deep)), ("hull", sierp, str(deep))):
+            code, got = run_json(capsys, "topo", *argv)
+            assert code == 2 and got["error"]["type"] == "SpaceError", argv
 
     def test_hull_stone_cech(self, capsys, fan3):
         code, got = run_json(capsys, "topo", "hull", fan3, "--stone-cech")

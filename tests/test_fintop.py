@@ -178,7 +178,15 @@ class TestZeroBlocks:
             zp = F.z_partition(s)
             for k in range(len(zp.blocks)):
                 ind = zp.indicator(k)
-                assert F._is_continuous_value_map(s, ind)
+                assert F._discontinuity(s, ind) is None
+
+    def test_indicator_is_integers_by_point_index(self):
+        for s in all_spaces(3):
+            zp = F.z_partition(s)
+            for k, block in enumerate(zp.blocks):
+                ind = zp.indicator(k)
+                assert all(type(v) is int for v in ind)
+                assert ind == tuple(block >> i & 1 for i in range(s.n))
 
     def test_zero_sets_are_block_unions(self):
         zp = F.z_partition(PART3)

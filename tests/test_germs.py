@@ -283,3 +283,18 @@ class TestParsing:
         for text in ("rf(m+1)", "ep([1];[])", "ep([1])", "zz", "rf(1/0)", "ep([1/0];[1])", "1/0"):
             with pytest.raises(G.GermSyntaxError):
                 G.parse_germ(text)
+
+    def test_nesting_limit(self):
+        depth = G.MAX_DEPTH
+        assert rf("(" * depth + "n" + ")" * depth) == N
+        assert rf("-" * depth + "n") == (N if depth % 2 == 0 else G.neg(N))
+        env = {"x": N}
+        assert G.los_check_qf("(" * depth + "x < x*x" + ")" * depth, env) is AeVerdict.TRUE_AE
+        assert G.los_check_qf("not " * depth + "x < x*x", env) is AeVerdict.TRUE_AE
+        for text in ("(" * (depth + 1) + "n" + ")" * (depth + 1), "-" * 3000 + "n"):
+            with pytest.raises(G.NestingTooDeep) as err:
+                rf(text)
+            assert isinstance(err.value, G.GermSyntaxError)
+        for formula in ("(" * 3000 + "x < 1" + ")" * 3000, "not " * 3000 + "x < 1"):
+            with pytest.raises(G.NestingTooDeep):
+                G.los_check_qf(formula, env)

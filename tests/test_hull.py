@@ -32,17 +32,27 @@ def all_spaces(max_n):
 class TestFamilies:
     def test_validation_accepts_block_functions(self):
         fam = H.validate_family(SIERP, {"f": {"a": "1/2", "b": "1/2"}})
-        assert fam["f"]["a"] == Fraction(1, 2)
+        assert fam["f"][0] == Fraction(1, 2)
 
     def test_discontinuous_member_is_named(self):
         with pytest.raises(H.DiscontinuousFamilyMember) as err:
-            H.validate_family(SIERP, {"f": {"a": 0, "b": 1}})
+            H.build_hull(SIERP, H.validate_family(SIERP, {"f": {"a": 0, "b": 1}}))
         assert err.value.name == "f"
         assert err.value.monad == {"a", "b"}
+
+    def test_discontinuous_tuple_names_member_point_and_monad(self):
+        with pytest.raises(H.DiscontinuousFamilyMember) as err:
+            H.build_hull(FAN3, {"c": (0, 0, 0), "f": (0, 1, 1)})
+        assert err.value.name == "f"
+        assert err.value.point == "1"
+        assert err.value.monad == {"0", "1"}
 
     def test_missing_value(self):
         with pytest.raises(F.SpaceError):
             H.validate_family(SIERP, {"f": {"a": 0}})
+        for table in ((0,), (0, 0, 0)):
+            with pytest.raises(F.SpaceError, match="values for 2 points"):
+                H.build_hull(SIERP, {"f": table})
 
 
 class TestT0Reflection:
@@ -75,7 +85,7 @@ class TestBuildHull:
         assert hull.quotient.n == 1
 
     def test_split_by_one_function(self):
-        hull = H.build_hull(DISC3, {"f": {"a": 0, "b": 0, "c": 1}})
+        hull = H.build_hull(DISC3, {"f": (0, 0, 1)})
         classes = [DISC3.sorted_labels(m) for m in hull.classes]
         assert classes == [["a", "b"], ["c"]]
         assert len(hull.quotient.opens) == 4
@@ -85,15 +95,21 @@ class TestBuildHull:
         assert len(hull.classes) == 1
 
     def test_lifted_factorization(self):
-        fam = {"f": {"a": 0, "b": 0, "c": 1}, "g": {"a": 2, "b": 2, "c": 2}}
+        fam = {"f": (0, 0, 1), "g": (2, 2, 2)}
         hull = H.build_hull(DISC3, fam)
         for name, table in fam.items():
-            for p in DISC3.points:
-                assert Fraction(table[p]) == hull.lifted[name][hull.class_index(p)]
+            for i, p in enumerate(DISC3.points):
+                assert Fraction(table[i]) == hull.lifted[name][hull.class_index(p)]
 
     def test_discontinuous_family_rejected(self):
         with pytest.raises(H.DiscontinuousFamilyMember):
-            H.build_hull(SIERP, {"f": {"a": 0, "b": 1}})
+            H.build_hull(SIERP, {"f": (0, 1)})
+
+    def test_integer_and_fraction_tables_agree(self):
+        ints = H.build_hull(DISC3, {"f": (0, 1, 1)})
+        fracs = H.build_hull(DISC3, {"f": (Fraction(0), Fraction(1), Fraction(1))})
+        assert ints.classes == fracs.classes == (0b001, 0b110)
+        assert ints.lifted == fracs.lifted == {"f": (0, 1)}
 
 
 class TestStoneCechHewitt:

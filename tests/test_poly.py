@@ -200,6 +200,8 @@ def test_stored_valuation_against_dense_oracle():
             with pytest.raises(ValueError):
                 a.shift_down(a.valuation + 1)
         if b:
+            unit = b.shift_down(b.valuation)
+            results.append(((a * unit).exact_div(unit), da))
             q, r = a.divmod(b)
             results += [(q, _dense_divmod(da, db)[0]), (r, _dense_divmod(da, db)[1])]
             if a:
