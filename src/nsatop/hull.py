@@ -71,16 +71,21 @@ def validate_family(space: FinSpace, family: dict) -> Family:
 class Hull:
     """A quotient space with its map, validated family and lifted tables."""
 
-    __slots__ = ("source", "classes", "quotient", "class_of", "lifted", "kind", "family")
+    __slots__ = ("source", "classes", "quotient", "class_of", "reps", "lifted", "kind", "family")
 
-    def __init__(self, source, classes, quotient, class_of, lifted, kind, family):
+    def __init__(self, source, classes, quotient, class_of, kind, family):
         self.source = source
         self.classes = classes  # tuple of masks, ordered by smallest member
         self.quotient = quotient  # FinSpace on class labels
         self.class_of = class_of  # tuple: point index -> class index
-        self.lifted = lifted  # name -> tuple of values per class
+        self.reps = tuple((m & -m).bit_length() - 1 for m in classes)  # lowest point per class
         self.kind = kind
         self.family = family  # name -> tuple of values per point
+        self.lifted = {name: self.lift(table) for name, table in sorted(family.items())}
+
+    def lift(self, table: tuple) -> tuple:
+        """Values per class of a function (values per point) constant on classes."""
+        return tuple([table[i] for i in self.reps])
 
     def class_index(self, point) -> int:
         return self.class_of[self.source._index[point]]
@@ -131,9 +136,7 @@ def _build_quotient(space: FinSpace, classes, class_of, family: Family, kind: st
         if space.is_open(pre):
             opens.append(v)
     quotient = FinSpace(labels, opens, _validated=True)
-    reps = [(m & -m).bit_length() - 1 for m in classes]
-    lifted = {name: tuple([table[i] for i in reps]) for name, table in sorted(family.items())}
-    return Hull(space, classes, quotient, class_of, lifted, kind, family)
+    return Hull(space, classes, quotient, class_of, kind, family)
 
 
 def t0_reflection(space: FinSpace) -> Hull:
@@ -414,11 +417,10 @@ def ring_correspondence(hull: Hull, seed: int = 0) -> dict:
                 raise AuditFailure("composition with the quotient map is not injective")
             checked["bijection"] += 1
     # surjectivity: every block-constant function on the source arises as a composition
-    reps = [(m & -m).bit_length() - 1 for m in hull.classes]
     for _ in range(6):
         per_block = [rng.randint(-4, 4) for _ in zp.blocks]
         table = tuple([per_block[b] for b in zp.block_of])
-        if compose(tuple([table[i] for i in reps])) != table:
+        if compose(hull.lift(table)) != table:
             raise AuditFailure("a continuous function fails to factor through the hull")
         checked["bijection"] += 1
     # ring operations

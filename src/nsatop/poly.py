@@ -259,9 +259,7 @@ class Poly:
 
         Such a divisor divides the part above the valuation, so the long
         division never pads self to dense form."""
-        if not self.val:
-            return self.divmod(other)[0]
-        q = _new(self.ints, self.den, 0).divmod(other)[0]
+        q = self.shift_down(self.val).divmod(other)[0]
         return _new(q.ints, q.den, q.val + self.val)
 
     def __floordiv__(self, other: "Poly") -> "Poly":

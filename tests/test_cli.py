@@ -260,8 +260,11 @@ class TestTopo:
         assert code == 2
         assert got["error"]["type"] == "DiscontinuousFamilyMember"
         assert got["error"]["witness"]["monad"] == ["a", "b"]
-        # malformed families: a member that is not a table, values that are not rationals
-        for body in ({"f": 3}, *({"f": {"a": v, "b": v}} for v in ("x", None, "1/0"))):
+        # malformed families: a member that is not a table, values that are not
+        # rationals, and a missing value, which is found before the continuity of
+        # any member (here the discontinuous "a") is checked
+        malformed = ({"f": 3}, {"a": {"a": "0", "b": "1"}, "b": {"a": "0"}})
+        for body in (*malformed, *({"f": {"a": v, "b": v}} for v in ("x", None, "1/0"))):
             fam.write_text(json.dumps(body))
             code, got = run_json(capsys, "topo", "hull", sierp, str(fam))
             assert code == 2 and got["error"]["type"] == "SpaceError", body
