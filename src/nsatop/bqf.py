@@ -64,10 +64,11 @@ class Entity:
 
 
 class Atom(Entity):
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(("atom", name)))
 
     def __setattr__(self, *args):
         raise AttributeError("Atom is immutable")
@@ -76,7 +77,7 @@ class Atom(Entity):
         return isinstance(other, Atom) and self.name == other.name
 
     def __hash__(self):
-        return hash(("atom", self.name))
+        return self._hash
 
     def __repr__(self):
         return self.name

@@ -343,7 +343,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+_PARSER = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by later ones;
+    parsing leaves nothing on it (argparse fills a fresh Namespace)."""
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     parser = _Parser(
         prog="nsatop",
         description="infinitesimal arithmetic, germs, bounded-quantifier formulas, "
@@ -401,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser("audit", help="run every audit over all small spaces")
     audit.add_argument("--max-points", type=int, default=3)
     audit.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    _PARSER = parser
     return parser
 
 

@@ -9,6 +9,7 @@ latter only happens for eventually periodic inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -43,7 +44,8 @@ class GermSyntaxError(GermError):
 
 
 class NestingTooDeep(GermSyntaxError):
-    """A formula or term nested deeper than MAX_DEPTH levels."""
+    """A formula or term nested deeper than MAX_DEPTH levels, or a chain of
+    terms or clauses too long for the recursive walks."""
 
 
 class AeVerdict(Enum):
@@ -406,6 +408,23 @@ def to_hyperreal(a: Germ) -> Hyperreal:
 MAX_DEPTH = 100
 
 
+def _chain_limited(fn):
+    """Report a RecursionError as NestingTooDeep.
+
+    A flat chain such as n+n+...+n nests no parentheses, so the depth count
+    passes it, but it parses to a left-deep tree that the walks below
+    descend one frame per term."""
+
+    @functools.wraps(fn)
+    def limited(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise NestingTooDeep("chain of terms or clauses too long to evaluate") from None
+
+    return limited
+
+
 class _QfNode:
     pass
 
@@ -731,6 +750,7 @@ def _prepare(formula, assignment: dict):
     return node, env, rational
 
 
+@_chain_limited
 def los_check_qf(formula, assignment: dict) -> AeVerdict:
     """Three-valued a.e. truth of a quantifier-free formula under the assignment.
 
@@ -749,6 +769,7 @@ def los_check_qf(formula, assignment: dict) -> AeVerdict:
     return _verdict_from_flags(flags)
 
 
+@_chain_limited
 def stabilization_bound(formula, assignment: dict) -> int:
     """Index beyond which pointwise truth matches the a.e. verdict.
 
@@ -767,6 +788,7 @@ def stabilization_bound(formula, assignment: dict) -> int:
     return bound
 
 
+@_chain_limited
 def check_pointwise(formula, assignment: dict, n: int) -> bool:
     """Plain truth of the formula at one index (cross-check helper)."""
     node, env, _ = _prepare(formula, assignment)
@@ -776,6 +798,7 @@ def check_pointwise(formula, assignment: dict, n: int) -> bool:
 # -- textual forms ---------------------------------------------------------------
 
 
+@_chain_limited
 def parse_germ(text: str) -> Germ:
     """Parse ``rf(<rational function of n>)``, ``ep([pre];[period])`` or a rational."""
     text = text.strip()

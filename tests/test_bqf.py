@@ -224,6 +224,12 @@ class TestEntities:
             nest2 = FSet([dup, nest.members.__iter__().__next__()])
             assert (nest == nest2) == (nest.members == nest2.members)
 
+    def test_atom_hash_is_stored_unchanged(self):
+        # the value the hash had before it was stored, so frozenset order under
+        # a fixed PYTHONHASHSEED is the same
+        for name in ("a", "b", "", "long_name"):
+            assert hash(Atom(name)) == hash(("atom", name))
+
     def test_json_nesting_limit(self):
         deep = []
         for _ in range(B.MAX_DEPTH - 1):

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from nsatop import cli
 from nsatop.cli import main
+from test_golden import CASES, FAMILY, SPACE
 
 
 def run(capsys, *argv):
@@ -154,6 +156,27 @@ class TestGerm:
             for argv in argvs(depth):
                 code, got = run_json(capsys, "germ", *argv)
                 assert code == 2 and got["error"]["type"] == "NestingTooDeep", argv
+
+    def test_long_flat_chain_exits_2(self, capsys):
+        # chains nest no parentheses, so only their length can be too much
+        def argvs(terms):
+            chain = "+".join(["n"] * terms)
+            return (
+                ("classify", f"rf({chain})"),
+                ("compare", f"rf({chain})", "1", "lt"),
+                ("los", " and ".join(["x < 1"] * terms), "--bind", "x=rf(1/n)"),
+                ("los", "+".join(["x"] * terms) + " < 1", "--bind", "x=rf(1/n)"),
+                ("los", " or ".join(["x < 1"] * terms), "--bind", "x=ep([];[0,2])"),
+            )
+
+        verdicts = [got.get("verdict", got.get("classification")) for got in (
+            run_json(capsys, "germ", *argv)[1] for argv in argvs(500)
+        )]
+        assert verdicts == ["infinite", "false-ae", "true-ae", "true-ae", "ultrafilter-dependent"]
+        for terms in (1000, 10**4):
+            for argv in argvs(terms):
+                code, got = run_json(capsys, "germ", *argv)
+                assert code == 2 and got["error"]["type"] == "NestingTooDeep", argv[:2]
 
 
 class TestBqf:
@@ -308,6 +331,46 @@ class TestUsage:
             main(["topo", "hull", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: nsatop topo hull")
+
+
+class TestParserReuse:
+    """`main` parses every request with one parser built on the first call."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_golden_calls_in_reverse(self, capsys, tmp_path):
+        paths = {}
+        for name, body in (("space", SPACE), ("family", FAMILY)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(body), encoding="utf-8")
+            paths["{%s}" % name] = str(path)
+        for case in reversed(CASES):
+            if case["argv"][0] == "audit":
+                continue
+            code = main([paths.get(arg, arg) for arg in case["argv"]])
+            assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"]), case["argv"]
+
+    def test_usage_error_and_help_leave_no_state(self, capsys):
+        def los_with_two_binds():
+            code, got = run_json(
+                capsys, "germ", "los", "x < y", "--bind", "x=rf(1/n)", "--bind", "y=rf(n)"
+            )
+            assert (code, got) == (0, {"formula": "x < y", "verdict": "true-ae"})
+
+        code, got = run_json(capsys, "germ", "los", "x < y", "--bind", "x=rf(n)", "--bogus")
+        assert code == 2 and got["error"]["type"] == "UsageError"
+        los_with_two_binds()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nsatop")
+        los_with_two_binds()
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["nsatop", "hyper", "st", "1/e"])
+        code = main()
+        assert code == 0 and json.loads(capsys.readouterr().out)["st"] == "+infinity"
 
 
 class TestAudit:

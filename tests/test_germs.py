@@ -226,6 +226,17 @@ class TestLosCheck:
             with pytest.raises(G.GermError, match="unbound variables"):
                 check()
 
+    def test_long_flat_chains_are_nesting_errors(self):
+        chain = " and ".join(["x < 1"] * 10**4)
+        for check in (
+            lambda: G.parse_germ("rf(" + "+".join(["n"] * 10**4) + ")"),
+            lambda: G.los_check_qf(chain, {"x": N}),
+            lambda: G.stabilization_bound(chain, {"x": N}),
+            lambda: G.check_pointwise(chain, {"x": N}, 5),
+        ):
+            with pytest.raises(G.NestingTooDeep):
+                check()
+
     def test_quantifier_rejected(self):
         with pytest.raises(G.QuantifierPresent):
             G.los_check_qf("forall x = 0", {"x": N})
