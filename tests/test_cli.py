@@ -9,7 +9,7 @@ import pytest
 
 from nsatop import cli
 from nsatop.cli import main
-from test_golden import CASES, FAMILY, SPACE
+from test_golden import CASES, fixture_paths  # noqa: F401 (a fixture)
 
 
 def run(capsys, *argv):
@@ -169,9 +169,8 @@ class TestGerm:
                 ("los", " or ".join(["x < 1"] * terms), "--bind", "x=ep([];[0,2])"),
             )
 
-        verdicts = [got.get("verdict", got.get("classification")) for got in (
-            run_json(capsys, "germ", *argv)[1] for argv in argvs(500)
-        )]
+        reports = [run_json(capsys, "germ", *argv)[1] for argv in argvs(500)]
+        verdicts = [r.get("verdict", r.get("classification")) for r in reports]
         assert verdicts == ["infinite", "false-ae", "true-ae", "true-ae", "ultrafilter-dependent"]
         for terms in (1000, 10**4):
             for argv in argvs(terms):
@@ -339,16 +338,11 @@ class TestParserReuse:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()
 
-    def test_golden_calls_in_reverse(self, capsys, tmp_path):
-        paths = {}
-        for name, body in (("space", SPACE), ("family", FAMILY)):
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(body), encoding="utf-8")
-            paths["{%s}" % name] = str(path)
+    def test_golden_calls_in_reverse(self, capsys, fixture_paths):
         for case in reversed(CASES):
             if case["argv"][0] == "audit":
                 continue
-            code = main([paths.get(arg, arg) for arg in case["argv"]])
+            code = main([fixture_paths.get(arg, arg) for arg in case["argv"]])
             assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"]), case["argv"]
 
     def test_usage_error_and_help_leave_no_state(self, capsys):
