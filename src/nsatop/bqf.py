@@ -510,12 +510,18 @@ def constants(f: Formula) -> set[str]:
 # -- evaluation --------------------------------------------------------------------
 
 
-def _eval_term(t: Term, env: dict) -> Entity:
+def _eval_term(t: Term, env: dict, pairs: dict) -> Entity:
+    """Value of a term; `pairs` maps (first, second) to the ordered pair
+    already built for it during the current evaluation."""
     if isinstance(t, Name):
         return env[t.name]
     if isinstance(t, PairTerm):
-        return make_pair(_eval_term(t.first, env), _eval_term(t.second, env))
-    return FSet(_eval_term(item, env) for item in t.items)
+        key = (_eval_term(t.first, env, pairs), _eval_term(t.second, env, pairs))
+        pair = pairs.get(key)
+        if pair is None:
+            pair = pairs[key] = make_pair(*key)
+        return pair
+    return FSet(_eval_term(item, env, pairs) for item in t.items)
 
 
 def _check_bound(f: Formula, bound: Iterable[str]) -> None:
@@ -534,31 +540,31 @@ def evaluate(f: Formula, bindings: dict) -> bool:
     if isinstance(f, str):
         f = parse(f)
     _check_bound(f, bindings)
-    return _eval(f, dict(bindings))
+    return _eval(f, dict(bindings), {})
 
 
-def _eval(f: Formula, env: dict) -> bool:
+def _eval(f: Formula, env: dict, pairs: dict) -> bool:
     if isinstance(f, Eq):
-        return _eval_term(f.lhs, env) == _eval_term(f.rhs, env)
+        return _eval_term(f.lhs, env, pairs) == _eval_term(f.rhs, env, pairs)
     if isinstance(f, Member):
-        container = _eval_term(f.rhs, env)
+        container = _eval_term(f.rhs, env, pairs)
         if isinstance(container, Atom):
             return False
-        return _eval_term(f.lhs, env) in container
+        return _eval_term(f.lhs, env, pairs) in container
     if isinstance(f, Not):
-        return not _eval(f.body, env)
+        return not _eval(f.body, env, pairs)
     if isinstance(f, BinOp):
-        a = _eval(f.lhs, env)
+        a = _eval(f.lhs, env, pairs)
         op = f.op
         if op == "and":
-            return a and _eval(f.rhs, env)
+            return a and _eval(f.rhs, env, pairs)
         if op == "or":
-            return a or _eval(f.rhs, env)
+            return a or _eval(f.rhs, env, pairs)
         if op == "=>":
-            return not a or _eval(f.rhs, env)
-        return a == _eval(f.rhs, env)
+            return not a or _eval(f.rhs, env, pairs)
+        return a == _eval(f.rhs, env, pairs)
     if isinstance(f, Quant):
-        bound = _eval_term(f.bound, env)
+        bound = _eval_term(f.bound, env, pairs)
         if isinstance(bound, Atom):
             raise QuantifierOverAtom(
                 f"quantifier range {print_term(f.bound)} evaluates to the atom {bound!r}"
@@ -567,7 +573,7 @@ def _eval(f: Formula, env: dict) -> bool:
         try:
             for member in bound.members:
                 env[f.var] = member
-                truth = _eval(f.body, env)
+                truth = _eval(f.body, env, pairs)
                 if f.kind == "forall" and not truth:
                     return False
                 if f.kind == "exists" and truth:
@@ -608,10 +614,11 @@ def define_set(
         var = free[0]
     _check_bound(formula, [*bindings, var])
     env = dict(bindings)
+    pairs = {}
     members = []
     for m in bound.members:
         env[var] = m
-        if _eval(formula, env):
+        if _eval(formula, env, pairs):
             members.append(m)
     return FSet(members)
 
@@ -659,16 +666,18 @@ def check_transfer_finite(formula: Union[str, Formula], bindings: dict) -> dict:
     values = sorted(bindings.items())
     sets = [(k, v) for k, v in values if isinstance(v, FSet)]
     for i, (ka, a) in enumerate(sets):
+        sa = starred_bindings[ka].members
         for kb, b in sets[i:]:
+            sb = starred_bindings[kb].members
             union = FSet(a.members | b.members)
             inter = FSet(a.members & b.members)
             diff = FSet(a.members - b.members)
-            pairs = (
-                (star(union), FSet(star(a).members | star(b).members), "union"),
-                (star(inter), FSet(star(a).members & star(b).members), "intersection"),
-                (star(diff), FSet(star(a).members - star(b).members), "difference"),
+            checks = (
+                (star(union), FSet(sa | sb), "union"),
+                (star(inter), FSet(sa & sb), "intersection"),
+                (star(diff), FSet(sa - sb), "difference"),
             )
-            for got, want, opname in pairs:
+            for got, want, opname in checks:
                 if got != want:
                     raise AuditFailure(
                         f"star does not preserve {opname}",
@@ -677,7 +686,7 @@ def check_transfer_finite(formula: Union[str, Formula], bindings: dict) -> dict:
                 report["boolean_checks"] += 1
     for i, (ka, a) in enumerate(values):
         for kb, b in values[i:]:
-            if star(make_pair(a, b)) != make_pair(star(a), star(b)):
+            if star(make_pair(a, b)) != make_pair(starred_bindings[ka], starred_bindings[kb]):
                 raise AuditFailure(
                     "star does not preserve ordered pairs", instance={"lhs": ka, "rhs": kb}
                 )

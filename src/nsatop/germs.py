@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -48,6 +49,16 @@ class NestingTooDeep(GermSyntaxError):
     terms or clauses too long for the recursive walks."""
 
 
+class WindowTooLarge(GermError):
+    """Periodic germs whose aligned window, the longest preperiod plus the lcm
+    of the periods, holds more than MAX_WINDOW indices."""
+
+
+# largest aligned window a periodic comparison or formula builds; the stored
+# tails cost a few machine words per index, so this bounds time and memory
+MAX_WINDOW = 2**20
+
+
 class AeVerdict(Enum):
     TRUE_AE = "true-ae"
     FALSE_AE = "false-ae"
@@ -61,11 +72,11 @@ class AeVerdict(Enum):
         return self
 
 
-def _verdict_from_flags(flags) -> AeVerdict:
-    flags = list(flags)
-    if all(flags):
+def _verdict_from_flags(flags: list) -> AeVerdict:
+    """Verdict from the truth values (bools) at every residue of a window."""
+    if False not in flags:
         return AeVerdict.TRUE_AE
-    if not any(flags):
+    if True not in flags:
         return AeVerdict.FALSE_AE
     return AeVerdict.ULTRAFILTER_DEPENDENT
 
@@ -121,20 +132,31 @@ class RationalGerm:
         return self.num.eval(n) / d
 
 
+def _exact(c) -> Union[int, Fraction]:
+    """c as an int when it is integral, otherwise as a Fraction."""
+    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class PeriodicGerm:
-    """Eventually periodic sequence, normalized to minimal period and preperiod."""
+    """Eventually periodic sequence, normalized to minimal period and preperiod.
+
+    Entries are stored as int when integral and as Fraction otherwise; since
+    Fraction(2) == 2 with equal hashes and the same str, this changes no
+    comparison, hash or repr.
+    """
 
     __slots__ = ("preperiod", "period")
 
     def __init__(self, preperiod, period):
-        pre = [Fraction(c) if not isinstance(c, (int, Fraction)) else c for c in preperiod]
-        per = [Fraction(c) if not isinstance(c, (int, Fraction)) else c for c in period]
+        pre = [_exact(c) for c in preperiod]
+        per = [_exact(c) for c in period]
         if not per:
             raise ValueError("period must be nonempty")
         # minimal period: the least divisor of the block length that tiles it
         length = len(per)
         for d in range(1, length + 1):
-            if length % d == 0 and all(per[i] == per[i % d] for i in range(length)):
+            if length % d == 0 and per[:d] * (length // d) == per:
                 per = per[:d]
                 break
         # absorb preperiod entries that already match the periodic tail
@@ -183,7 +205,7 @@ Germ = Union[RationalGerm, PeriodicGerm]
 
 def embed_constant(c) -> PeriodicGerm:
     """The constant sequence c, c, c, ..."""
-    return PeriodicGerm((), (Fraction(c),))
+    return PeriodicGerm((), (c,))
 
 
 def _cauchy_bound(p: Poly) -> int:
@@ -230,10 +252,28 @@ def _align_pair(a: Germ, b: Germ) -> tuple[Germ, Germ]:
     raise MixedClasses(f"cannot mix {type(a).__name__} with {type(b).__name__}")
 
 
-def _aligned_tail(a: PeriodicGerm, b: PeriodicGerm) -> tuple[int, int]:
-    """Common preperiod length and period length for a pair."""
-    pre = max(len(a.preperiod), len(b.preperiod))
-    return pre, math.lcm(len(a.period), len(b.period))
+def _window(germs) -> tuple[int, int]:
+    """Common preperiod length and period lcm of periodic germs.
+
+    Raises WindowTooLarge before any tail of that size is built."""
+    pre, length = 0, 1
+    for g in germs:
+        pre = max(pre, len(g.preperiod))
+        length = math.lcm(length, len(g.period))
+    if pre + length > MAX_WINDOW:
+        raise WindowTooLarge(
+            f"aligned window of {pre + length} indices exceeds MAX_WINDOW = {MAX_WINDOW}"
+        )
+    return pre, length
+
+
+def _tail(g: PeriodicGerm, pre: int, length: int) -> tuple:
+    """Values of g at indices pre+1 ... pre+length, where pre is at least g's
+    preperiod length and length a multiple of its period: the stored period,
+    rotated to start at index pre+1 and repeated."""
+    per = g.period
+    shift = (pre - len(g.preperiod)) % len(per)
+    return (per[shift:] + per[:shift]) * (length // len(per))
 
 
 # -- arithmetic ------------------------------------------------------------------
@@ -243,7 +283,7 @@ def add(a: Germ, b: Germ) -> Germ:
     a, b = _align_pair(a, b)
     if isinstance(a, RationalGerm):
         return RationalGerm(a.num * b.den + b.num * a.den, a.den * b.den)
-    return _pointwise(a, b, lambda x, y: x + y)
+    return _pointwise(a, b, operator.add)
 
 
 def sub(a: Germ, b: Germ) -> Germ:
@@ -254,7 +294,7 @@ def mul(a: Germ, b: Germ) -> Germ:
     a, b = _align_pair(a, b)
     if isinstance(a, RationalGerm):
         return RationalGerm(a.num * b.num, a.den * b.den)
-    return _pointwise(a, b, lambda x, y: x * y)
+    return _pointwise(a, b, operator.mul)
 
 
 def neg(a: Germ) -> Germ:
@@ -285,10 +325,9 @@ def div(a: Germ, b: Germ) -> Germ:
 
 
 def _pointwise(a: PeriodicGerm, b: PeriodicGerm, op) -> PeriodicGerm:
-    pre, length = _aligned_tail(a, b)
-    prefix = [op(a.value_at(i + 1), b.value_at(i + 1)) for i in range(pre)]
-    period = [op(a.value_at(pre + j + 1), b.value_at(pre + j + 1)) for j in range(length)]
-    return PeriodicGerm(prefix, period)
+    pre, length = _window((a, b))
+    prefix = [op(a.value_at(n), b.value_at(n)) for n in range(1, pre + 1)]
+    return PeriodicGerm(prefix, list(map(op, _tail(a, pre, length), _tail(b, pre, length))))
 
 
 # -- almost-everywhere comparisons ----------------------------------------------
@@ -313,15 +352,12 @@ def ae_compare(a: Germ, b: Germ) -> tuple[AeVerdict, AeVerdict]:
         eq = AeVerdict.TRUE_AE if s == 0 else AeVerdict.FALSE_AE
         lt = AeVerdict.TRUE_AE if s > 0 else AeVerdict.FALSE_AE
         return eq, lt
-    pre, length = _aligned_tail(a, b)
-    eq_flags = []
-    lt_flags = []
-    for j in range(length):
-        va = a.value_at(pre + j + 1)
-        vb = b.value_at(pre + j + 1)
-        eq_flags.append(va == vb)
-        lt_flags.append(va < vb)
-    return _verdict_from_flags(eq_flags), _verdict_from_flags(lt_flags)
+    pre, length = _window((a, b))
+    ta, tb = _tail(a, pre, length), _tail(b, pre, length)
+    return (
+        _verdict_from_flags(list(map(operator.eq, ta, tb))),
+        _verdict_from_flags(list(map(operator.lt, ta, tb))),
+    )
 
 
 def ae_equal(a: Germ, b: Germ) -> AeVerdict:
@@ -667,6 +703,58 @@ def _eval_term_at(node, env, n: int) -> Fraction:
     return a * b
 
 
+_TERM_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_RELATIONS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _values_over(node, tails: dict, idx) -> list:
+    """Values of a term at the window positions idx, one node at a time."""
+    kind = node[0]
+    if kind == "const":
+        return [_exact(node[1])] * len(idx)
+    if kind == "var":
+        return list(map(tails[node[1]].__getitem__, idx))
+    if kind == "neg":
+        return list(map(operator.neg, _values_over(node[1], tails, idx)))
+    a = _values_over(node[1], tails, idx)
+    b = _values_over(node[2], tails, idx)
+    if kind != "div":
+        return list(map(_TERM_OPS[kind], a, b))
+    # inv's rule for a divisor that vanishes at evaluated residues
+    zeros = b.count(0)
+    if zeros and zeros == len(b):
+        raise AlmostEverywhereZeroDivisor("divisor is zero at every evaluated residue")
+    if zeros:
+        raise UltrafilterDependentZeroDivisor(
+            "divisor is zero at some residues; the quotient depends on the ultrafilter"
+        )
+    return [Fraction(x) / y for x, y in zip(a, b)]
+
+
+def _flags_over(node, tails: dict, idx) -> list:
+    """Truth of a formula at the window positions idx.
+
+    The right side of 'and'/'or' is evaluated only at the positions the left
+    side leaves open, the ones _formula_truth_at would reach."""
+    if isinstance(node, _QfAtom):
+        lhs = _values_over(node.lhs, tails, idx)
+        return list(map(_RELATIONS[node.rel], lhs, _values_over(node.rhs, tails, idx)))
+    if isinstance(node, _QfNot):
+        return [not f for f in _flags_over(node.body, tails, idx)]
+    flags = _flags_over(node.lhs, tails, idx)
+    settled = node.op == "or"  # the left value that decides the connective
+    open_idx = [i for i, f in zip(idx, flags) if f is not settled]
+    rest = iter(_flags_over(node.rhs, tails, open_idx))
+    return [f if f is settled else next(rest) for f in flags]
+
+
 def _atom_difference(atom: _QfAtom, env) -> RationalGerm:
     """rhs - lhs as a rational germ (it comes out periodic only for constant atoms)."""
     return _to_rational(sub(_eval_term_germ(atom.rhs, env), _eval_term_germ(atom.lhs, env)))
@@ -757,16 +845,17 @@ def los_check_qf(formula, assignment: dict) -> AeVerdict:
     For rational-function germs every atom settles to a finite or cofinite
     truth set, so the verdict is two-valued.  For eventually periodic germs
     the formula is decided per residue class of the common period; a mixed
-    outcome is ultrafilter dependent.
+    outcome is ultrafilter dependent.  A window past MAX_WINDOW raises
+    WindowTooLarge, and a divisor that vanishes at evaluated residues raises
+    a zero-divisor error by inv's rule.
     """
     node, env, rational = _prepare(formula, assignment)
     if rational:
         truth = _formula_eventual_truth(node, env)
         return AeVerdict.TRUE_AE if truth else AeVerdict.FALSE_AE
-    pre = max((len(g.preperiod) for g in env.values()), default=0)
-    length = math.lcm(*(len(g.period) for g in env.values()))
-    flags = [_formula_truth_at(node, env, pre + j + 1) for j in range(length)]
-    return _verdict_from_flags(flags)
+    pre, length = _window(env.values())
+    tails = {name: _tail(g, pre, length) for name, g in env.items()}
+    return _verdict_from_flags(_flags_over(node, tails, range(length)))
 
 
 @_chain_limited

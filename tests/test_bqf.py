@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -201,6 +202,33 @@ class TestEval:
             assert B.evaluate(f"({lhs} => {rhs})", {"a": a, "b": b}) is want
 
 
+def _live_fsets() -> int:
+    gc.collect()
+    return sum(type(o) is FSet for o in gc.get_objects())
+
+
+class TestPairsPerCall:
+    # caught mutant: one (first, second) -> pair dict shared by every call,
+    # which answers correctly but keeps every pair it built alive
+    def test_evaluate(self):
+        law = "(forall x in A)(forall y in A) <x, y> in F"
+        square = FSet(B.make_pair(x, y) for x in (a, b) for y in (a, b))
+        bindings = [{"A": AB, "F": square}, {"A": ABC, "F": square}, {"A": A, "F": B.EMPTY}]
+        before = _live_fsets()
+        assert [B.evaluate(law, env) for env in bindings] == [True, False, False]
+        assert _live_fsets() == before
+
+    def test_define_set(self):
+        # atoms of its own, so no pair built by another test is reused
+        p, q, r = Atom("p"), Atom("q"), Atom("r")
+        diagonal = FSet(B.make_pair(x, x) for x in (p, q))
+        before = _live_fsets()
+        got = B.define_set(FSet([p, q, r]), "<x, x> in D", {"D": diagonal}, var="x")
+        assert got == FSet([p, q])
+        del got
+        assert _live_fsets() == before
+
+
 class TestEntities:
     def test_levels(self):
         assert B.type_level(a) == 0
@@ -324,6 +352,20 @@ class TestTransfer:
         for x, y in itertools.product((a, b, c), repeat=2):
             p = B.make_pair(x, y)
             assert B.star(p) == p
+
+    def test_pinned_report(self):
+        # caught mutant: the union check reading the left set's star for both
+        # sides, which fails on the first pair of distinct sets
+        bindings = {"a": a, "A": A, "B": AB, "P": FSet([B.make_pair(a, a)]), "U": FSet([A, AB])}
+        report = B.check_transfer_finite("(forall x in A)(exists y in B) <x, y> in P", bindings)
+        assert report == {
+            "formula": "(forall x in A) (exists y in B) <x, y> in P",
+            "standard_truth": True,
+            "starred_truth": True,
+            "transfer_holds": True,
+            "boolean_checks": 30,  # 3 checks for each of the 10 pairs of the 4 sets
+            "product_checks": 15,  # one for each of the 15 pairs of the 5 values
+        }
 
     def test_boolean_and_product_audit_counts(self):
         report = B.check_transfer_finite("a = a", {"a": a, "A": A, "B": AB})

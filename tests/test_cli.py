@@ -123,6 +123,24 @@ class TestGerm:
         code, got = run_json(capsys, "germ", "los", "x < 1/0", "--bind", "x=rf(n)")
         assert code == 2 and got["error"]["type"] == "GermSyntaxError"
 
+    def test_zero_divisor_at_a_residue_exits_2(self, capsys):
+        x = "x=ep([];[0,1])"
+        code, got = run_json(capsys, "germ", "los", "1/x > 2", "--bind", x)
+        assert code == 2 and got["error"]["type"] == "UltrafilterDependentZeroDivisor"
+        code, got = run_json(capsys, "germ", "los", "1/(x - x) > 2", "--bind", x)
+        assert code == 2 and got["error"]["type"] == "AlmostEverywhereZeroDivisor"
+        # the guard settles the zero residue, so the division never sees it
+        code, got = run_json(capsys, "germ", "los", "x = 0 or 1/x > 2", "--bind", x)
+        assert code == 1 and got["verdict"] == "ultrafilter-dependent"
+
+    def test_window_past_budget_exits_2(self, capsys):
+        # periods 1024 and 1025: a window of 1,049,600 > MAX_WINDOW
+        a = "ep([];[" + ",".join(["0"] * 1023 + ["1"]) + "])"
+        b = "ep([];[" + ",".join(["1"] * 1024 + ["0"]) + "])"
+        for argv in (("compare", a, b, "lt"), ("los", "x = y", "--bind", f"x={a}", "--bind", f"y={b}")):
+            code, got = run_json(capsys, "germ", *argv)
+            assert code == 2 and got["error"]["type"] == "WindowTooLarge", argv[0]
+
     def test_classify(self, capsys):
         code, got = run_json(capsys, "germ", "classify", "rf((2*n+1)/(n+3))")
         assert code == 0

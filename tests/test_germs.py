@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -309,3 +310,155 @@ class TestParsing:
         for formula in ("(" * 3000 + "x < 1" + ")" * 3000, "not " * 3000 + "x < 1"):
             with pytest.raises(G.NestingTooDeep):
                 G.los_check_qf(formula, env)
+
+
+# -- stored tails ------------------------------------------------------------------
+
+_VALUES = (-1, 0, 1, 2, Fraction(1, 2))
+
+
+def _rand_tail_germ(rng):
+    pre = [rng.choice(_VALUES) for _ in range(rng.randint(0, 3))]
+    return PeriodicGerm(pre, [rng.choice(_VALUES) for _ in range(rng.randint(1, 6))])
+
+
+def _rand_term(rng, names, depth):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.7:
+            return rng.choice(names)
+        return str(rng.choice(_VALUES))
+    op = rng.choice("+-*/")
+    return f"({_rand_term(rng, names, depth - 1)} {op} {_rand_term(rng, names, depth - 1)})"
+
+
+def _rand_formula(rng, names, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        rel = rng.choice(("=", "!=", "<", "<=", ">", ">="))
+        return f"{_rand_term(rng, names, 2)} {rel} {_rand_term(rng, names, 2)}"
+    if roll < 0.45:
+        return f"not ({_rand_formula(rng, names, depth - 1)})"
+    if roll < 0.65:
+        # a guarded division: the guard settles every residue where the
+        # divisor is zero, so the right side must not be evaluated there
+        v = rng.choice(names)
+        t = _rand_term(rng, names, 1)
+        if rng.random() < 0.5:
+            return f"({v} = 0 or {t}/{v} > {rng.choice(_VALUES)})"
+        return f"(not {v} = 0 and {t}/{v} < {rng.choice(_VALUES)})"
+    op = rng.choice(("and", "or"))
+    return f"({_rand_formula(rng, names, depth - 1)}) {op} ({_rand_formula(rng, names, depth - 1)})"
+
+
+def test_los_matches_pointwise_truth_at_every_window_index():
+    # caught mutant: `or` (or `and`) evaluating its right side at every
+    # residue, which divides by zero where the guard already decided
+    rng = random.Random(60)
+    outcomes = {"verdict": 0, "zero divisor": 0}
+    for _ in range(400):
+        names = ["x", "y", "z"][: rng.randint(1, 3)]
+        env = {name: _rand_tail_germ(rng) for name in names}
+        formula = _rand_formula(rng, names, 3)
+        pre = max(len(g.preperiod) for g in env.values())
+        lcm = math.lcm(*(len(g.period) for g in env.values()))
+        try:
+            flags = [G.check_pointwise(formula, env, n) for n in range(pre + 1, pre + lcm + 1)]
+        except ZeroDivisionError:
+            with pytest.raises((G.UltrafilterDependentZeroDivisor, G.AlmostEverywhereZeroDivisor)):
+                G.los_check_qf(formula, env)
+            outcomes["zero divisor"] += 1
+            continue
+        want = (
+            AeVerdict.TRUE_AE if all(flags)
+            else AeVerdict.FALSE_AE if not any(flags)
+            else AeVerdict.ULTRAFILTER_DEPENDENT
+        )
+        assert G.los_check_qf(formula, env) is want, (formula, env)
+        outcomes["verdict"] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+def test_pointwise_arithmetic_matches_value_at():
+    # caught mutant: a tail built from the stored period without rotating it
+    # to the common preperiod
+    rng = random.Random(61)
+    for _ in range(300):
+        a, b = _rand_tail_germ(rng), _rand_tail_germ(rng)
+        total, product = G.add(a, b), G.mul(a, b)
+        for n in range(1, 4 + 2 * math.lcm(len(a.period), len(b.period))):
+            assert total.value_at(n) == a.value_at(n) + b.value_at(n)
+            assert product.value_at(n) == a.value_at(n) * b.value_at(n)
+
+
+def test_integral_entries_are_stored_as_int():
+    # caught mutant: entries kept as given, so Fraction(2) stays a Fraction
+    g = PeriodicGerm((Fraction(2), Fraction(-1, 2)), (Fraction(3), 0.5, Fraction(4, 2)))
+    h = PeriodicGerm((2, Fraction(-1, 2)), (3, Fraction(1, 2), 2))
+    assert [type(c) for c in g.preperiod + g.period] == [int, Fraction, int, Fraction, int]
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h) == "ep([2,-1/2];[3,1/2,2])"
+    parsed = G.parse_germ("ep([3];[1/2,6/3])")
+    assert parsed.period == (Fraction(1, 2), 2) and type(parsed.period[1]) is int
+    assert type(G.embed_constant(Fraction(5)).period[0]) is int
+    assert type(G.embed_constant(5).value_at(1)) is Fraction
+
+
+def _coprime_periods(size):
+    """Germs with periods size and size + 1."""
+    return PeriodicGerm((), [0] * (size - 1) + [1]), PeriodicGerm((), [1] * size + [0])
+
+
+class TestWindowBudget:
+    def test_largest_window_answers(self):
+        # periods 997 and 991: a window of 988,027, under MAX_WINDOW
+        a = PeriodicGerm((), [i % 3 for i in range(997)])
+        b = PeriodicGerm((), [i % 5 for i in range(991)])
+        assert 997 * 991 <= G.MAX_WINDOW
+        assert G.ae_compare(a, b) == (AeVerdict.ULTRAFILTER_DEPENDENT,) * 2
+        assert G.los_check_qf("x < y", {"x": a, "y": b}) is AeVerdict.ULTRAFILTER_DEPENDENT
+
+    def test_past_the_budget_raises(self):
+        # caught mutant: a missing budget check, which builds the window of
+        # 1024 * 1025 = 1,049,600 indices and answers
+        a, b = _coprime_periods(1024)
+        assert 1024 * 1025 > G.MAX_WINDOW == 2**20
+        for call in (
+            lambda: G.ae_compare(a, b),
+            lambda: G.add(a, b),
+            lambda: G.mul(a, b),
+            lambda: G.los_check_qf("x < y", {"x": a, "y": b}),
+        ):
+            with pytest.raises(G.WindowTooLarge) as err:
+                call()
+            assert isinstance(err.value, G.GermError)
+
+    def test_budget_counts_the_preperiod(self, monkeypatch):
+        monkeypatch.setattr(G, "MAX_WINDOW", 14)
+        a, b = PeriodicGerm((), (0, 1, 1)), PeriodicGerm((), (0, 1, 1, 1))
+        assert G.ae_compare(a, b)[0] is AeVerdict.ULTRAFILTER_DEPENDENT  # 0 + 12
+        pre2 = PeriodicGerm((5, 5), (0, 1, 1))  # 2 + 12 = 14, at the budget
+        assert G.los_check_qf("x < y", {"x": pre2, "y": b}) is AeVerdict.ULTRAFILTER_DEPENDENT
+        pre3 = PeriodicGerm((5, 5, 5), (0, 1, 1))  # 15, past it
+        for call in (lambda: G.ae_compare(pre3, b), lambda: G.add(pre3, b),
+                     lambda: G.los_check_qf("x < y", {"x": pre3, "y": b})):
+            with pytest.raises(G.WindowTooLarge):
+                call()
+
+
+class TestZeroDivisorAtResidues:
+    def test_inv_rule(self):
+        x = PeriodicGerm((), (0, 1))
+        with pytest.raises(G.UltrafilterDependentZeroDivisor):
+            G.los_check_qf("1/x > 2", {"x": x})
+        with pytest.raises(G.AlmostEverywhereZeroDivisor):
+            G.los_check_qf("1/(x - x) > 2", {"x": x})
+        # the divisor vanishes at every residue the right side is evaluated at
+        with pytest.raises(G.AlmostEverywhereZeroDivisor):
+            G.los_check_qf("x = 1 and 1/(x - 1) > 2", {"x": x})
+
+    def test_short_circuit_skips_the_zero_residue(self):
+        x = PeriodicGerm((7,), (0, 1))
+        assert G.los_check_qf("x = 0 or 1/x > 2", {"x": x}) is AeVerdict.ULTRAFILTER_DEPENDENT
+        assert G.los_check_qf("x = 0 or 1/x > 0", {"x": x}) is AeVerdict.TRUE_AE
+        assert G.los_check_qf("not x = 0 and 1/x < 2", {"x": x}) is AeVerdict.ULTRAFILTER_DEPENDENT
+        # preperiod zeros lie outside the window
+        assert G.los_check_qf("1/y = y", {"y": PeriodicGerm((0,), (1, -1))}) is AeVerdict.TRUE_AE
