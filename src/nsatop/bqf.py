@@ -18,8 +18,10 @@ class BqfError(Exception):
 
 
 class FormulaSyntaxError(BqfError):
+    """Bad formula text; `position` is the character offset of the culprit."""
+
     def __init__(self, message: str, position: int, expected: tuple = ()):
-        detail = f"{message} (at token position {position}"
+        detail = f"{message} (at position {position}"
         if expected:
             detail += f", expected one of {', '.join(expected)}"
         detail += ")"
@@ -314,7 +316,7 @@ def _nested(parse):
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise NestingTooDeep(
-                f"formula nested deeper than {MAX_DEPTH} levels (at token position {self.pos})"
+                f"formula nested deeper than {MAX_DEPTH} levels (at position {self.offset()})"
             )
         node = parse(self)
         self.depth -= 1
@@ -324,13 +326,18 @@ def _nested(parse):
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.end = len(text)
         self.pos = 0
         self.depth = 0
 
     def peek(self) -> Optional[tuple]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def offset(self) -> int:
+        """Character offset of the next token, or the text's length at its end."""
+        return self.tokens[self.pos][2] if self.pos < len(self.tokens) else self.end
 
     def next_is(self, kind: str, value: Optional[str] = None) -> bool:
         tok = self.peek()
@@ -341,7 +348,7 @@ class _Parser:
         if tok is None or tok[0] != kind or (value is not None and tok[1] != value):
             raise FormulaSyntaxError(
                 f"unexpected {tok[1]!r}" if tok else "unexpected end of input",
-                self.pos,
+                self.offset(),
                 expected or ((value,) if value else (kind,)),
             )
         self.pos += 1
@@ -351,7 +358,7 @@ class _Parser:
     def parse_formula(self) -> Formula:
         tok = self.peek()
         if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.pos, ("formula",))
+            raise FormulaSyntaxError("unexpected end of input", self.offset(), ("formula",))
         if tok == ("kw", "not", tok[2]):
             self.pos += 1
             return Not(self.parse_formula())
@@ -372,7 +379,7 @@ class _Parser:
             ):
                 raise FormulaSyntaxError(
                     f"unexpected {op_tok[1]!r}" if op_tok else "unexpected end of input",
-                    self.pos,
+                    self.offset(),
                     ("and", "or", "=>", "<=>"),
                 )
             self.pos += 1
@@ -407,7 +414,7 @@ class _Parser:
             return Member(lhs, self.parse_term())
         raise FormulaSyntaxError(
             f"unexpected {tok[1]!r}" if tok else "unexpected end of input",
-            self.pos,
+            self.offset(),
             ("=", "in"),
         )
 
@@ -415,7 +422,7 @@ class _Parser:
     def parse_term(self) -> Term:
         tok = self.peek()
         if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.pos, ("term",))
+            raise FormulaSyntaxError("unexpected end of input", self.offset(), ("term",))
         if tok[0] == "ident":
             self.pos += 1
             return Name(tok[1])
@@ -437,17 +444,17 @@ class _Parser:
             self.take("sym", "}")
             return SetTerm(items)
         raise FormulaSyntaxError(
-            f"unexpected {tok[1]!r}", self.pos, ("identifier", "<", "{")
+            f"unexpected {tok[1]!r}", self.offset(), ("identifier", "<", "{")
         )
 
 
 def parse(text: str) -> Formula:
     """Parse a bounded-quantifier formula; rejects unbounded quantifiers."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     formula = parser.parse_formula()
     tok = parser.peek()
     if tok is not None:
-        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", parser.pos, ())
+        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2], ())
     return formula
 
 

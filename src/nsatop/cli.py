@@ -9,16 +9,20 @@ Subcommands
 
 Exit codes: 0 success / property holds / all audits pass; 1 property false,
 verdict not established, or an audit counterexample (a machine-readable
-witness is emitted); 2 input error.
+witness is emitted); 2 input error, whose payload gives a syntax error's
+character offset as "position".
 
-Hyperreal expression grammar (`e` is the positive infinitesimal):
+One term grammar serves `hyper` expressions, rf(...) germs and `germ los`:
     expr     := term { ('+'|'-') term }
     term     := unary { ('*'|'/') unary }
     unary    := ('-'|'+') unary | power
     power    := atom [ '^' exponent ]
-    atom     := INT | 'e' | '(' expr ')'
+    atom     := INT | NAME | '(' expr ')'
     exponent := ['-'] ( INT | '(' INT '/' INT ')' )
-Examples: (2+e)/(1+3*e), e^(1/2), 1/e - 7.
+In `hyper` the one name is `e`, the positive infinitesimal: (2+e)/(1+3*e),
+e^(1/2), 1/e - 7.  Germ terms name n (in rf) or the bound variables (in
+`germ los`) instead, and have no '^'.  '/' is left-associative and spacing
+never changes meaning: x/1/2 is x / 1 / 2.
 
 Germ textual forms: rf((2*n+1)/(n+3)) for rational functions of the index n,
 ep([1,2];[0,1]) for eventually periodic sequences (preperiod; period), or a
@@ -59,12 +63,20 @@ def _tabulate(obj, prefix: str = ""):
         yield f"{prefix[:-1]}: {obj}"
 
 
-def _error(kind: str, message: str, fmt: str, witness=None) -> int:
+def _error(kind: str, message: str, fmt: str, witness=None, position=None) -> int:
     payload = {"error": {"type": kind, "message": message}}
     if witness is not None:
         payload["error"]["witness"] = witness
+    if position is not None:
+        payload["error"]["position"] = position
     _emit(payload, fmt)
     return 2
+
+
+def _raised(exc: Exception, fmt: str) -> int:
+    """The error payload of a typed exception; syntax errors add the
+    character offset of their culprit as "position"."""
+    return _error(type(exc).__name__, str(exc), fmt, position=getattr(exc, "position", None))
 
 
 # -- hyper ------------------------------------------------------------------------
@@ -92,7 +104,7 @@ def cmd_hyper(args, fmt: str) -> int:
     try:
         x = hyperreal.parse_hyperreal(args.expr)
     except hyperreal.HyperrealError as exc:
-        return _error(type(exc).__name__, str(exc), fmt)
+        return _raised(exc, fmt)
     if args.action == "eval":
         _emit(_hyper_report(x), fmt)
         return 0
@@ -112,7 +124,7 @@ def cmd_hyper(args, fmt: str) -> int:
         )
         return 1
     except hyperreal.HyperrealError as exc:
-        return _error(type(exc).__name__, str(exc), fmt)
+        return _raised(exc, fmt)
     _emit({"root_exists": True, "root": str(r), "degree": args.degree}, fmt)
     return 0
 
@@ -157,7 +169,7 @@ def cmd_germ(args, fmt: str) -> int:
         _emit({"formula": args.formula, "verdict": verdict.value}, fmt)
         return 0 if verdict is germs.AeVerdict.TRUE_AE else 1
     except germs.GermError as exc:
-        return _error(type(exc).__name__, str(exc), fmt)
+        return _raised(exc, fmt)
 
 
 # -- bqf ---------------------------------------------------------------------------
@@ -211,7 +223,7 @@ def cmd_bqf(args, fmt: str) -> int:
         )
         return 0
     except (bqf.BqfError, json.JSONDecodeError, TypeError) as exc:
-        return _error(type(exc).__name__, str(exc), fmt)
+        return _raised(exc, fmt)
 
 
 # -- topo --------------------------------------------------------------------------
@@ -266,7 +278,7 @@ def cmd_topo(args, fmt: str) -> int:
         _emit({"error": {"type": "AuditFailure", "message": str(exc), "witness": exc.witness}}, fmt)
         return 1
     except (OSError, json.JSONDecodeError, fintop.SpaceError) as exc:
-        return _error(type(exc).__name__, str(exc), fmt)
+        return _raised(exc, fmt)
 
 
 # -- audit -------------------------------------------------------------------------

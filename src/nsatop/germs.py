@@ -12,11 +12,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .hyperreal import Classification, Hyperreal
+# MAX_DEPTH, the nesting limit of the shared term parser, is the germ parsers' limit too
+from .hyperreal import MAX_DEPTH, Classification, Hyperreal, _TermParser  # noqa: F401
 from .poly import Poly
 
 
@@ -40,8 +42,18 @@ class QuantifierPresent(GermError):
     pass
 
 
+class VanishingDivisor(GermError, ZeroDivisionError):
+    """A divisor that is zero where it is evaluated: a zero denominator
+    polynomial, or a divisor that vanishes at the one index asked for."""
+
+
 class GermSyntaxError(GermError):
-    pass
+    """Bad germ or formula text; `position` is the character offset of the
+    culprit, or None when no single character is to blame."""
+
+    def __init__(self, message: str, position: Optional[int] = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
+        self.position = position
 
 
 class NestingTooDeep(GermSyntaxError):
@@ -92,7 +104,7 @@ class RationalGerm:
         if not isinstance(den, Poly):
             den = Poly.const(den)
         if den.is_zero():
-            raise ZeroDivisionError("denominator polynomial is zero")
+            raise VanishingDivisor("denominator polynomial is zero")
         if num.is_zero():
             num, den = Poly.ZERO, Poly.ONE
         else:
@@ -128,7 +140,7 @@ class RationalGerm:
     def value_at(self, n: int) -> Fraction:
         d = self.den.eval(n)
         if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at n={n}")
+            raise VanishingDivisor(f"denominator vanishes at n={n}")
         return self.num.eval(n) / d
 
 
@@ -433,15 +445,9 @@ def to_hyperreal(a: Germ) -> Hyperreal:
 #
 # formula := or ;  or := and {'or' and} ;  and := not {'and' not}
 # not     := 'not' not | atom-or-group
-# atom    := term REL term          REL in  = != < <= > >=
+# atom    := expr REL expr          REL in  = != < <= > >=
 # group   := '(' formula ')'
-# term    := factor {('+'|'-') factor} ;  factor := base {'*' base}
-# base    := NUMBER | IDENT | '-' base | '(' term ')'
-
-# deepest nesting of 'not', signs and parentheses the parser accepts; each
-# level costs about five Python frames, so this stays well inside the
-# recursion limit
-MAX_DEPTH = 100
+# expr    := the term grammar of hyperreal.py, with variables as names and no '^'
 
 
 def _chain_limited(fn):
@@ -461,187 +467,75 @@ def _chain_limited(fn):
     return limited
 
 
-class _QfNode:
-    pass
+_QfAtom = namedtuple("_QfAtom", "rel lhs rhs")
+_QfNot = namedtuple("_QfNot", "body")
+_QfBin = namedtuple("_QfBin", "op lhs rhs")
 
 
-class _QfAtom(_QfNode):
-    def __init__(self, rel, lhs, rhs):
-        self.rel = rel
-        self.lhs = lhs
-        self.rhs = rhs
+_TERM_KINDS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
-class _QfNot(_QfNode):
-    def __init__(self, body):
-        self.body = body
+class _GermTerms:
+    """_TermParser builder of the term tuples the evaluators below read:
+    ("const", Fraction), ("var", name), ("neg", t) and (kind, t, t) for the
+    kinds add, sub, mul and div."""
+
+    syntax_error, too_deep = GermSyntaxError, NestingTooDeep
+
+    def binary(self, op: str, lhs: tuple, rhs: tuple) -> tuple:
+        if op == "/" and lhs[0] == rhs[0] == "const" and rhs[1]:
+            return ("const", lhs[1] / rhs[1])  # a rational literal such as 1/3
+        return (_TERM_KINDS[op], lhs, rhs)
+
+    def unary(self, op: str, value: tuple) -> tuple:
+        return ("neg", value) if op == "-" else value
+
+    def power(self, base: tuple, exp: Fraction, position: int):
+        raise GermSyntaxError("'^' is not part of germ terms", position)
+
+    def atom(self, kind: str, value, position: int) -> tuple:
+        return ("const", Fraction(value)) if kind == "num" else ("var", value)
 
 
-class _QfBin(_QfNode):
-    def __init__(self, op, lhs, rhs):
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
-
-
-_QUANTIFIER_WORDS = {"forall", "exists", "∀", "∃"}
-_WORD_OPS = {"and", "or", "not"}
-
-
-def _tokenize_qf(text: str) -> list:
-    symbols = {"¬": "not", "∧": "and", "∨": "or", "·": "*"}
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in symbols:
-            out.append(symbols[ch])
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1].isdigit():
-                j += 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-            try:
-                out.append(("num", Fraction(text[i:j])))
-            except ZeroDivisionError:
-                raise GermSyntaxError(f"zero denominator in {text[i:j]!r} at position {i}") from None
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _QUANTIFIER_WORDS:
-                raise QuantifierPresent(f"quantifier {word!r} in a quantifier-free formula")
-            out.append(word if word in _WORD_OPS else ("ident", word))
-            i = j
-            continue
-        for op in ("<=", ">=", "!=", "<", ">", "=", "+", "-", "*", "/", "(", ")"):
-            if text.startswith(op, i):
-                out.append(op)
-                i += len(op)
-                break
-        else:
-            raise GermSyntaxError(f"unexpected character {ch!r} at position {i}")
-    return out
-
-
-class _QfParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def nested(self, parse):
-        """Run parse() one level deeper, past a 'not', a sign or a '('.
-
-        A parse that fails leaves the count raised; whoever backtracks
-        restores it."""
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise NestingTooDeep(f"formula nested deeper than {MAX_DEPTH} levels")
-        node = parse()
-        self.depth -= 1
-        return node
-
-    def take(self, tok):
-        if self.peek() != tok:
-            raise GermSyntaxError(f"expected {tok!r}, found {self.peek()!r}")
-        self.pos += 1
-
-    def parse(self):
-        node = self.or_expr()
-        if self.peek() is not None:
-            raise GermSyntaxError(f"trailing tokens from {self.peek()!r}")
-        return node
+class _QfParser(_TermParser):
+    """The formula layer over the shared term parser and its tokens."""
 
     def or_expr(self):
         node = self.and_expr()
         while self.peek() == "or":
-            self.pos += 1
+            self.i += 1
             node = _QfBin("or", node, self.and_expr())
         return node
 
     def and_expr(self):
         node = self.not_expr()
         while self.peek() == "and":
-            self.pos += 1
+            self.i += 1
             node = _QfBin("and", node, self.not_expr())
         return node
 
     def not_expr(self):
         if self.peek() == "not":
-            self.pos += 1
             return _QfNot(self.nested(self.not_expr))
         if self.peek() == "(":
             # could be a grouped formula or a parenthesized term; try the atom
-            save = self.pos, self.depth
+            save = self.i, self.depth
             try:
-                return self.atom()
+                return self.comparison()
             except GermSyntaxError:
-                self.pos, self.depth = save
-            self.take("(")
+                self.i, self.depth = save
             node = self.nested(self.or_expr)
             self.take(")")
             return node
-        return self.atom()
+        return self.comparison()
 
-    def atom(self):
-        lhs = self.term()
+    def comparison(self):
+        lhs = self.expr()
         rel = self.peek()
-        if rel not in ("=", "!=", "<", "<=", ">", ">="):
-            raise GermSyntaxError(f"expected a relation, found {rel!r}")
-        self.pos += 1
-        rhs = self.term()
-        return _QfAtom(rel, lhs, rhs)
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
-            rhs = self.factor()
-            node = ("add", node, rhs) if op == "+" else ("sub", node, rhs)
-        return node
-
-    def factor(self):
-        node = self.base()
-        while self.peek() in ("*", "/"):
-            op = self.peek()
-            self.pos += 1
-            rhs = self.base()
-            node = ("mul", node, rhs) if op == "*" else ("div", node, rhs)
-        return node
-
-    def base(self):
-        tok = self.peek()
-        if tok == "-":
-            self.pos += 1
-            return ("neg", self.nested(self.base))
-        if tok == "(":
-            self.pos += 1
-            node = self.nested(self.term)
-            self.take(")")
-            return node
-        if isinstance(tok, tuple) and tok[0] == "num":
-            self.pos += 1
-            return ("const", tok[1])
-        if isinstance(tok, tuple) and tok[0] == "ident":
-            self.pos += 1
-            return ("var", tok[1])
-        raise GermSyntaxError(f"expected a term, found {tok!r}")
+        if rel not in _RELATIONS:
+            raise self.error("expected a relation")
+        self.i += 1
+        return _QfAtom(rel, lhs, self.expr())
 
 
 def _term_vars(node, acc):
@@ -699,6 +593,8 @@ def _eval_term_at(node, env, n: int) -> Fraction:
     if kind == "sub":
         return a - b
     if kind == "div":
+        if b == 0:
+            raise VanishingDivisor(f"divisor vanishes at n={n}")
         return a / b
     return a * b
 
@@ -803,7 +699,11 @@ def _formula_truth_at(node, env, n: int) -> bool:
 
 def parse_qf(text: str):
     """Parse a quantifier-free formula over =, <, +, * and rational constants."""
-    return _QfParser(_tokenize_qf(text)).parse()
+    parser = _QfParser(text, _GermTerms())
+    for kind, word, position in parser.tokens:
+        if kind in ("forall", "exists"):
+            raise QuantifierPresent(f"quantifier {word!r} (at position {position})")
+    return parser.whole(parser.or_expr)
 
 
 def _align_environment(env: dict) -> tuple[dict, bool]:
@@ -890,27 +790,25 @@ def check_pointwise(formula, assignment: dict, n: int) -> bool:
 @_chain_limited
 def parse_germ(text: str) -> Germ:
     """Parse ``rf(<rational function of n>)``, ``ep([pre];[period])`` or a rational."""
-    text = text.strip()
-    if text.startswith("rf(") and text.endswith(")"):
-        return _parse_rf(text[3:-1])
-    if text.startswith("ep(") and text.endswith(")"):
-        return _parse_ep(text[3:-1])
+    body = text.strip()
+    if body.startswith("rf(") and body.endswith(")"):
+        start = len(text) - len(text.lstrip()) + 3
+        return _parse_rf(text, start, start + len(body) - 4)
+    if body.startswith("ep(") and body.endswith(")"):
+        return _parse_ep(body[3:-1])
     try:
-        return embed_constant(Fraction(text))
+        return embed_constant(Fraction(body))
     except (ValueError, ZeroDivisionError):
-        raise GermSyntaxError(f"not a germ: {text!r}") from None
+        raise GermSyntaxError(f"not a germ: {body!r}") from None
 
 
-def _parse_rf(body: str) -> RationalGerm:
-    tokens = _tokenize_qf(body)
-    parser = _QfParser(tokens)
-    node = parser.term()
-    if parser.peek() is not None:
-        raise GermSyntaxError(f"trailing tokens in rf(): {parser.peek()!r}")
-    names = set()
-    _term_vars(node, names)
-    if not names <= {"n"}:
-        raise GermSyntaxError(f"unknown symbols in rf(): {sorted(names - {'n'})}")
+def _parse_rf(text: str, start: int, end: int) -> RationalGerm:
+    """The germ of the term text[start:end] in the index n."""
+    parser = _TermParser(text, _GermTerms(), start, end)
+    for kind, name, position in parser.tokens:
+        if kind == "name" and name != "n":
+            raise GermSyntaxError(f"unknown symbol {name!r} in rf()", position)
+    node = parser.whole(parser.expr)
     return _to_rational(_eval_term_germ(node, {"n": RationalGerm(Poly.X)}))
 
 

@@ -10,6 +10,8 @@ exact over the rationals; equality of canonical forms is field equality.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -485,145 +487,185 @@ def in_star_interval(a: Hyperreal, lo: Scalar, hi: Scalar, kind: str = "closed")
 # term     := unary { ('*'|'/') unary }
 # unary    := ('-'|'+') unary | power
 # power    := atom [ '^' exponent ]
-# atom     := INT | 'e' | '(' expr ')'
+# atom     := INT | NAME | '(' expr ')'
 # exponent := ['-'] ( INT | '(' INT '/' INT ')' )
 #
-# 'e' is the positive infinitesimal; rationals are written with '/', e.g. 1/3.
+# `hyper` expressions know one name, 'e', the positive infinitesimal; germ
+# terms (germs.py) read names as variables and refuse '^'.  Every binary
+# operator, '/' too, is left-associative, and spaces never change meaning.
 
-# deepest nesting of parentheses and signs the parser accepts; each level
-# costs five Python frames, so this stays well inside the recursion limit
+# deepest nesting of parentheses, signs and (in germ formulas) 'not' that the
+# parsers accept; a level costs six Python frames, well inside the recursion
+# limit
 MAX_DEPTH = 100
 
+_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|(<=|>=|!=|\S)")
+_ALIASES = {"·": "*", "¬": "not", "∧": "and", "∨": "or", "∀": "forall", "∃": "exists"}
+_WORDS = {"and", "or", "not", "forall", "exists"}
+_SYMBOLS = {"+", "-", "*", "/", "^", "(", ")", "=", "!=", "<", "<=", ">", ">="}
 
-class _ExprParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+
+def _tokenize(text: str, error, start: int = 0, end: Optional[int] = None) -> list:
+    """Tokens of text[start:end] as (kind, value, character position), ending
+    with ("end", None, end).  kind is "num" (an int), "name", or the word or
+    symbol itself; a character no token starts with raises error(message,
+    position)."""
+    end = len(text) if end is None else end
+    out = []
+    for m in _TOKEN.finditer(text, start, end):
+        digits, name, sym = m.groups()
+        if digits:
+            try:
+                out.append(("num", int(digits), m.start()))
+            except ValueError:  # past the interpreter's limit on integer digits
+                raise error("integer literal too long", m.start()) from None
+        elif name:
+            out.append((name if name in _WORDS else "name", name, m.start()))
+        else:
+            sym = _ALIASES.get(sym, sym)
+            if sym not in _SYMBOLS and sym not in _WORDS:
+                raise error(f"unexpected character {sym!r}", m.start())
+            out.append((sym, sym, m.start()))
+    out.append(("end", None, end))
+    return out
+
+
+class _TermParser:
+    """Recursive descent over _tokenize's tokens for the grammar above.
+
+    Each rule hands what it read to one method of `build`: binary(op, lhs,
+    rhs) for + - * /, unary(op, value) for a sign, power(base, exponent,
+    position) for '^' and atom(kind, value, position) for a number or a
+    name.  Errors are build.syntax_error(message, position), or
+    build.too_deep at the opener that goes past MAX_DEPTH."""
+
+    def __init__(self, text: str, build, start: int = 0, end: Optional[int] = None):
+        self.build = build
+        self.tokens = _tokenize(text, build.syntax_error, start, end)
+        self.i = 0
         self.depth = 0
 
-    def error(self, message: str):
-        raise ExprSyntaxError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.tokens[self.i][0]
 
-    def take(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
+    def error(self, message: str):
+        kind, value, position = self.tokens[self.i]
+        found = "the end" if kind == "end" else repr(value)
+        return self.build.syntax_error(f"{message}, found {found}", position)
 
-    def parse(self) -> Hyperreal:
-        value = self.expr()
-        if self.peek():
-            self.error("trailing input")
-        return value
+    def take(self, kind: str):
+        """The value of the next token, which must be of this kind."""
+        if self.peek() != kind:
+            raise self.error("expected an integer" if kind == "num" else f"expected {kind!r}")
+        self.i += 1
+        return self.tokens[self.i - 1][1]
 
-    def expr(self) -> Hyperreal:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> Hyperreal:
-        value = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.peek()
-            self.pos += 1
-            rhs = self.unary()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.sign() == 0:
-                    raise ZeroDenominator("division by zero in expression")
-                value = value / rhs
-        return value
-
-    def unary(self) -> Hyperreal:
-        # every nested parenthesis or sign passes through here; a parse that
-        # goes too deep raises and is abandoned, so the count only unwinds
-        # on success
+    def nested(self, parse):
+        """Step past an opener ('(', a sign or 'not') and run parse() one level
+        deeper.  A parse that fails leaves the count raised; whoever
+        backtracks restores it."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise NestingTooDeep(f"expression nested deeper than {MAX_DEPTH} levels", self.pos)
-        ch = self.peek()
-        if ch in ("-", "+"):
-            self.pos += 1
-            value = self.unary()
-            if ch == "-":
-                value = -value
-        else:
-            value = self.power()
+            position = self.tokens[self.i][2]
+            raise self.build.too_deep(f"nested deeper than {MAX_DEPTH} levels", position)
+        self.i += 1
+        value = parse()
         self.depth -= 1
         return value
 
-    def power(self) -> Hyperreal:
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            exp = self.exponent()
-            return _rational_power(base, exp)
-        return base
+    def whole(self, rule):
+        value = rule()
+        if self.peek() != "end":
+            raise self.error("trailing input")
+        return value
 
-    def atom(self) -> Hyperreal:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
+    def expr(self):
+        value = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.peek()
+            self.i += 1
+            value = self.build.binary(op, value, self.term())
+        return value
+
+    def term(self):
+        value = self.unary()
+        while self.peek() in ("*", "/"):
+            op = self.peek()
+            self.i += 1
+            value = self.build.binary(op, value, self.unary())
+        return value
+
+    def unary(self):
+        op = self.peek()
+        if op in ("-", "+"):
+            return self.build.unary(op, self.nested(self.unary))
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek() != "^":
+            return base
+        position = self.tokens[self.i][2]
+        self.i += 1
+        return self.build.power(base, self.exponent(), position)
+
+    def atom(self):
+        kind, value, position = self.tokens[self.i]
+        if kind == "(":
+            value = self.nested(self.expr)
             self.take(")")
             return value
-        if ch == "e":
-            nxt = self.text[self.pos + 1 : self.pos + 2]
-            if not nxt.isalnum() and nxt != "_":
-                self.pos += 1
-                return EPSILON
-            self.error("unknown symbol")
-        if ch.isdigit():
-            return Hyperreal.from_rational(self.integer())
-        self.error("expected a number, 'e' or '('")
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        if kind not in ("num", "name"):
+            raise self.error("expected a number, a name or '('")
+        self.i += 1
+        return self.build.atom(kind, value, position)
 
     def exponent(self) -> Fraction:
-        negate = False
-        if self.peek() == "-":
-            self.pos += 1
-            negate = True
-        if self.peek() == "(":
-            self.pos += 1
-            num = self.integer()
-            self.take("/")
-            den = self.integer()
-            self.take(")")
-            if den == 0:
-                self.error("zero denominator in exponent")
-            value = Fraction(num, den)
-        else:
-            value = Fraction(self.integer())
-        return -value if negate else value
+        sign = -1 if self.peek() == "-" else 1
+        if sign < 0:
+            self.i += 1
+        if self.peek() != "(":
+            return sign * Fraction(self.take("num"))
+        self.i += 1
+        num = self.take("num")
+        self.take("/")
+        if self.tokens[self.i][:2] == ("num", 0):
+            raise self.error("zero denominator in exponent")
+        value = Fraction(num, self.take("num"))
+        self.take(")")
+        return sign * value
 
 
-def _rational_power(base: Hyperreal, exp: Fraction) -> Hyperreal:
-    if exp.denominator == 1:
-        return base ** exp.numerator
-    root = nth_root(base, exp.denominator)
-    return root ** exp.numerator
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+class _HyperTerms:
+    """_TermParser builder that folds Hyperreal values as it reads."""
+
+    syntax_error, too_deep = ExprSyntaxError, NestingTooDeep
+
+    def binary(self, op: str, lhs: Hyperreal, rhs: Hyperreal) -> Hyperreal:
+        if op == "/" and rhs.sign() == 0:
+            raise ZeroDenominator("division by zero in expression")
+        return _ARITHMETIC[op](lhs, rhs)
+
+    def unary(self, op: str, value: Hyperreal) -> Hyperreal:
+        return -value if op == "-" else value
+
+    def power(self, base: Hyperreal, exp: Fraction, position: int) -> Hyperreal:
+        if exp.denominator == 1:
+            return base ** exp.numerator
+        return nth_root(base, exp.denominator) ** exp.numerator
+
+    def atom(self, kind: str, value, position: int) -> Hyperreal:
+        if kind == "num":
+            return Hyperreal.from_rational(value)
+        if value != "e":
+            raise ExprSyntaxError(f"unknown symbol {value!r}", position)
+        return EPSILON
 
 
 def parse_hyperreal(text: str) -> Hyperreal:
     """Parse the CLI textual syntax, e.g. ``(2+e)/(1+3*e)`` or ``e^(1/2)``."""
-    return _ExprParser(text).parse()
+    parser = _TermParser(text, _HyperTerms())
+    return parser.whole(parser.expr)

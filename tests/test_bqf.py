@@ -98,6 +98,12 @@ class TestParse:
         with pytest.raises(B.FormulaSyntaxError):
             B.parse("{a, } = b")
 
+    def test_syntax_error_positions_are_character_offsets(self):
+        for text, position in (("a =    = b", 7), ("a =", 3), ("a = b   c", 8), ("a # b", 2)):
+            with pytest.raises(B.FormulaSyntaxError) as err:
+                B.parse(text)
+            assert err.value.position == position, text
+
     def test_nesting_limit(self):
         B.parse("not " * 50 + "a = a")
         B.parse("{" * 50 + "}" * 50 + " = a")

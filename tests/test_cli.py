@@ -70,6 +70,11 @@ class TestHyper:
         assert code == 2
         assert got["error"]["type"] == "ExprSyntaxError"
 
+    def test_syntax_error_reports_position(self, capsys):
+        code, got = run_json(capsys, "hyper", "eval", "2 + * e")
+        assert code == 2 and got["error"]["type"] == "ExprSyntaxError"
+        assert got["error"]["position"] == 4
+
     def test_root(self, capsys):
         code, got = run_json(capsys, "hyper", "root", "4*e^2", "2")
         assert code == 0 and got["root"] == "2*e"
@@ -121,7 +126,16 @@ class TestGerm:
 
     def test_zero_denominator_exits_2(self, capsys):
         code, got = run_json(capsys, "germ", "los", "x < 1/0", "--bind", "x=rf(n)")
+        assert code == 2 and got["error"]["type"] == "AlmostEverywhereZeroDivisor"
+
+    def test_syntax_error_reports_position(self, capsys):
+        code, got = run_json(capsys, "germ", "los", "x < (1", "--bind", "x=rf(n)")
         assert code == 2 and got["error"]["type"] == "GermSyntaxError"
+        assert got["error"]["position"] == 6
+
+    def test_spacing_never_changes_meaning(self, capsys):
+        code, got = run_json(capsys, "germ", "los", "x/1/2 = x / 1 / 2", "--bind", "x=rf(n)")
+        assert code == 0 and got["verdict"] == "true-ae"
 
     def test_zero_divisor_at_a_residue_exits_2(self, capsys):
         x = "x=ep([];[0,1])"
@@ -223,6 +237,11 @@ class TestBqf:
         for argv in cases:
             code, got = run_json(capsys, "bqf", *argv)
             assert code == 2 and got["error"]["type"] == "UnboundConstant"
+
+    def test_syntax_error_reports_position(self, capsys):
+        code, got = run_json(capsys, "bqf", "eval", "a =    = b", "--bind", 'a="a"')
+        assert code == 2 and got["error"]["type"] == "FormulaSyntaxError"
+        assert got["error"]["position"] == 7
 
     def test_nesting_limit_exits_2(self, capsys):
         deep_formula = "not " * 3000 + "a = a"

@@ -292,9 +292,12 @@ class TestParsing:
         assert G.parse_germ("ep([];[0])") == G.embed_constant(0)
 
     def test_bad_forms(self):
-        for text in ("rf(m+1)", "ep([1];[])", "ep([1])", "zz", "rf(1/0)", "ep([1/0];[1])", "1/0"):
+        for text in ("rf(m+1)", "ep([1];[])", "ep([1])", "zz", "ep([1/0];[1])", "1/0"):
             with pytest.raises(G.GermSyntaxError):
                 G.parse_germ(text)
+        # 1/0 inside rf() is the quotient of two terms, as 1 / 0 is
+        with pytest.raises(G.AlmostEverywhereZeroDivisor):
+            G.parse_germ("rf(1/0)")
 
     def test_nesting_limit(self):
         depth = G.MAX_DEPTH
@@ -310,6 +313,88 @@ class TestParsing:
         for formula in ("(" * 3000 + "x < 1" + ")" * 3000, "not " * 3000 + "x < 1"):
             with pytest.raises(G.NestingTooDeep):
                 G.los_check_qf(formula, env)
+
+    def test_nesting_error_points_at_the_first_opener_past_the_limit(self):
+        assert G.MAX_DEPTH == H.MAX_DEPTH == 100  # one limit for both grammars
+        depth = G.MAX_DEPTH + 1
+        cases = (
+            (lambda t: G.parse_germ(f"  rf({t})"), "(" * depth + "n" + ")" * depth, 105),
+            (lambda t: G.parse_germ(f"rf({t})"), "-+" * depth + "n", 103),
+            (G.parse_qf, "(" * depth + "x < 1" + ")" * depth, 100),
+            (G.parse_qf, "not " * depth + "x < 1", 400),
+            (G.parse_qf, "not (" * depth + "x < 1" + ")" * depth, 250),
+        )
+        for parse, text, position in cases:
+            with pytest.raises(G.NestingTooDeep) as err:
+                parse(text)
+            assert err.value.position == position, text[:12]
+
+    def test_division_is_left_associative_and_spacing_never_matters(self):
+        assert rf("n/1/2") == rf("n / 1 / 2") == rf("n/2") == rf("(1/2)*n")
+        assert rf("12/2/3") == RationalGerm(2)
+        assert rf("-1/2") == rf("- 1 / 2") == RationalGerm(Fraction(-1, 2))
+        x = {"x": N}
+        assert G.los_check_qf("x/1/2 = x / 1 / 2", x) is AeVerdict.TRUE_AE
+        assert G.los_check_qf("x/1/2 = x/2", x) is AeVerdict.TRUE_AE
+
+    def test_syntax_errors_carry_positions(self):
+        for parse, text, position in (
+            (G.parse_germ, "rf(n^2)", 4),
+            (G.parse_germ, " rf(n + m)", 8),
+            (G.parse_germ, "rf(n +)", 6),
+            (G.parse_qf, "x ^ 2 < 1", 2),
+            (G.parse_qf, "x < (1", 6),
+            (G.parse_qf, "x + 1", 5),
+            (G.parse_qf, "x < 1 $", 6),
+        ):
+            with pytest.raises(G.GermSyntaxError) as err:
+                parse(text)
+            assert err.value.position == position, text
+
+    def test_quantifier_symbols_are_quantifiers(self):
+        for text in ("∀", "∃ y = 0", "x < 1 ∧ ∀ y = y", "exists"):
+            with pytest.raises(G.QuantifierPresent):
+                G.parse_qf(text)
+        assert G.parse_qf("¬ x < 1 ∨ x·x < 1 ∧ x = x") is not None
+
+
+def _rand_chain_term(rng, depth):
+    """A term in n with chained '/', unary signs and random spacing."""
+
+    def gap():
+        return rng.choice(("", " ", "  "))
+
+    if depth == 0 or rng.random() < 0.25:
+        text = rng.choice(("n", "n", "0", "1", "2", "3"))
+    else:
+        parts = [_rand_chain_term(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+        text = parts[0] + "".join(f"{gap()}{rng.choice('+-*//')}{gap()}{p}" for p in parts[1:])
+        if rng.random() < 0.5:
+            text = f"({gap()}{text}{gap()})"
+    if rng.random() < 0.2:
+        text = rng.choice("-+") + gap() + text
+    return text
+
+
+def test_germ_and_hyperreal_terms_agree_through_the_shared_grammar():
+    # one grammar read in two models: rf(t) embedded by n -> 1/e must equal
+    # the hyperreal t(1/e), and a divisor is zero in one exactly when it is
+    # zero in the other
+    rng = random.Random(61)
+    outcomes = {"equal": 0, "zero divisor": 0}
+    for _ in range(300):
+        text = _rand_chain_term(rng, 3)
+        hyper_text = text.replace("n", "(1/e)")
+        try:
+            germ = G.to_hyperreal(G.parse_germ(f"rf({text})"))
+        except (G.AlmostEverywhereZeroDivisor, G.VanishingDivisor):
+            with pytest.raises(H.ZeroDenominator):
+                H.parse_hyperreal(hyper_text)
+            outcomes["zero divisor"] += 1
+            continue
+        assert germ == H.parse_hyperreal(hyper_text), text
+        outcomes["equal"] += 1
+    assert min(outcomes.values()) > 30, outcomes
 
 
 # -- stored tails ------------------------------------------------------------------
@@ -454,6 +539,17 @@ class TestZeroDivisorAtResidues:
         # the divisor vanishes at every residue the right side is evaluated at
         with pytest.raises(G.AlmostEverywhereZeroDivisor):
             G.los_check_qf("x = 1 and 1/(x - 1) > 2", {"x": x})
+
+    def test_single_index_divisions_raise_a_typed_zero_divisor(self):
+        # a GermError that is also a ZeroDivisionError, one case per site
+        for call in (
+            lambda: G.check_pointwise("1/x > 2", {"x": PeriodicGerm((), (0, 1))}, 1),
+            lambda: rf("1/(n - 1)").value_at(1),
+            lambda: RationalGerm(Poly.ONE, Poly.ZERO),
+        ):
+            with pytest.raises(G.VanishingDivisor) as err:
+                call()
+            assert isinstance(err.value, ZeroDivisionError)
 
     def test_short_circuit_skips_the_zero_residue(self):
         x = PeriodicGerm((7,), (0, 1))

@@ -303,6 +303,26 @@ class TestParser:
                 assert isinstance(err.value, H.HyperrealError)
                 assert err.value.position == H.MAX_DEPTH
 
+    def test_exactly_max_depth_levels_are_accepted(self):
+        depth = H.MAX_DEPTH
+        assert H_("(" * depth + "e" + ")" * depth) == EPSILON
+        assert H_("-" * depth + "e") == EPSILON
+        assert H_("(-" * (depth // 2) + "e" + ")" * (depth // 2)) == EPSILON
+        with pytest.raises(H.NestingTooDeep) as err:
+            H_("1 + " + "(-" * depth + "e" + ")" * depth)
+        assert err.value.position == 4 + depth
+
+    def test_division_is_left_associative(self):
+        assert H_("e/1/2") == H_("e / 1 / 2") == H_("(e/1)/2") == EPSILON / 2
+        assert H_("1/2/e") == 1 / (2 * EPSILON)
+
+    def test_bad_tokens_are_syntax_errors(self):
+        long_literal = "1 + " + "1" * 5000
+        for text, position in (("2 + ²", 4), ("e $", 2), (long_literal, 4), ("ex", 0), ("e^(1/0)", 5)):
+            with pytest.raises(H.ExprSyntaxError) as err:
+                H_(text)
+            assert err.value.position == position, text[:8]
+
     def test_division_by_zero_expression(self):
         with pytest.raises(H.ZeroDenominator):
             H_("(1)/(0)")
