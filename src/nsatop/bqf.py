@@ -10,7 +10,7 @@ transfer an identity that can be checked, not assumed.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Optional, Union
+from typing import Iterable, NoReturn, Optional, Union
 
 
 class BqfError(Exception):
@@ -293,14 +293,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             out.append(("kw" if word in _KEYWORDS else "ident", word, i))
             i = j
             continue
-        matched = False
         for sym in ("<=>", "=>", "<", ">", "=", "(", ")", "{", "}", ","):
             if text.startswith(sym, i):
                 out.append(("sym", sym, i))
                 i += len(sym)
-                matched = True
                 break
-        if not matched:
+        else:
             raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
     return out
 
@@ -325,6 +323,9 @@ def _nested(parse):
     return method
 
 
+_BINOPS = {("kw", "and"), ("kw", "or"), ("sym", "=>"), ("sym", "<=>")}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -343,45 +344,39 @@ class _Parser:
         tok = self.peek()
         return tok is not None and tok[0] == kind and (value is None or tok[1] == value)
 
+    def fail(self, expected: tuple) -> NoReturn:
+        tok = self.peek()
+        raise FormulaSyntaxError(
+            f"unexpected {tok[1]!r}" if tok else "unexpected end of input", self.offset(), expected
+        )
+
     def take(self, kind: str, value: Optional[str] = None, expected: tuple = ()):
         tok = self.peek()
         if tok is None or tok[0] != kind or (value is not None and tok[1] != value):
-            raise FormulaSyntaxError(
-                f"unexpected {tok[1]!r}" if tok else "unexpected end of input",
-                self.offset(),
-                expected or ((value,) if value else (kind,)),
-            )
+            self.fail(expected or ((value,) if value else (kind,)))
         self.pos += 1
         return tok
 
     @_nested
     def parse_formula(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.offset(), ("formula",))
-        if tok == ("kw", "not", tok[2]):
+        if self.peek() is None:
+            self.fail(("formula",))
+        if self.next_is("kw", "not"):
             self.pos += 1
             return Not(self.parse_formula())
-        if tok[0] == "sym" and tok[1] == "(":
+        if self.next_is("sym", "("):
             nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
             if nxt is not None and nxt[0] == "kw" and nxt[1] in ("forall", "exists"):
                 return self.parse_quant()
             self.pos += 1
             lhs = self.parse_formula()
             op_tok = self.peek()
-            if op_tok is not None and op_tok[0] == "sym" and op_tok[1] == ")":
+            if self.next_is("sym", ")"):
                 # plain grouping, e.g. the body in "(forall x in A)(x in B)"
                 self.pos += 1
                 return lhs
-            if op_tok is None or not (
-                (op_tok[0] == "kw" and op_tok[1] in ("and", "or"))
-                or (op_tok[0] == "sym" and op_tok[1] in ("=>", "<=>"))
-            ):
-                raise FormulaSyntaxError(
-                    f"unexpected {op_tok[1]!r}" if op_tok else "unexpected end of input",
-                    self.offset(),
-                    ("and", "or", "=>", "<=>"),
-                )
+            if op_tok is None or op_tok[:2] not in _BINOPS:
+                self.fail(("and", "or", "=>", "<=>"))
             self.pos += 1
             rhs = self.parse_formula()
             self.take("sym", ")")
@@ -392,8 +387,7 @@ class _Parser:
         self.take("sym", "(")
         kind = self.take("kw")[1]
         var = self.take("ident", expected=("variable name",))[1]
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "sym" and nxt[1] == ")":
+        if self.next_is("sym", ")"):
             raise UnboundedQuantifier(
                 f"quantifier over {var!r} has no bounding set; unbounded quantifiers are not allowed"
             )
@@ -405,35 +399,30 @@ class _Parser:
 
     def parse_atom(self) -> Formula:
         lhs = self.parse_term()
-        tok = self.peek()
-        if tok is not None and tok[0] == "sym" and tok[1] == "=":
+        if self.next_is("sym", "="):
             self.pos += 1
             return Eq(lhs, self.parse_term())
-        if tok is not None and tok[0] == "kw" and tok[1] == "in":
+        if self.next_is("kw", "in"):
             self.pos += 1
             return Member(lhs, self.parse_term())
-        raise FormulaSyntaxError(
-            f"unexpected {tok[1]!r}" if tok else "unexpected end of input",
-            self.offset(),
-            ("=", "in"),
-        )
+        self.fail(("=", "in"))
 
     @_nested
     def parse_term(self) -> Term:
         tok = self.peek()
         if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.offset(), ("term",))
+            self.fail(("term",))
         if tok[0] == "ident":
             self.pos += 1
             return Name(tok[1])
-        if tok[0] == "sym" and tok[1] == "<":
+        if self.next_is("sym", "<"):
             self.pos += 1
             first = self.parse_term()
             self.take("sym", ",")
             second = self.parse_term()
             self.take("sym", ">")
             return PairTerm(first, second)
-        if tok[0] == "sym" and tok[1] == "{":
+        if self.next_is("sym", "{"):
             self.pos += 1
             items = []
             if not self.next_is("sym", "}"):
@@ -443,9 +432,7 @@ class _Parser:
                     items.append(self.parse_term())
             self.take("sym", "}")
             return SetTerm(items)
-        raise FormulaSyntaxError(
-            f"unexpected {tok[1]!r}", self.offset(), ("identifier", "<", "{")
-        )
+        self.fail(("identifier", "<", "{"))
 
 
 def parse(text: str) -> Formula:
@@ -482,58 +469,32 @@ def print_term(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def constants(f: Formula) -> set[str]:
-    """Names occurring free, i.e. not bound by an enclosing quantifier."""
-    out: set[str] = set()
-
-    def term(t: Term, scope: frozenset):
-        if isinstance(t, Name):
-            if t.name not in scope:
-                out.add(t.name)
-        elif isinstance(t, PairTerm):
-            term(t.first, scope)
-            term(t.second, scope)
-        else:
-            for item in t.items:
-                term(item, scope)
-
-    def walk(g: Formula, scope: frozenset):
-        if isinstance(g, (Eq, Member)):
-            term(g.lhs, scope)
-            term(g.rhs, scope)
-        elif isinstance(g, Not):
-            walk(g.body, scope)
-        elif isinstance(g, BinOp):
-            walk(g.lhs, scope)
-            walk(g.rhs, scope)
-        else:
-            term(g.bound, scope)
-            walk(g.body, scope | {g.var})
-
-    walk(f, frozenset())
-    return out
+def _free(node) -> set[str]:
+    """Names occurring free in a formula or term, i.e. not bound by an
+    enclosing quantifier."""
+    if isinstance(node, Name):
+        return {node.name}
+    if isinstance(node, Quant):
+        return _free(node.bound) | (_free(node.body) - {node.var})
+    if isinstance(node, Not):
+        return _free(node.body)
+    if isinstance(node, SetTerm):
+        return set().union(*map(_free, node.items))
+    if isinstance(node, PairTerm):
+        return _free(node.first) | _free(node.second)
+    return _free(node.lhs) | _free(node.rhs)
 
 
 # -- evaluation --------------------------------------------------------------------
-
-
-def _eval_term(t: Term, env: dict, pairs: dict) -> Entity:
-    """Value of a term; `pairs` maps (first, second) to the ordered pair
-    already built for it during the current evaluation."""
-    if isinstance(t, Name):
-        return env[t.name]
-    if isinstance(t, PairTerm):
-        key = (_eval_term(t.first, env, pairs), _eval_term(t.second, env, pairs))
-        pair = pairs.get(key)
-        if pair is None:
-            pair = pairs[key] = make_pair(*key)
-        return pair
-    return FSet(_eval_term(item, env, pairs) for item in t.items)
+#
+# Each call compiles its formula into nested closures (env, pairs) -> value (SICP
+# 4.1.7).  They evaluate in the tree's order: the left side first, and a
+# quantifier's bound before its members, which are taken in frozenset order.
 
 
 def _check_bound(f: Formula, bound: Iterable[str]) -> None:
     """Raise UnboundConstant unless every free name of f is in `bound`."""
-    missing = sorted(constants(f).difference(bound))
+    missing = sorted(_free(f).difference(bound))
     if missing:
         raise UnboundConstant(f"no entity bound to {', '.join(map(repr, missing))}")
 
@@ -547,54 +508,130 @@ def evaluate(f: Formula, bindings: dict) -> bool:
     if isinstance(f, str):
         f = parse(f)
     _check_bound(f, bindings)
-    return _eval(f, dict(bindings), {})
+    return _compile(f)(dict(bindings), _Pairs())
 
 
-def _eval(f: Formula, env: dict, pairs: dict) -> bool:
-    if isinstance(f, Eq):
-        return _eval_term(f.lhs, env, pairs) == _eval_term(f.rhs, env, pairs)
-    if isinstance(f, Member):
-        container = _eval_term(f.rhs, env, pairs)
-        if isinstance(container, Atom):
-            return False
-        return _eval_term(f.lhs, env, pairs) in container
-    if isinstance(f, Not):
-        return not _eval(f.body, env, pairs)
-    if isinstance(f, BinOp):
-        a = _eval(f.lhs, env, pairs)
-        op = f.op
+class _Pairs(dict):
+    """(first, second) -> the ordered pair, built on first use."""
+
+    def __missing__(self, key):
+        pair = self[key] = make_pair(*key)
+        return pair
+
+
+def _compile_term(t: Term):
+    if isinstance(t, Name):
+        name = t.name
+        return lambda env, pairs: env[name]
+    if isinstance(t, PairTerm):
+        if isinstance(t.first, Name) and isinstance(t.second, Name):  # <x, y>: names read inline
+            first, second = t.first.name, t.second.name
+            return lambda env, pairs: pairs[env[first], env[second]]
+        first, second = _compile_term(t.first), _compile_term(t.second)
+        return lambda env, pairs: pairs[first(env, pairs), second(env, pairs)]
+    items = [_compile_term(item) for item in t.items]
+    return lambda env, pairs: FSet([item(env, pairs) for item in items])
+
+
+def _negate(body):
+    return (not body) if isinstance(body, bool) else lambda env, pairs: not body(env, pairs)
+
+
+def _connect(op: str, lhs, rhs):
+    """`(lhs op rhs)`; a bool lhs is a left side already known, folded away."""
+    if isinstance(lhs, bool):
         if op == "and":
-            return a and _eval(f.rhs, env, pairs)
+            return rhs if lhs else False
         if op == "or":
-            return a or _eval(f.rhs, env, pairs)
+            return True if lhs else rhs
         if op == "=>":
-            return not a or _eval(f.rhs, env, pairs)
-        return a == _eval(f.rhs, env, pairs)
+            return rhs if lhs else True
+        return rhs if lhs else _negate(rhs)
+    if op == "and":
+        return lambda env, pairs: lhs(env, pairs) and rhs(env, pairs)
+    if op == "or":
+        return lambda env, pairs: lhs(env, pairs) or rhs(env, pairs)
+    if op == "=>":
+        return lambda env, pairs: not lhs(env, pairs) or rhs(env, pairs)
+    return lambda env, pairs: lhs(env, pairs) == rhs(env, pairs)
+
+
+def _compile(f: Formula):
+    if isinstance(f, Eq):
+        lhs, rhs = _compile_term(f.lhs), _compile_term(f.rhs)
+        if isinstance(f.lhs, Name):  # x = t: the name read inline
+            name = f.lhs.name
+            return lambda env, pairs: env[name] == rhs(env, pairs)
+        return lambda env, pairs: lhs(env, pairs) == rhs(env, pairs)
+    if isinstance(f, Member):  # nothing is a member of an atom
+        lhs, rhs = _compile_term(f.lhs), _compile_term(f.rhs)
+        return lambda env, pairs: not isinstance(s := rhs(env, pairs), Atom) and lhs(env, pairs) in s
     if isinstance(f, Quant):
-        bound = _eval_term(f.bound, env, pairs)
-        if isinstance(bound, Atom):
-            raise QuantifierOverAtom(
-                f"quantifier range {print_term(f.bound)} evaluates to the atom {bound!r}"
-            )
-        saved = env.get(f.var, _MISSING)
-        try:
-            for member in bound.members:
-                env[f.var] = member
-                truth = _eval(f.body, env, pairs)
-                if f.kind == "forall" and not truth:
-                    return False
-                if f.kind == "exists" and truth:
-                    return True
-            return f.kind == "forall"
-        finally:
-            if saved is _MISSING:
-                env.pop(f.var, None)
-            else:
-                env[f.var] = saved
+        return _compile_quant(f)
+    if isinstance(f, (Not, BinOp)):
+        return _fixed(f, None)[0]
     raise TypeError(f"not a formula: {f!r}")
 
 
-_MISSING = object()
+def _invariant_operand(body: Formula, var: str) -> Optional[Formula]:
+    """The highest node on the left spine of `body`, down through `not` and the
+    connectives, in which `var` is not free; None if there is none, or if the
+    body is a lone atom or quantifier.
+
+    The body evaluates it first at every member, and its value is the same at each."""
+    if not isinstance(body, (Not, BinOp)):
+        return None
+    spine = [body]
+    while isinstance(spine[-1], (Not, BinOp)):
+        spine.append(spine[-1].body if isinstance(spine[-1], Not) else spine[-1].lhs)
+    operand = None
+    for node in reversed(spine):
+        if not isinstance(node, Not) and var in _free(node.rhs if isinstance(node, BinOp) else node):
+            break
+        operand = node
+    return operand
+
+
+def _fixed(f: Formula, operand: Optional[Formula]) -> tuple:
+    """f compiled with `operand`, a node on its left spine, read as False and
+    as True; each right side is compiled once, for both.  With no operand,
+    (f compiled,): the connectives are compiled here."""
+    if f is operand:
+        return False, True
+    if isinstance(f, Not):
+        return tuple(map(_negate, _fixed(f.body, operand)))
+    if not isinstance(f, BinOp):
+        return (_compile(f),)
+    rhs = _compile(f.rhs)
+    return tuple(_connect(f.op, lhs, rhs) for lhs in _fixed(f.lhs, operand))
+
+
+def _compile_quant(f: Quant):
+    bound, var, forall = _compile_term(f.bound), f.var, f.kind == "forall"
+    operand = _invariant_operand(f.body, var)
+    test = None if operand is None else _compile(operand)
+    bodies = _fixed(f.body, operand)
+
+    def quant(env, pairs):
+        members = bound(env, pairs)
+        if isinstance(members, Atom):
+            raise QuantifierOverAtom(
+                f"quantifier range {print_term(f.bound)} evaluates to the atom {members!r}"
+            )
+        if not members.members:
+            return forall
+        # the hoisted operand is evaluated once, where the first member would reach it
+        body = bodies[test(env, pairs)] if test else bodies[0]
+        if isinstance(body, bool):
+            return body
+        env = dict(env)  # members are bound in a copy, so an outer binding of var stands
+        for member in members.members:
+            env[var] = member
+            if body(env, pairs) is not forall:
+                return not forall
+        return forall
+
+    return quant
 
 
 def define_set(
@@ -613,19 +650,17 @@ def define_set(
     if not isinstance(bound, FSet):
         raise QuantifierOverAtom("comprehension bound must be a finite set")
     if var is None:
-        free = sorted(constants(formula) - set(bindings))
+        free = sorted(_free(formula) - set(bindings))
         if len(free) != 1:
             raise BqfError(
                 f"expected exactly one designated free variable, found {free or 'none'}"
             )
         var = free[0]
     _check_bound(formula, [*bindings, var])
-    env = dict(bindings)
-    pairs = {}
-    members = []
+    holds, env, pairs, members = _compile(formula), dict(bindings), _Pairs(), []
     for m in bound.members:
         env[var] = m
-        if _eval(formula, env, pairs):
+        if holds(env, pairs):
             members.append(m)
     return FSet(members)
 
@@ -644,6 +679,9 @@ def is_function_graph(f: Entity, domain: Entity, codomain: Entity) -> bool:
         "((<x, y> in F and <x, w> in F) => y = w))"
     )
     return evaluate(phi, {"F": f, "A": domain, "B": codomain})
+
+
+_BOOLEAN_OPS = (("union", operator.or_), ("intersection", operator.and_), ("difference", operator.sub))
 
 
 def check_transfer_finite(formula: Union[str, Formula], bindings: dict) -> dict:
@@ -676,16 +714,8 @@ def check_transfer_finite(formula: Union[str, Formula], bindings: dict) -> dict:
         sa = starred_bindings[ka].members
         for kb, b in sets[i:]:
             sb = starred_bindings[kb].members
-            union = FSet(a.members | b.members)
-            inter = FSet(a.members & b.members)
-            diff = FSet(a.members - b.members)
-            checks = (
-                (star(union), FSet(sa | sb), "union"),
-                (star(inter), FSet(sa & sb), "intersection"),
-                (star(diff), FSet(sa - sb), "difference"),
-            )
-            for got, want, opname in checks:
-                if got != want:
+            for opname, op in _BOOLEAN_OPS:
+                if star(FSet(op(a.members, b.members))) != FSet(op(sa, sb)):
                     raise AuditFailure(
                         f"star does not preserve {opname}",
                         instance={"lhs": ka, "rhs": kb},

@@ -12,6 +12,7 @@ from frozensets of point labels.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -409,18 +410,16 @@ def is_weakly_hausdorff(space: FinSpace) -> PropertyVerdict:
             holds = False
             witness = witness or _pair_witness(space, i, j)
     # classical reading: inside any open neighbourhood, the centre point is
-    # separated from every point outside it
+    # separated from every point outside it; each such point is tested once
     oracle = True
     for i in range(space.n):
+        outside = 0
         for g in space.opens:
-            if not g >> i & 1:
-                continue
-            outside = space.full ^ g
-            for j in range(space.n):
-                if outside >> j & 1 and not _separated_by_disjoint_opens(
-                    space, 1 << i, 1 << j
-                ):
-                    oracle = False
+            if g >> i & 1:
+                outside |= space.full ^ g
+        for j in range(space.n):
+            if outside >> j & 1 and not _separated_by_disjoint_opens(space, 1 << i, 1 << j):
+                oracle = False
     return PropertyVerdict("weakly_hausdorff", holds, oracle, {}, witness)
 
 
@@ -463,8 +462,9 @@ def _classically_normal(space: FinSpace) -> bool:
 
 def is_normal(space: FinSpace) -> PropertyVerdict:
     holds, witness = True, None
+    mu = {a: space.monad_set_mask(a) for a in space.closed_sets()}
     for a, b in _disjoint_closed_pairs(space):
-        if space.monad_set_mask(a) & space.monad_set_mask(b):
+        if mu[a] & mu[b]:
             holds = False
             witness = witness or [space.sorted_labels(a), space.sorted_labels(b)]
     return PropertyVerdict("normal", holds, _classically_normal(space), {}, witness)
@@ -665,7 +665,7 @@ def is_sober(space: FinSpace) -> PropertyVerdict:
         for a in closed
     )
     forms_agree = all(
-        generic_point_forms(space, a, i)[0] == generic_point_forms(space, a, i)[1]
+        operator.eq(*generic_point_forms(space, a, i))
         for a in closed
         if a
         for i in range(space.n)
@@ -788,19 +788,8 @@ def brute_force_topologies(n: int, points: Optional[Sequence] = None) -> Iterato
     full = (1 << n) - 1
     others = [m for m in range(full + 1) if m not in (0, full)]
     for choice in range(1 << len(others)):
-        fam = {0, full}
-        for b, m in enumerate(others):
-            if choice >> b & 1:
-                fam.add(m)
-        ok = True
-        for a in fam:
-            if not ok:
-                break
-            for b in fam:
-                if (a | b) not in fam or (a & b) not in fam:
-                    ok = False
-                    break
-        if ok:
+        fam = {0, full} | {m for b, m in enumerate(others) if choice >> b & 1}
+        if all((a | b) in fam and (a & b) in fam for a in fam for b in fam):
             yield FinSpace(pts, sorted(fam), _validated=True)
 
 

@@ -539,14 +539,11 @@ class _QfParser(_TermParser):
 
 
 def _term_vars(node, acc):
-    kind = node[0]
-    if kind == "var":
+    if node[0] == "var":
         acc.add(node[1])
-    elif kind in ("add", "sub", "mul", "div"):
-        _term_vars(node[1], acc)
-        _term_vars(node[2], acc)
-    elif kind == "neg":
-        _term_vars(node[1], acc)
+    elif node[0] != "const":
+        for child in node[1:]:
+            _term_vars(child, acc)
 
 
 def _atoms(node):
@@ -588,15 +585,11 @@ def _eval_term_at(node, env, n: int) -> Fraction:
         return -_eval_term_at(node[1], env, n)
     a = _eval_term_at(node[1], env, n)
     b = _eval_term_at(node[2], env, n)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "div":
-        if b == 0:
-            raise VanishingDivisor(f"divisor vanishes at n={n}")
-        return a / b
-    return a * b
+    if kind != "div":
+        return _TERM_OPS[kind](a, b)
+    if b == 0:
+        raise VanishingDivisor(f"divisor vanishes at n={n}")
+    return a / b
 
 
 _TERM_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
@@ -657,15 +650,8 @@ def _atom_difference(atom: _QfAtom, env) -> RationalGerm:
 
 
 def _atom_eventual_truth(atom: _QfAtom, env) -> bool:
-    s = _eventual_sign(_atom_difference(atom, env))
-    return {
-        "=": s == 0,
-        "!=": s != 0,
-        "<": s > 0,
-        "<=": s >= 0,
-        ">": s < 0,
-        ">=": s <= 0,
-    }[atom.rel]
+    # lhs rel rhs holds exactly when 0 rel (rhs - lhs) does
+    return _RELATIONS[atom.rel](0, _eventual_sign(_atom_difference(atom, env)))
 
 
 def _formula_eventual_truth(node, env) -> bool:
@@ -681,15 +667,7 @@ def _formula_eventual_truth(node, env) -> bool:
 def _formula_truth_at(node, env, n: int) -> bool:
     if isinstance(node, _QfAtom):
         lhs = _eval_term_at(node.lhs, env, n)
-        rhs = _eval_term_at(node.rhs, env, n)
-        return {
-            "=": lhs == rhs,
-            "!=": lhs != rhs,
-            "<": lhs < rhs,
-            "<=": lhs <= rhs,
-            ">": lhs > rhs,
-            ">=": lhs >= rhs,
-        }[node.rel]
+        return _RELATIONS[node.rel](lhs, _eval_term_at(node.rhs, env, n))
     if isinstance(node, _QfNot):
         return not _formula_truth_at(node.body, env, n)
     if node.op == "and":

@@ -199,6 +199,9 @@ class TestEval:
     def test_shadowing(self):
         f = B.parse("(forall a in S) a in S")
         assert B.evaluate(f, {"S": AB, "a": c})
+        # the outer binding is back once the quantifier is done
+        assert B.evaluate("((forall a in S) a in S and a = c)", {"S": AB, "a": c, "c": c})
+        assert B.define_set(AB, "((exists x in S) x = c and x = a)", {"S": ABC, "a": a, "c": c}, var="x") == A
 
     def test_implication_truth_table(self):
         t = "a = a"
@@ -206,6 +209,112 @@ class TestEval:
         cases = [(t, t, True), (t, f, False), (f, t, True), (f, f, True)]
         for lhs, rhs, want in cases:
             assert B.evaluate(f"({lhs} => {rhs})", {"a": a, "b": b}) is want
+
+
+_GRAPH_FIRST = (
+    "((forall z in F)(exists x in A)(exists y in B) z = <x, y>"
+    " and (forall x in A)(exists y in B) <x, y> in F)"
+)
+_SINGLE_VALUED = "(forall x in A)(forall y in B)(forall w in B)((<x, y> in F and <x, w> in F) => y = w)"
+
+# A formula whose quantifier bodies start with an operand that does not mention
+# the bound variable, next to the same formula with that operand moved out by
+# hand.  Where the moved operand is evaluated, the rewrite first reads the
+# bound through a guard `(exists v in B) v = v`, so an atom bound still raises
+# first and an empty bound still leaves the operand unevaluated.
+HOISTED_PAIRS = [
+    (_SINGLE_VALUED, "(forall x in A)(forall y in B)(not <x, y> in F or (forall w in B)(<x, w> in F => y = w))"),
+    (
+        f"({_GRAPH_FIRST} and {_SINGLE_VALUED})",
+        f"({_GRAPH_FIRST} and (forall x in A)(forall y in B)"
+        "(not <x, y> in F or (forall w in B)(<x, w> in F => y = w)))",
+    ),
+    # operands that quantify over C, which may be an atom
+    (
+        "(forall y in B)((forall z in C) z in D and y in D)",
+        "((exists y in B) y = y => ((forall z in C) z in D and (forall y in B) y in D))",
+    ),
+    (
+        "(exists y in B)((exists z in C) z = a or y = a)",
+        "((exists y in B) y = y and ((exists z in C) z = a or (exists y in B) y = a))",
+    ),
+    (
+        "(forall y in B)(not (exists z in C) z in D => <y, a> in F)",
+        "((exists y in B) y = y => ((exists z in C) z in D or (forall y in B) <y, a> in F))",
+    ),
+    # the operand is the lower of two nodes on the left spine
+    (
+        "(forall y in B)((a in C and y in D) or b in D)",
+        "((exists y in B) y = y => ((a in C and (forall y in B)(y in D or b in D))"
+        " or (not a in C and (forall y in B) b in D)))",
+    ),
+    (
+        "(exists y in B)((a in C <=> b in C) <=> y in D)",
+        "((exists y in B) y = y and (((a in C <=> b in C) and (exists y in B) y in D)"
+        " or (not (a in C <=> b in C) and (exists y in B) not y in D)))",
+    ),
+]
+
+
+def _outcome(formula, env):
+    try:
+        return B.evaluate(formula, env)
+    except B.BqfError as exc:
+        return type(exc), str(exc)
+
+
+class TestHoisting:
+    def test_compiled_formulas_match_hand_hoisted_rewrites(self):
+        rng = random.Random(73)
+        atoms = [a, b, c, d]
+        pairs = [B.make_pair(x, y) for x in atoms for y in atoms]
+
+        def entity():
+            roll = rng.random()
+            if roll < 0.15:
+                return rng.choice(atoms)
+            if roll < 0.3:
+                return B.EMPTY
+            return FSet(rng.sample(atoms, rng.randint(1, 4)))
+
+        seen = set()
+        for hoisted, rewrite in HOISTED_PAIRS:
+            f, g = B.parse(hoisted), B.parse(rewrite)
+            for _ in range(300):
+                env = {name: entity() for name in ("A", "B", "C", "D")}
+                env["a"], env["b"] = rng.choice(atoms), rng.choice(atoms)
+                env["F"] = FSet(rng.sample(pairs, rng.randint(0, 8))) if rng.random() < 0.9 else a
+                got = _outcome(f, env)
+                assert got == _outcome(g, env), (hoisted, env)
+                seen.add(got if isinstance(got, bool) else got[0])
+        assert seen == {True, False, B.QuantifierOverAtom}
+
+    # caught mutant: a compiler that never hoists, which evaluates the
+    # operand once per member
+    def test_invariant_operand_is_evaluated_once(self, monkeypatch):
+        asked = []
+        contains = FSet.__contains__
+
+        def counted(self, item):
+            asked.append(item)
+            return contains(self, item)
+
+        monkeypatch.setattr(FSet, "__contains__", counted)
+        env = {"a": a, "A": AB, "B": ABC}
+        assert B.evaluate("(forall w in B)(a in A and w in B)", env) is True
+        assert asked == [a, *ABC.members]
+
+    # caught mutant: a hoisting body that compiles its right side once per
+    # truth value of the operand, which doubles the work at every level
+    def test_compile_work_grows_linearly_with_nesting(self, monkeypatch):
+        compiled = []
+        compile_formula = B._compile
+        monkeypatch.setattr(B, "_compile", lambda f: compiled.append(f) or compile_formula(f))
+        text = "a = a"
+        for k in range(12):
+            text = f"(forall v{k} in A)(a in A and (v{k} = v{k} and {text}))"
+        assert B.evaluate(text, {"a": a, "A": AB}) is True
+        assert len(compiled) == 1 + 4 * 12  # the root, and four nodes per level
 
 
 def _live_fsets() -> int:

@@ -195,6 +195,31 @@ class TestZeroBlocks:
         assert len(zs) == 1 << len(zp.blocks)
 
 
+def _weakly_hausdorff_by_triple_loop(s) -> bool:
+    # every point j outside an open g around i has disjoint opens around i and j
+    for i in range(s.n):
+        for g in s.opens:
+            if not g >> i & 1:
+                continue
+            for j in range(s.n):
+                if g >> j & 1:
+                    continue
+                if not any(
+                    u >> i & 1 and v >> j & 1 and not u & v for u in s.opens for v in s.opens
+                ):
+                    return False
+    return True
+
+
+class TestWeaklyHausdorffOracle:
+    # caught mutant: intersecting the complements of the opens around a point
+    # where they should be united
+    def test_oracle_is_the_triple_loop_reading(self):
+        verdicts = [F.is_weakly_hausdorff(s).oracle for s in all_spaces(4)]
+        assert verdicts == [_weakly_hausdorff_by_triple_loop(s) for s in all_spaces(4)]
+        assert len(verdicts) == 389 and 0 < sum(verdicts) < 389
+
+
 class TestDisjointMonadSeparation:
     def test_monads_disjoint_iff_open_separation(self):
         # set form over all subset pairs of all spaces with up to 3 points
