@@ -168,7 +168,7 @@ def star(e: Entity) -> Entity:
     """Extension map at finite scale: identity on atoms, elementwise on sets."""
     if isinstance(e, Atom):
         return e
-    return FSet(star(m) for m in e.members)
+    return _fset(frozenset(star(m) for m in e.members))
 
 
 # -- formula syntax ------------------------------------------------------------------

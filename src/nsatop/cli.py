@@ -25,9 +25,10 @@ e^(1/2), 1/e - 7.  Germ terms name n (in rf) or the bound variables (in
 never changes meaning: x/1/2 is x / 1 / 2.
 
 Germ textual forms: rf((2*n+1)/(n+3)) for rational functions of the index n,
-ep([1,2];[0,1]) for eventually periodic sequences (preperiod; period), or a
-bare rational for a constant germ.  Verdicts serialize as true-ae / false-ae /
-ultrafilter-dependent.
+ep([1,-2];[0,1/2]) for eventually periodic sequences (preperiod; period), or a
+constant germ such as -3/2.  Constants, bare or in ep lists, are
+['+'|'-'] INT ['/' INT]: no decimal, exponent or underscore literals.
+Verdicts serialize as true-ae / false-ae / ultrafilter-dependent.
 
 Space JSON: {"points": ["a","b"], "opens": [[], ["a"], ["a","b"]]}.
 Family JSON: {"f": {"a": "0", "b": "1/2"}}; `topo hull` takes at most one of a

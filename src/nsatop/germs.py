@@ -108,7 +108,8 @@ class RationalGerm:
         if num.is_zero():
             num, den = Poly.ZERO, Poly.ONE
         else:
-            g = num.gcd(den)
+            # only two non-constant sides can share a factor of positive degree
+            g = num.gcd(den) if num.degree > 0 and den.degree > 0 else Poly.ONE
             if g.degree > 0:
                 num, den = num // g, den // g
             lead = den.leading
@@ -448,6 +449,8 @@ def to_hyperreal(a: Germ) -> Hyperreal:
 # atom    := expr REL expr          REL in  = != < <= > >=
 # group   := '(' formula ')'
 # expr    := the term grammar of hyperreal.py, with variables as names and no '^'
+# germ    := 'rf' '(' expr ')' | 'ep' '(' list ';' list ')' | const
+# list    := '[' [const {',' const}] ']' ;  const := ['+'|'-'] INT ['/' INT]
 
 
 def _chain_limited(fn):
@@ -497,8 +500,8 @@ class _GermTerms:
         return ("const", Fraction(value)) if kind == "num" else ("var", value)
 
 
-class _QfParser(_TermParser):
-    """The formula layer over the shared term parser and its tokens."""
+class _GermParser(_TermParser):
+    """The formula and germ rules over the shared term parser and its tokens."""
 
     def or_expr(self):
         node = self.and_expr()
@@ -537,6 +540,49 @@ class _QfParser(_TermParser):
         self.i += 1
         return _QfAtom(rel, lhs, self.expr())
 
+    def germ(self) -> Germ:
+        word = self.tokens[self.i][1]
+        if word not in ("rf", "ep"):
+            return embed_constant(self.constant())
+        self.i += 1
+        self.take("(")
+        if word == "ep":
+            pre = self.constants()
+            self.take(";")
+            per = self.constants()
+            if not per:
+                raise GermSyntaxError("period list must be nonempty", self.tokens[self.i][2])
+            self.take(")")
+            return PeriodicGerm(pre, per)
+        # names are checked before the body is read, so an unknown one is the first error
+        for kind, name, position in self.tokens[self.i :]:
+            if kind == "name" and name != "n":
+                raise GermSyntaxError(f"unknown symbol {name!r} in rf()", position)
+        node = self.expr()
+        self.take(")")
+        return _to_rational(_eval_term_germ(node, {"n": RationalGerm(Poly.X)}))
+
+    def constants(self) -> list:
+        self.take("[")
+        values = [] if self.peek() == "]" else [self.constant()]
+        while self.peek() == ",":
+            self.i += 1
+            values.append(self.constant())
+        self.take("]")
+        return values
+
+    def constant(self) -> Union[int, Fraction]:
+        sign = self.peek()
+        if sign in ("+", "-"):
+            self.i += 1
+        value = self.take("num")
+        if self.peek() == "/":
+            self.i += 1
+            if self.tokens[self.i][:2] == ("num", 0):
+                raise self.error("zero denominator")
+            value = Fraction(value, self.take("num"))
+        return -value if sign == "-" else value
+
 
 def _term_vars(node, acc):
     if node[0] == "var":
@@ -564,15 +610,7 @@ def _eval_term_germ(node, env) -> Germ:
         return env[node[1]]
     if kind == "neg":
         return neg(_eval_term_germ(node[1], env))
-    a = _eval_term_germ(node[1], env)
-    b = _eval_term_germ(node[2], env)
-    if kind == "add":
-        return add(a, b)
-    if kind == "sub":
-        return sub(a, b)
-    if kind == "div":
-        return div(a, b)
-    return mul(a, b)
+    return _GERM_OPS[kind](_eval_term_germ(node[1], env), _eval_term_germ(node[2], env))
 
 
 def _eval_term_at(node, env, n: int) -> Fraction:
@@ -592,6 +630,7 @@ def _eval_term_at(node, env, n: int) -> Fraction:
     return a / b
 
 
+_GERM_OPS = {"add": add, "sub": sub, "mul": mul, "div": div}
 _TERM_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 _RELATIONS = {
     "=": operator.eq,
@@ -677,7 +716,7 @@ def _formula_truth_at(node, env, n: int) -> bool:
 
 def parse_qf(text: str):
     """Parse a quantifier-free formula over =, <, +, * and rational constants."""
-    parser = _QfParser(text, _GermTerms())
+    parser = _GermParser(text, _GermTerms())
     for kind, word, position in parser.tokens:
         if kind in ("forall", "exists"):
             raise QuantifierPresent(f"quantifier {word!r} (at position {position})")
@@ -768,46 +807,5 @@ def check_pointwise(formula, assignment: dict, n: int) -> bool:
 @_chain_limited
 def parse_germ(text: str) -> Germ:
     """Parse ``rf(<rational function of n>)``, ``ep([pre];[period])`` or a rational."""
-    body = text.strip()
-    if body.startswith("rf(") and body.endswith(")"):
-        start = len(text) - len(text.lstrip()) + 3
-        return _parse_rf(text, start, start + len(body) - 4)
-    if body.startswith("ep(") and body.endswith(")"):
-        return _parse_ep(body[3:-1])
-    try:
-        return embed_constant(Fraction(body))
-    except (ValueError, ZeroDivisionError):
-        raise GermSyntaxError(f"not a germ: {body!r}") from None
-
-
-def _parse_rf(text: str, start: int, end: int) -> RationalGerm:
-    """The germ of the term text[start:end] in the index n."""
-    parser = _TermParser(text, _GermTerms(), start, end)
-    for kind, name, position in parser.tokens:
-        if kind == "name" and name != "n":
-            raise GermSyntaxError(f"unknown symbol {name!r} in rf()", position)
-    node = parser.whole(parser.expr)
-    return _to_rational(_eval_term_germ(node, {"n": RationalGerm(Poly.X)}))
-
-
-def _parse_ep(body: str) -> PeriodicGerm:
-    parts = body.split(";")
-    if len(parts) != 2:
-        raise GermSyntaxError("ep() needs the form ep([pre];[period])")
-
-    def parse_list(chunk: str):
-        chunk = chunk.strip()
-        if not (chunk.startswith("[") and chunk.endswith("]")):
-            raise GermSyntaxError(f"expected a bracketed list, got {chunk!r}")
-        inner = chunk[1:-1].strip()
-        if not inner:
-            return []
-        try:
-            return [Fraction(piece.strip()) for piece in inner.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GermSyntaxError(f"bad rational in list: {exc}") from None
-
-    pre, per = parse_list(parts[0]), parse_list(parts[1])
-    if not per:
-        raise GermSyntaxError("period list must be nonempty")
-    return PeriodicGerm(pre, per)
+    parser = _GermParser(text, _GermTerms())
+    return parser.whole(parser.germ)

@@ -502,17 +502,16 @@ MAX_DEPTH = 100
 _TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|(<=|>=|!=|\S)")
 _ALIASES = {"·": "*", "¬": "not", "∧": "and", "∨": "or", "∀": "forall", "∃": "exists"}
 _WORDS = {"and", "or", "not", "forall", "exists"}
-_SYMBOLS = {"+", "-", "*", "/", "^", "(", ")", "=", "!=", "<", "<=", ">", ">="}
+_SYMBOLS = {"+", "-", "*", "/", "^", "(", ")", "[", "]", ";", ",", "=", "!=", "<", "<=", ">", ">="}
 
 
-def _tokenize(text: str, error, start: int = 0, end: Optional[int] = None) -> list:
-    """Tokens of text[start:end] as (kind, value, character position), ending
-    with ("end", None, end).  kind is "num" (an int), "name", or the word or
+def _tokenize(text: str, error) -> list:
+    """Tokens of text as (kind, value, character position), ending with
+    ("end", None, len(text)).  kind is "num" (an int), "name", or the word or
     symbol itself; a character no token starts with raises error(message,
     position)."""
-    end = len(text) if end is None else end
     out = []
-    for m in _TOKEN.finditer(text, start, end):
+    for m in _TOKEN.finditer(text):
         digits, name, sym = m.groups()
         if digits:
             try:
@@ -526,7 +525,7 @@ def _tokenize(text: str, error, start: int = 0, end: Optional[int] = None) -> li
             if sym not in _SYMBOLS and sym not in _WORDS:
                 raise error(f"unexpected character {sym!r}", m.start())
             out.append((sym, sym, m.start()))
-    out.append(("end", None, end))
+    out.append(("end", None, len(text)))
     return out
 
 
@@ -539,9 +538,9 @@ class _TermParser:
     name.  Errors are build.syntax_error(message, position), or
     build.too_deep at the opener that goes past MAX_DEPTH."""
 
-    def __init__(self, text: str, build, start: int = 0, end: Optional[int] = None):
+    def __init__(self, text: str, build):
         self.build = build
-        self.tokens = _tokenize(text, build.syntax_error, start, end)
+        self.tokens = _tokenize(text, build.syntax_error)
         self.i = 0
         self.depth = 0
 

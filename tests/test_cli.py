@@ -132,6 +132,10 @@ class TestGerm:
         code, got = run_json(capsys, "germ", "los", "x < (1", "--bind", "x=rf(n)")
         assert code == 2 and got["error"]["type"] == "GermSyntaxError"
         assert got["error"]["position"] == 6
+        # a germ constant is an integer or a quotient of two; '.' is not part of it
+        code, got = run_json(capsys, "germ", "classify", "0.5")
+        assert code == 2 and got["error"]["type"] == "GermSyntaxError"
+        assert got["error"]["position"] == 1
 
     def test_spacing_never_changes_meaning(self, capsys):
         code, got = run_json(capsys, "germ", "los", "x/1/2 = x / 1 / 2", "--bind", "x=rf(n)")

@@ -285,11 +285,21 @@ class TestParsing:
     def test_rf_forms(self):
         assert rf("(2*n+1)/(n+3)") == RationalGerm(Poly((1, 2)), Poly((3, 1)))
         assert G.parse_germ("5") == G.embed_constant(5)
-        assert G.parse_germ("-3/2") == G.embed_constant(Fraction(-3, 2))
+        assert G.parse_germ("-3/2") == G.parse_germ(" - 3 / 2 ") == G.embed_constant(Fraction(-3, 2))
 
     def test_ep_form(self):
         assert G.parse_germ("ep([1,2];[0,1])") == PeriodicGerm((1, 2), (0, 1))
         assert G.parse_germ("ep([];[0])") == G.embed_constant(0)
+        spaced = G.parse_germ("ep( [ - 1 / 2 , +3 ] ; [ 4/2 ] )")
+        assert spaced == PeriodicGerm((Fraction(-1, 2), 3), (2,))
+
+    def test_repr_round_trip(self):
+        rng = random.Random(62)
+        for _ in range(300):
+            pool = [rng.randint(-(10**9), 10**9) for _ in range(2)]
+            pool += [Fraction(rng.randint(-999, 999), rng.randint(2, 999)) for _ in range(2)]
+            g = rand_periodic_germ(rng, pool, max_pre=3, max_period=40)
+            assert G.parse_germ(repr(g)) == g, repr(g)
 
     def test_bad_forms(self):
         for text in ("rf(m+1)", "ep([1];[])", "ep([1])", "zz", "ep([1/0];[1])", "1/0"):
@@ -342,6 +352,15 @@ class TestParsing:
             (G.parse_germ, "rf(n^2)", 4),
             (G.parse_germ, " rf(n + m)", 8),
             (G.parse_germ, "rf(n +)", 6),
+            (G.parse_germ, "ep([1/0];[1])", 6),
+            (G.parse_germ, "ep([1])", 6),
+            (G.parse_germ, "ep([1];[])", 9),
+            (G.parse_germ, "ep([0.5];[1])", 5),
+            (G.parse_germ, "ep([1e2];[1])", 5),
+            (G.parse_germ, "1e3", 1),
+            (G.parse_germ, "1_0", 1),
+            (G.parse_germ, "ep([1,];[1])", 6),
+            (G.parse_germ, "ep([" + "7" * 5000 + "];[1])", 4),  # past int's digit limit
             (G.parse_qf, "x ^ 2 < 1", 2),
             (G.parse_qf, "x < (1", 6),
             (G.parse_qf, "x + 1", 5),
