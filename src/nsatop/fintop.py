@@ -644,14 +644,16 @@ def generic_point_forms(space: FinSpace, a: int, i: int) -> tuple[bool, bool]:
 
 def is_sober(space: FinSpace) -> PropertyVerdict:
     closed = space.closed_sets()
+    # each route decides every closed set once; both lists keep the order of closed
+    directed = [a for a in closed if a and is_downward_directed(space, a)]
+    irreducible = irreducible_closed_sets(space)
     holds, witness = True, None
-    for a in closed:
-        if a and is_downward_directed(space, a):
-            if _smallest_element(space, a) is None:
-                holds = False
-                witness = witness or space.sorted_labels(a)
+    for a in directed:
+        if _smallest_element(space, a) is None:
+            holds = False
+            witness = witness or space.sorted_labels(a)
     oracle = True
-    for a in irreducible_closed_sets(space):
+    for a in irreducible:
         if not any(
             space.closure_classical_mask(1 << i) == a
             for i in range(space.n)
@@ -660,10 +662,7 @@ def is_sober(space: FinSpace) -> PropertyVerdict:
             oracle = False
             witness = witness or space.sorted_labels(a)
     # the irreducibility and directedness routes must also coincide setwise
-    equiv = all(
-        _is_irreducible_closed(space, a, closed) == (bool(a) and is_downward_directed(space, a))
-        for a in closed
-    )
+    equiv = directed == irreducible
     forms_agree = all(
         operator.eq(*generic_point_forms(space, a, i))
         for a in closed

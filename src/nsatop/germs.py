@@ -560,7 +560,7 @@ class _GermParser(_TermParser):
                 raise GermSyntaxError(f"unknown symbol {name!r} in rf()", position)
         node = self.expr()
         self.take(")")
-        return _to_rational(_eval_term_germ(node, {"n": RationalGerm(Poly.X)}))
+        return _eval_term_germ(node, {"n": RationalGerm(Poly.X)})
 
     def constants(self) -> list:
         self.take("[")
@@ -602,10 +602,10 @@ def _atoms(node):
         yield from _atoms(node.rhs)
 
 
-def _eval_term_germ(node, env) -> Germ:
+def _eval_term_germ(node, env) -> RationalGerm:
     kind = node[0]
     if kind == "const":
-        return embed_constant(node[1])
+        return RationalGerm(Poly.const(node[1]))
     if kind == "var":
         return env[node[1]]
     if kind == "neg":
@@ -684,8 +684,8 @@ def _flags_over(node, tails: dict, idx) -> list:
 
 
 def _atom_difference(atom: _QfAtom, env) -> RationalGerm:
-    """rhs - lhs as a rational germ (it comes out periodic only for constant atoms)."""
-    return _to_rational(sub(_eval_term_germ(atom.rhs, env), _eval_term_germ(atom.lhs, env)))
+    """rhs - lhs as a rational germ."""
+    return sub(_eval_term_germ(atom.rhs, env), _eval_term_germ(atom.lhs, env))
 
 
 def _atom_eventual_truth(atom: _QfAtom, env) -> bool:

@@ -302,12 +302,13 @@ def t0_reflection_report(space: FinSpace) -> dict:
 
 
 def _random_combinations(zp: ZBlockPartition, seed: int, count: int = 3) -> Family:
-    """Seeded rational combinations of the block indicators, plus a constant."""
+    """Seeded rational combinations of the block indicators, plus a constant,
+    as integer numerators over 6 (see ring_correspondence)."""
     rng = random.Random(seed)
     fams: Family = {}
     for t in range(count):
-        per_block = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in zp.blocks]
-        shift = rng.randint(-1, 1)
+        per_block = [6 * rng.randint(-3, 3) // rng.randint(1, 3) for _ in zp.blocks]
+        shift = 6 * rng.randint(-1, 1)
         fams[f"g{t}"] = tuple([per_block[b] + shift for b in zp.block_of])
     return fams
 
@@ -402,9 +403,10 @@ def ring_correspondence(hull: Hull, seed: int = 0) -> dict:
     rng = random.Random(seed)
     checked = {"bijection": 0, "homomorphism": 0, "ideals": 0, "distinct_evaluations": 0}
 
-    # sample hull functions as value vectors per class
-    samples = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)) for _ in range(6)]
-    samples += [tuple([int(t == j) for t in range(k)]) for j in range(k)]
+    # sample hull functions as value vectors per class: rationals p/q (q in 1..3) kept as
+    # the integers 6p/q; sums scale by 6 and products by 36, so every test answers as over Q
+    samples = [tuple(6 * rng.randint(-4, 4) // rng.randint(1, 3) for _ in range(k)) for _ in range(6)]
+    samples += [tuple([6 * (t == j) for t in range(k)]) for j in range(k)]
 
     def compose(vec):
         return tuple([vec[c] for c in hull.class_of])
@@ -471,13 +473,11 @@ def hull_theorem_audit(spaces: Iterable[FinSpace], seed: int = 0) -> dict:
     ]
     failures: dict = {name: [] for name in names}
     count = 0
-    for space in spaces:
-        count += 1
-        desc = space.describe()
+    for count, space in enumerate(spaces, 1):
         sc = stone_cech_finite(space)
         hw = hewitt_finite(space)
         if sc.classes != hw.classes or sc.quotient.opens != hw.quotient.opens:
-            failures["stone_cech_equals_hewitt"].append(desc)
+            failures["stone_cech_equals_hewitt"].append(space.describe())
 
         def hull_laws():
             hull_report(sc)
@@ -494,7 +494,7 @@ def hull_theorem_audit(spaces: Iterable[FinSpace], seed: int = 0) -> dict:
             try:
                 audit()
             except AuditFailure as exc:
-                failures[name].append(f"{desc}: {exc}")
+                failures[name].append(f"{space.describe()}: {exc}")
     report = {
         "spaces_checked": count,
         "asserted": {

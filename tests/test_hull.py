@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,108 @@ class TestRingCorrespondence:
     def test_over_enumeration(self):
         for s in all_spaces(3):
             assert H.ring_correspondence(H.stone_cech_finite(s))["failures"] == []
+
+
+def _fraction_ring_correspondence(hull, seed=0):
+    """ring_correspondence over the same draws kept as Fraction(p, q): the
+    reference its integer numerators over 6 must agree with."""
+    space = hull.source
+    zp = F.z_partition(space)
+    k = len(hull.classes)
+    rng = random.Random(seed)
+    checked = {"bijection": 0, "homomorphism": 0, "ideals": 0, "distinct_evaluations": 0}
+    samples = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)) for _ in range(6)]
+    samples += [tuple([int(t == j) for t in range(k)]) for j in range(k)]
+
+    def compose(vec):
+        return tuple([vec[c] for c in hull.class_of])
+
+    composed = [compose(a) for a in samples]
+    for a, fa in zip(samples, composed):
+        for b, fb in zip(samples, composed):
+            if (a == b) != (fa == fb):
+                raise F.AuditFailure("composition with the quotient map is not injective")
+            checked["bijection"] += 1
+    for _ in range(6):
+        per_block = [rng.randint(-4, 4) for _ in zp.blocks]
+        table = tuple([per_block[b] for b in zp.block_of])
+        if compose(hull.lift(table)) != table:
+            raise F.AuditFailure("a continuous function fails to factor through the hull")
+        checked["bijection"] += 1
+    for a, fa in zip(samples[:4], composed):
+        for b, fb in zip(samples[:4], composed):
+            plus = tuple([x + y for x, y in zip(a, b)])
+            times = tuple([x * y for x, y in zip(a, b)])
+            if compose(plus) != tuple([x + y for x, y in zip(fa, fb)]):
+                raise F.AuditFailure("composition does not preserve sums")
+            if compose(times) != tuple([x * y for x, y in zip(fa, fb)]):
+                raise F.AuditFailure("composition does not preserve products")
+            checked["homomorphism"] += 1
+    if compose((7,) * k) != (7,) * space.n:
+        raise F.AuditFailure("composition does not preserve constants")
+    zero_vec = (0,) * k
+    for pidx in range(k):
+        vanishing = [vec for vec in samples if vec[pidx] == 0]
+        vanishing.append(zero_vec)
+        for a in vanishing:
+            for b in vanishing:
+                s = tuple([x + y for x, y in zip(a, b)])
+                if s[pidx] != 0:
+                    raise F.AuditFailure("vanishing functions are not closed under sums")
+            for h in samples:
+                prod = tuple([x * y for x, y in zip(a, h)])
+                if prod[pidx] != 0:
+                    raise F.AuditFailure("vanishing set does not absorb products")
+        checked["ideals"] += 1
+    for p1 in range(k):
+        for p2 in range(p1 + 1, k):
+            separating = tuple([int(t == p1) for t in range(k)])
+            if separating[p1] == separating[p2]:
+                raise F.AuditFailure("evaluations at distinct hull points coincide")
+            checked["distinct_evaluations"] += 1
+    return {"checked": checked, "failures": []}
+
+
+def _outcome(audit, hull, seed):
+    try:
+        return audit(hull, seed=seed)
+    except F.AuditFailure as exc:
+        return str(exc)
+
+
+class TestIntegerSamples:
+    def test_ring_audit_matches_fraction_reference(self):
+        # the real Stone-Cech hull, and tampered hulls whose class map is
+        # redrawn at random within range(k), so classes merge or go empty
+        rng = random.Random(0)
+        outcomes = set()
+        for s in all_spaces(4):
+            sc = H.stone_cech_finite(s)
+            k = len(sc.classes)
+            for seed in range(5):
+                class_of = tuple(rng.randrange(k) for _ in range(s.n))
+                tampered = H.Hull(s, sc.classes, sc.quotient, class_of, sc.kind, sc.family)
+                for hull in (sc, tampered):
+                    got = _outcome(H.ring_correspondence, hull, seed)
+                    assert got == _outcome(_fraction_ring_correspondence, hull, seed)
+                    outcomes.add(got if isinstance(got, str) else "passed")
+        # both verdicts occur, and more than one kind of failure
+        assert "passed" in outcomes and len(outcomes) >= 3
+
+    def test_combinations_are_rational_draws_times_six(self):
+        # the same draws as Fraction(p, q) per block plus an integer shift
+        for s in all_spaces(3):
+            zp = F.z_partition(s)
+            for seed in range(3):
+                rng = random.Random(seed)
+                expected = {}
+                for t in range(3):
+                    per_block = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in zp.blocks]
+                    shift = rng.randint(-1, 1)
+                    expected[f"g{t}"] = tuple([6 * (per_block[b] + shift) for b in zp.block_of])
+                got = H._random_combinations(zp, seed)
+                assert got == expected
+                assert all(type(v) is int for table in got.values() for v in table)
 
 
 class TestHullAudit:
