@@ -260,13 +260,15 @@ def cmd_topo(args, fmt: str) -> int:
             print(fintop.dot_specialization(space))
             return 0
         if args.action == "reflect" or args.t0_reflect:
-            _emit(hull.t0_reflection_report(space), fmt)
-            return 0
-        if args.family:
-            built = hull.build_hull(space, hull.validate_family(space, _load_json(args.family)))
+            built = hull.t0_reflection(space)
+            report = hull.t0_reflection_report(built)
         else:
-            built = hull.stone_cech_finite(space)
-        _emit(hull.hull_report(built), fmt)
+            if args.family:
+                built = hull.build_hull(space, hull.validate_family(space, _load_json(args.family)))
+            else:
+                built = hull.stone_cech_finite(space)
+            report = hull.hull_report(built)
+        _emit({"hull": built.to_json(), **report}, fmt)
         return 0
     except hull.DiscontinuousFamilyMember as exc:
         return _error(

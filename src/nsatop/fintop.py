@@ -738,50 +738,47 @@ def compactness_identities(space: FinSpace, seed: int = 0) -> dict:
 EXHAUSTIVE_LIMIT = 4
 
 
-def enumerate_topologies(n: int, points: Optional[Sequence] = None) -> Iterator[FinSpace]:
+def enumerate_topologies(n: int) -> Iterator[FinSpace]:
     """Every labeled topology on n points, exactly once.
 
-    Topologies on a finite set correspond to reflexive transitive relations:
-    the relation rows are the monads.  Enumerates relations and keeps the
-    transitive ones, so each topology appears exactly once.
+    Topologies on a finite set correspond to preorders whose relation rows
+    are the monads; the opens are the unions of rows.  Rows are placed from
+    the last point to the first, each over the masks that hold its point in
+    increasing order, and kept only if "j in row i => row j inside row i"
+    holds both ways against every row already placed: that is transitivity.
+    Spaces come out in lexicographic order of (rows[n-1], ..., rows[0]).
     """
     if n < 1:
         raise SpaceError("need at least one point")
     if n > EXHAUSTIVE_LIMIT:
         raise TooLarge(f"exhaustive enumeration is capped at {EXHAUSTIVE_LIMIT} points")
-    pts = tuple(points) if points is not None else tuple(str(i) for i in range(n))
-    if len(pts) != n:
-        raise SpaceError("points list does not match n")
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for pattern in range(1 << len(offdiag)):
-        rows = [1 << i for i in range(n)]
-        for b, (i, j) in enumerate(offdiag):
-            if pattern >> b & 1:
-                rows[i] |= 1 << j
-        if not _is_transitive(rows, n):
-            continue
-        opens = [
-            u
-            for u in range(1 << n)
-            if all(rows[i] | u == u for i in range(n) if u >> i & 1)
-        ]
-        yield FinSpace(pts, opens, _validated=True)
+    pts = tuple(str(i) for i in range(n))
+    rows = [0] * n
+
+    def place(i: int) -> Iterator[FinSpace]:
+        if i < 0:
+            opens = {0}
+            for row in rows:
+                opens |= {o | row for o in opens}
+            yield FinSpace(pts, opens, _validated=True)
+            return
+        bit = 1 << i
+        for r in range(bit, 1 << n):
+            if r & bit and not any(
+                (r >> j & 1 and rows[j] | r != r) or (rows[j] & bit and rows[j] | r != rows[j])
+                for j in range(i + 1, n)
+            ):
+                rows[i] = r
+                yield from place(i - 1)
+
+    yield from place(n - 1)
 
 
-def _is_transitive(rows: list[int], n: int) -> bool:
-    for i in range(n):
-        r = rows[i]
-        for j in range(n):
-            if r >> j & 1 and rows[j] | r != r:
-                return False
-    return True
-
-
-def brute_force_topologies(n: int, points: Optional[Sequence] = None) -> Iterator[FinSpace]:
+def brute_force_topologies(n: int) -> Iterator[FinSpace]:
     """Independent oracle: filter every family of subsets by the axioms."""
     if n > 4:
         raise TooLarge("brute force is unreasonable beyond 4 points")
-    pts = tuple(points) if points is not None else tuple(str(i) for i in range(n))
+    pts = tuple(str(i) for i in range(n))
     full = (1 << n) - 1
     others = [m for m in range(full + 1) if m not in (0, full)]
     for choice in range(1 << len(others)):

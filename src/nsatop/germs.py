@@ -15,7 +15,7 @@ import operator
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 # MAX_DEPTH, the nesting limit of the shared term parser, is the germ parsers' limit too
 from .hyperreal import MAX_DEPTH, Classification, Hyperreal, _TermParser  # noqa: F401
@@ -146,8 +146,9 @@ class RationalGerm:
 
 
 def _exact(c) -> Union[int, Fraction]:
-    """c as an int when it is integral, otherwise as a Fraction."""
-    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+    """c, an int or a Fraction, as an int when it is integral."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"germ entries are int or Fraction, not {type(c).__name__}")
     return c.numerator if c.denominator == 1 else c
 
 
@@ -250,19 +251,22 @@ def _to_periodic(g: Germ) -> Optional[PeriodicGerm]:
     return None
 
 
-def _align_pair(a: Germ, b: Germ) -> tuple[Germ, Germ]:
-    """Bring both germs into a common sequence class, or fail."""
-    if isinstance(a, RationalGerm) and isinstance(b, RationalGerm):
-        return a, b
-    if isinstance(a, PeriodicGerm) and isinstance(b, PeriodicGerm):
-        return a, b
-    ra, rb = _to_rational(a), _to_rational(b)
-    if ra is not None and rb is not None:
-        return ra, rb
-    pa, pb = _to_periodic(a), _to_periodic(b)
-    if pa is not None and pb is not None:
-        return pa, pb
-    raise MixedClasses(f"cannot mix {type(a).__name__} with {type(b).__name__}")
+def _align(germs: Sequence[Germ]) -> tuple[Sequence[Germ], bool]:
+    """Bring the germs into one sequence class: (germs, is_rational_class).
+
+    Germs already in one class pass through, so periodic constants stay
+    periodic; otherwise all become rational if they can, else periodic."""
+    if all(isinstance(g, RationalGerm) for g in germs):
+        return germs, True
+    if all(isinstance(g, PeriodicGerm) for g in germs):
+        return germs, False
+    for convert, rational in ((_to_rational, True), (_to_periodic, False)):
+        out = [convert(g) for g in germs]
+        if all(g is not None for g in out):
+            return out, rational
+    first = type(germs[0])
+    other = next(type(g) for g in germs if not isinstance(g, first))
+    raise MixedClasses(f"cannot mix {first.__name__} with {other.__name__}")
 
 
 def _window(germs) -> tuple[int, int]:
@@ -293,8 +297,8 @@ def _tail(g: PeriodicGerm, pre: int, length: int) -> tuple:
 
 
 def add(a: Germ, b: Germ) -> Germ:
-    a, b = _align_pair(a, b)
-    if isinstance(a, RationalGerm):
+    (a, b), rational = _align((a, b))
+    if rational:
         return RationalGerm(a.num * b.den + b.num * a.den, a.den * b.den)
     return _pointwise(a, b, operator.add)
 
@@ -304,8 +308,8 @@ def sub(a: Germ, b: Germ) -> Germ:
 
 
 def mul(a: Germ, b: Germ) -> Germ:
-    a, b = _align_pair(a, b)
-    if isinstance(a, RationalGerm):
+    (a, b), rational = _align((a, b))
+    if rational:
         return RationalGerm(a.num * b.num, a.den * b.den)
     return _pointwise(a, b, operator.mul)
 
@@ -359,8 +363,8 @@ def _eventual_sign(a: RationalGerm) -> int:
 
 def ae_compare(a: Germ, b: Germ) -> tuple[AeVerdict, AeVerdict]:
     """(equality verdict, strict-less verdict) in one pass."""
-    a, b = _align_pair(a, b)
-    if isinstance(a, RationalGerm):
+    (a, b), rational = _align((a, b))
+    if rational:
         s = _eventual_sign(RationalGerm(b.num * a.den - a.num * b.den, a.den * b.den))
         eq = AeVerdict.TRUE_AE if s == 0 else AeVerdict.FALSE_AE
         lt = AeVerdict.TRUE_AE if s > 0 else AeVerdict.FALSE_AE
@@ -723,24 +727,6 @@ def parse_qf(text: str):
     return parser.whole(parser.or_expr)
 
 
-def _align_environment(env: dict) -> tuple[dict, bool]:
-    """Coerce every germ to one class; returns (env, is_rational_class)."""
-    germs = list(env.values())
-    if not germs:
-        return env, True
-    if all(isinstance(g, RationalGerm) for g in germs):
-        return env, True
-    if all(isinstance(g, PeriodicGerm) for g in germs):
-        return env, False
-    rationals = {k: _to_rational(g) for k, g in env.items()}
-    if all(v is not None for v in rationals.values()):
-        return rationals, True
-    periodics = {k: _to_periodic(g) for k, g in env.items()}
-    if all(v is not None for v in periodics.values()):
-        return periodics, False
-    raise MixedClasses("assignment mixes sequence classes")
-
-
 def _prepare(formula, assignment: dict):
     """(parsed formula, aligned environment of its variables, is_rational_class)."""
     node = parse_qf(formula) if isinstance(formula, str) else formula
@@ -751,8 +737,9 @@ def _prepare(formula, assignment: dict):
     missing = names - set(assignment)
     if missing:
         raise GermError(f"unbound variables: {sorted(missing)}")
-    env, rational = _align_environment({k: assignment[k] for k in names})
-    return node, env, rational
+    names = sorted(names)
+    germs, rational = _align([assignment[k] for k in names])
+    return node, dict(zip(names, germs)), rational
 
 
 @_chain_limited

@@ -124,6 +124,19 @@ class TestGerm:
         code, got = run_json(capsys, "germ", "compare", "rf(n)", "ep([];[0,1])", "eq")
         assert code == 2 and got["error"]["type"] == "MixedClasses"
 
+    def test_los_mixed_classes_names_first_variable_class(self, capsys):
+        # the message follows the sorted variable names, not set order
+        names = "abcdefgh"
+        formula = " and ".join(f"{v} < {v}+1" for v in names)
+        for first, rest, want in (
+            ("ep([];[0,1])", "rf(n)", "cannot mix PeriodicGerm with RationalGerm"),
+            ("rf(n)", "ep([];[0,1])", "cannot mix RationalGerm with PeriodicGerm"),
+        ):
+            binds = [f"a={first}"] + [f"{v}={rest}" for v in names[1:]]
+            argv = ["germ", "los", formula] + [x for b in binds for x in ("--bind", b)]
+            code, got = run_json(capsys, *argv)
+            assert code == 2 and got["error"] == {"type": "MixedClasses", "message": want}
+
     def test_zero_denominator_exits_2(self, capsys):
         code, got = run_json(capsys, "germ", "los", "x < 1/0", "--bind", "x=rf(n)")
         assert code == 2 and got["error"]["type"] == "AlmostEverywhereZeroDivisor"

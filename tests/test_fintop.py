@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from nsatop import fintop as F
@@ -295,6 +297,36 @@ class TestEnumeration:
         for s in F.enumerate_topologies(4):
             assert s.opens not in seen
             seen.add(s.opens)
+
+    def test_order_matches_relation_scan(self):
+        # reference: every reflexive relation in pattern order, higher rows
+        # the more significant bits, keeping the transitive ones
+        for n in (1, 2, 3, 4):
+            offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+            want = []
+            for pattern in range(1 << len(offdiag)):
+                rows = [1 << i for i in range(n)]
+                for b, (i, j) in enumerate(offdiag):
+                    if pattern >> b & 1:
+                        rows[i] |= 1 << j
+                if all(rows[j] | r == r for r in rows for j in range(n) if r >> j & 1):
+                    opens = [
+                        u for u in range(1 << n)
+                        if all(rows[i] | u == u for i in range(n) if u >> i & 1)
+                    ]
+                    want.append(tuple(opens))
+            assert [s.opens for s in F.enumerate_topologies(n)] == want
+
+    def test_five_points(self, monkeypatch):
+        monkeypatch.setattr(F, "EXHAUSTIVE_LIMIT", 5)
+        start = time.monotonic()
+        spaces = list(F.enumerate_topologies(5))
+        assert len(spaces) == len({s.opens for s in spaces}) == 6942  # OEIS A000798
+        for s in spaces:
+            assert F.FinSpace(s.points, s.opens) == s  # re-validate from scratch
+        keys = [tuple(s.monad_mask(i) for i in reversed(range(5))) for s in spaces]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert time.monotonic() - start <= 1.0
 
 
 class TestContinuousMaps:

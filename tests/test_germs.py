@@ -68,11 +68,16 @@ class TestArithmetic:
         assert G.ae_equal(g, G.embed_constant(Fraction(1, 2))) is AeVerdict.TRUE_AE
 
     def test_mixed_classes_rejected(self):
-        with pytest.raises(G.MixedClasses):
-            G.add(N, PeriodicGerm((), (0, 1)))
+        p = PeriodicGerm((), (0, 1))
+        with pytest.raises(G.MixedClasses, match="^cannot mix RationalGerm with PeriodicGerm$"):
+            G.add(N, p)
+        with pytest.raises(G.MixedClasses, match="^cannot mix PeriodicGerm with RationalGerm$"):
+            G.ae_compare(p, N)
 
     def test_constant_coercion_allowed(self):
         assert G.add(N, G.embed_constant(1)) == rf("n+1")
+        # two periodic constants stay periodic
+        assert G.add(G.embed_constant(1), G.embed_constant(2)) == G.embed_constant(3)
         got = G.add(PeriodicGerm((), (0, 1)), RationalGerm(Poly.const(1)))
         assert got == PeriodicGerm((), (1, 2))
 
@@ -497,7 +502,7 @@ def test_pointwise_arithmetic_matches_value_at():
 
 def test_integral_entries_are_stored_as_int():
     # caught mutant: entries kept as given, so Fraction(2) stays a Fraction
-    g = PeriodicGerm((Fraction(2), Fraction(-1, 2)), (Fraction(3), 0.5, Fraction(4, 2)))
+    g = PeriodicGerm((Fraction(2), Fraction(-1, 2)), (Fraction(3), Fraction(1, 2), Fraction(4, 2)))
     h = PeriodicGerm((2, Fraction(-1, 2)), (3, Fraction(1, 2), 2))
     assert [type(c) for c in g.preperiod + g.period] == [int, Fraction, int, Fraction, int]
     assert g == h and hash(g) == hash(h) and repr(g) == repr(h) == "ep([2,-1/2];[3,1/2,2])"
@@ -505,6 +510,16 @@ def test_integral_entries_are_stored_as_int():
     assert parsed.period == (Fraction(1, 2), 2) and type(parsed.period[1]) is int
     assert type(G.embed_constant(Fraction(5)).period[0]) is int
     assert type(G.embed_constant(5).value_at(1)) is Fraction
+
+
+def test_entries_must_be_int_or_fraction():
+    for make in (
+        lambda: G.embed_constant("1e3"),
+        lambda: PeriodicGerm(("0.5",), ("1_0",)),
+        lambda: G.embed_constant(0.1),
+    ):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            make()
 
 
 def _coprime_periods(size):

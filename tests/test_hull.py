@@ -75,7 +75,7 @@ class TestT0Reflection:
 
     def test_report_and_laws_over_enumeration(self):
         for s in all_spaces(3):
-            report = H.t0_reflection_report(s)
+            report = H.t0_reflection_report(H.t0_reflection(s))
             assert all(v is True for v in report["checks"].values())
 
 
