@@ -65,58 +65,31 @@ class Entity:
     __slots__ = ()
 
 
-class Atom(Entity):
-    __slots__ = ("name", "_hash")
+class Atom(Entity, str):
+    """An individual: a str, equal to and hashed as its name."""
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("atom", name)))
+    __slots__ = ()
 
-    def __setattr__(self, *args):
-        raise AttributeError("Atom is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self.name == other.name
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return self.name
+    # both give the name as a plain str
+    name = property(str.__str__)
+    __repr__ = str.__str__
 
 
-class FSet(Entity):
-    """Finite set of entities; `FSet(...)` type-checks its members."""
+class FSet(Entity, frozenset):
+    """Finite set of entities: a frozenset, iterated in hash order and printed
+    sorted by `entity_key`; `FSet(...)` type-checks its members."""
 
-    __slots__ = ("members",)
+    __slots__ = ()
 
-    def __init__(self, members: Iterable[Entity] = ()):
-        ms = frozenset(members)
-        for m in ms:
+    def __new__(cls, members: Iterable[Entity] = ()):
+        members = tuple(members)
+        for m in members:
             if not isinstance(m, Entity):
                 raise TypeError(f"set member {m!r} is not an entity")
-        object.__setattr__(self, "members", ms)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FSet is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, FSet) and self.members == other.members
-
-    def __hash__(self):
-        return hash(("fset", self.members))
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members, key=entity_key))
-
-    def __contains__(self, item):
-        return item in self.members
+        return frozenset.__new__(cls, members)
 
     def __repr__(self):
-        return "{" + ", ".join(repr(m) for m in self) + "}"
+        return "{" + ", ".join(map(repr, sorted(self, key=entity_key))) + "}"
 
 
 EMPTY = FSet()
@@ -126,32 +99,30 @@ def type_level(e: Entity) -> int:
     """Smallest rank of the hierarchy containing e; atoms are rank 0."""
     if isinstance(e, Atom):
         return 0
-    return 1 + max((type_level(m) for m in e.members), default=0)
+    return 1 + max(map(type_level, e), default=0)
 
 
 def entity_key(e: Entity):
     """Total order on entities used for deterministic printing."""
     if isinstance(e, Atom):
         return (0, e.name, ())
-    return (1, "", tuple(entity_key(m) for m in sorted(e.members, key=entity_key)))
+    return (1, "", tuple(sorted(map(entity_key, e))))
 
 
-def _fset(members: frozenset) -> FSet:
+def _fset(members) -> FSet:
     """FSet of members already known to be entities (no type check)."""
-    s = object.__new__(FSet)
-    object.__setattr__(s, "members", members)
-    return s
+    return frozenset.__new__(FSet, members)
 
 
 def make_pair(a: Entity, b: Entity) -> FSet:
     """Ordered pair as the two-element coding {{a},{a,b}}."""
-    return _fset(frozenset((_fset(frozenset((a,))), _fset(frozenset((a, b))))))
+    return _fset((_fset((a,)), _fset((a, b))))
 
 
 def entity_to_json(e: Entity):
     if isinstance(e, Atom):
         return e.name
-    return [entity_to_json(m) for m in e]
+    return [entity_to_json(m) for m in sorted(e, key=entity_key)]
 
 
 def entity_from_json(obj, _depth: int = 0) -> Entity:
@@ -168,7 +139,7 @@ def star(e: Entity) -> Entity:
     """Extension map at finite scale: identity on atoms, elementwise on sets."""
     if isinstance(e, Atom):
         return e
-    return _fset(frozenset(star(m) for m in e.members))
+    return _fset(map(star, e))
 
 
 # -- formula syntax ------------------------------------------------------------------
@@ -492,9 +463,14 @@ def _free(node) -> set[str]:
 # quantifier's bound before its members, which are taken in frozenset order.
 
 
-def _check_bound(f: Formula, bound: Iterable[str]) -> None:
-    """Raise UnboundConstant unless every free name of f is in `bound`."""
-    missing = sorted(_free(f).difference(bound))
+def _check_bindings(f: Formula, bindings: dict, var: Optional[str] = None) -> None:
+    """Raise TypeError naming a binding that is not an entity (an Atom equals
+    its name, so `in` would read a plain str as a string of characters), and
+    UnboundConstant unless every free name of f is bound or is `var`."""
+    for name, value in bindings.items():
+        if not isinstance(value, Entity):
+            raise TypeError(f"binding {name!r} is a {type(value).__name__}, not an entity")
+    missing = sorted(_free(f).difference(bindings, [var]))
     if missing:
         raise UnboundConstant(f"no entity bound to {', '.join(map(repr, missing))}")
 
@@ -502,12 +478,13 @@ def _check_bound(f: Formula, bound: Iterable[str]) -> None:
 def evaluate(f: Formula, bindings: dict) -> bool:
     """Classical truth value; quantifiers enumerate the bounding set's members.
 
-    Every free name must be bound; this is checked before evaluation, since
-    connectives short-circuit and might otherwise never reach one.
+    Every free name must be bound to an entity; this is checked before
+    evaluation, since connectives short-circuit and might otherwise never
+    reach one.
     """
     if isinstance(f, str):
         f = parse(f)
-    _check_bound(f, bindings)
+    _check_bindings(f, bindings)
     return _compile(f)(dict(bindings), _Pairs())
 
 
@@ -618,14 +595,14 @@ def _compile_quant(f: Quant):
             raise QuantifierOverAtom(
                 f"quantifier range {print_term(f.bound)} evaluates to the atom {members!r}"
             )
-        if not members.members:
+        if not members:
             return forall
         # the hoisted operand is evaluated once, where the first member would reach it
         body = bodies[test(env, pairs)] if test else bodies[0]
         if isinstance(body, bool):
             return body
         env = dict(env)  # members are bound in a copy, so an outer binding of var stands
-        for member in members.members:
+        for member in members:
             env[var] = member
             if body(env, pairs) is not forall:
                 return not forall
@@ -647,6 +624,8 @@ def define_set(
     """
     if isinstance(formula, str):
         formula = parse(formula)
+    if not isinstance(bound, Entity):
+        raise TypeError(f"comprehension bound is a {type(bound).__name__}, not an entity")
     if not isinstance(bound, FSet):
         raise QuantifierOverAtom("comprehension bound must be a finite set")
     if var is None:
@@ -656,9 +635,9 @@ def define_set(
                 f"expected exactly one designated free variable, found {free or 'none'}"
             )
         var = free[0]
-    _check_bound(formula, [*bindings, var])
+    _check_bindings(formula, bindings, var)
     holds, env, pairs, members = _compile(formula), dict(bindings), _Pairs(), []
-    for m in bound.members:
+    for m in bound:
         env[var] = m
         if holds(env, pairs):
             members.append(m)
@@ -711,11 +690,11 @@ def check_transfer_finite(formula: Union[str, Formula], bindings: dict) -> dict:
     values = sorted(bindings.items())
     sets = [(k, v) for k, v in values if isinstance(v, FSet)]
     for i, (ka, a) in enumerate(sets):
-        sa = starred_bindings[ka].members
+        sa = starred_bindings[ka]
         for kb, b in sets[i:]:
-            sb = starred_bindings[kb].members
+            sb = starred_bindings[kb]
             for opname, op in _BOOLEAN_OPS:
-                if star(FSet(op(a.members, b.members))) != FSet(op(sa, sb)):
+                if star(FSet(op(a, b))) != FSet(op(sa, sb)):
                     raise AuditFailure(
                         f"star does not preserve {opname}",
                         instance={"lhs": ka, "rhs": kb},

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 # MAX_DEPTH, the nesting limit of the shared term parser, is the germ parsers' limit too
 from .hyperreal import MAX_DEPTH, Classification, Hyperreal, _TermParser  # noqa: F401
-from .poly import Poly
+from .poly import Poly, _exact
 
 
 class GermError(Exception):
@@ -143,13 +143,6 @@ class RationalGerm:
         if d == 0:
             raise VanishingDivisor(f"denominator vanishes at n={n}")
         return self.num.eval(n) / d
-
-
-def _exact(c) -> Union[int, Fraction]:
-    """c, an int or a Fraction, as an int when it is integral."""
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"germ entries are int or Fraction, not {type(c).__name__}")
-    return c.numerator if c.denominator == 1 else c
 
 
 class PeriodicGerm:

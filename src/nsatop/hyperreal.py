@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .poly import Poly, _frac_str
+from .poly import Poly, _frac_str, _power
 
 
 class HyperrealError(Exception):
@@ -267,16 +267,7 @@ class Hyperreal:
     def __pow__(self, n: int) -> "Hyperreal":
         if n < 0:
             return self.inverse() ** (-n)
-        # right-to-left binary method; the base is not squared past the top bit
-        result = Hyperreal.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, Hyperreal.from_rational(1))
 
     # -- order -------------------------------------------------------------------
 

@@ -4,14 +4,35 @@ Shared arithmetic core for the infinitesimal field (polynomials in a formal
 infinitesimal) and the germ sandbox (polynomials in the sequence index).
 A polynomial is stored as integer numerators over one positive common
 denominator; the ring operations work on integers only.  Coefficients are
-read and written as `fractions.Fraction`; nothing here is approximate.
+read as int or `fractions.Fraction` and written as `Fraction`; nothing here
+is approximate, and a str or a float is refused rather than parsed.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
+
+
+def _exact(c) -> Union[int, Fraction]:
+    """c, an int or a Fraction, as an int when it is integral."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"exact numbers are int or Fraction, not {type(c).__name__}")
+    return c.numerator if c.denominator == 1 else c
+
+
+def _power(base, n: int, one):
+    """base**n for n >= 0 by the right-to-left binary method; the base is not
+    squared past the top bit."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def _new(ints: tuple, den: int, val: int) -> "Poly":
@@ -98,7 +119,7 @@ class Poly:
     __slots__ = ("ints", "den", "val")
 
     def __init__(self, coeffs: Iterable = ()):
-        fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        fracs = [c if type(c) is Fraction else _exact(c) for c in coeffs]
         n = len(fracs)
         while n and not fracs[n - 1]:
             n -= 1
@@ -205,22 +226,13 @@ class Poly:
         return _from_ints(out, self.den * other.den, self.val + other.val)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _exact(c)
         return _from_ints([k * c.numerator for k in self.ints], self.den * c.denominator, self.val)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        # right-to-left binary method; the base is not squared past the top bit
-        result = Poly.ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, Poly.ONE)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder by integer pseudo-division.

@@ -347,7 +347,7 @@ def test_criterion_13_bqf():
     for _ in range(300):
         bound = B.FSet(rng.sample(atoms, rng.randint(0, 4)))
         subset = B.define_set(bound, "(x = a or x in B)", bindings)
-        assert subset.members <= bound.members
+        assert subset <= bound
     for text in CORPUS:
         assert B.check_transfer_finite(text, bindings)["transfer_holds"]
     report(13, "formula corpus round-trips; pair law exhaustive; comprehension and transfer")

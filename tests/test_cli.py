@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nsatop import cli
+from nsatop import cli, fintop, hull
 from nsatop.cli import main
 from test_golden import CASES, fixture_paths  # noqa: F401 (a fixture)
 
@@ -431,6 +431,50 @@ class TestAudit:
     def test_audit_too_large(self, capsys):
         code, got = run_json(capsys, "audit", "--max-points", "9")
         assert code == 2 and got["error"]["type"] == "TooLarge"
+
+    # an audit must be able to fail: a decider that disagrees with its oracle
+    # on one space, and a hull audit that raises on one space, are each
+    # listed under their check and make the run exit 1
+    def test_decider_disagreeing_on_one_space_fails(self, capsys, monkeypatch):
+        t1, flipped = fintop.PROPERTY_CHECKS["t1"], []
+
+        def flip_on_first_two_point_space(space):
+            v = t1(space)
+            if space.n == 2 and not flipped:
+                flipped.append(space.describe())
+                return fintop.PropertyVerdict(v.name, v.holds, not v.oracle, v.forms, v.witness)
+            return v
+
+        monkeypatch.setitem(fintop.PROPERTY_CHECKS, "t1", flip_on_first_two_point_space)
+        code, got = run_json(capsys, "audit", "--max-points", "2")
+        assert code == 1 and got["all_passed"] is False
+        asserted = got["separation_and_order"]["asserted"]
+        assert asserted["monad_oracle_agreement"] == {
+            "counterexamples": [f"{flipped[0]}:t1"],
+            "passed": False,
+        }
+        assert all(v["passed"] for k, v in asserted.items() if k != "monad_oracle_agreement")
+        assert got["hulls"]["all_passed"] is True
+
+    def test_hull_audit_raising_on_one_space_fails(self, capsys, monkeypatch):
+        ring, failed = hull.ring_correspondence, []
+
+        def fail_on_first_two_point_space(sc, seed=0):
+            if sc.source.n == 2 and not failed:
+                failed.append(sc.source.describe())
+                raise fintop.AuditFailure("ring correspondence broken")
+            return ring(sc, seed=seed)
+
+        monkeypatch.setattr(hull, "ring_correspondence", fail_on_first_two_point_space)
+        code, got = run_json(capsys, "audit", "--max-points", "2")
+        assert code == 1 and got["all_passed"] is False
+        asserted = got["hulls"]["asserted"]
+        assert asserted["ring_correspondence"] == {
+            "counterexamples": [f"{failed[0]}: ring correspondence broken"],
+            "passed": False,
+        }
+        assert all(v["passed"] for k, v in asserted.items() if k != "ring_correspondence")
+        assert got["separation_and_order"]["all_passed"] is True
 
 
 class TestClosedPipe:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nsatop.hyperreal import EPSILON
+from nsatop.hyperreal import EPSILON, Hyperreal
 from nsatop.poly import Poly, integer_nth_root, rational_nth_root
 
 from helpers import rand_poly
@@ -16,6 +16,21 @@ def test_zero_and_degree():
     assert Poly((1, 2)).degree == 1
     assert Poly().degree == -1
     assert Poly((0, 0, 3)).valuation == 2
+
+
+def test_coefficients_are_int_or_fraction():
+    # one number rule for Poly, Hyperreal and germs: a str or a float is
+    # neither parsed nor rounded
+    for make in (
+        lambda: Poly.const("1e3"),
+        lambda: Poly(["0.5", 0.1]),
+        lambda: Poly((1,)).scale(0.5),
+        lambda: Hyperreal("1e3"),
+    ):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            make()
+    assert Poly((True, Fraction(4, 2))).coeffs == (1, 2)
+    assert Poly((1,)).scale(Fraction(1, 2)) == Poly.const(Fraction(1, 2))
 
 
 def assert_canonical(p):
