@@ -43,7 +43,7 @@ import os
 import sys
 
 from . import bqf, fintop, germs, hull, hyperreal
-from .poly import _frac_str
+from .poly import NumberTooLarge, _frac_str
 
 
 def _emit(obj, fmt: str) -> None:
@@ -176,9 +176,17 @@ def cmd_germ(args, fmt: str) -> int:
 # -- bqf ---------------------------------------------------------------------------
 
 
+def _json_int(digits: str) -> int:
+    """The integers of JSON input, with a typed error past the digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise NumberTooLarge(f"a JSON integer of {len(digits)} characters has too many digits") from None
+
+
 def _entity(text: str) -> bqf.Entity:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise bqf.NestingTooDeep("JSON value nested too deeply to decode") from None
     return bqf.entity_from_json(obj)
@@ -233,7 +241,7 @@ def cmd_bqf(args, fmt: str) -> int:
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise fintop.SpaceError(f"{path}: JSON nested too deeply to decode") from None
 
@@ -447,15 +455,13 @@ def _dispatch(args) -> int:
     fmt = args.format
     if fmt == "dot" and not (args.command == "topo" and args.action == "dot"):
         return _error("BadFormat", "dot output only applies to 'topo dot'", "json")
-    if args.command == "hyper":
-        return cmd_hyper(args, fmt)
-    if args.command == "germ":
-        return cmd_germ(args, fmt)
-    if args.command == "bqf":
-        return cmd_bqf(args, fmt)
-    if args.command == "topo":
-        return cmd_topo(args, fmt)
-    return cmd_audit(args, fmt)
+    command = {"hyper": cmd_hyper, "germ": cmd_germ, "bqf": cmd_bqf, "topo": cmd_topo}
+    try:
+        return command.get(args.command, cmd_audit)(args, fmt)
+    except NumberTooLarge as exc:
+        # an integer read from JSON, or an exact answer, past the digit limit;
+        # every report is built before it is printed, so nothing is half out
+        return _raised(exc, fmt)
 
 
 if __name__ == "__main__":

@@ -70,12 +70,11 @@ def _partition_by(n: int, key) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class FinSpace:
-    """A validated finite topological space; monads, closed sets and z-blocks
-    are computed once, on construction."""
+    """A validated finite topological space.  Monads are computed on
+    construction; every other fact (closed sets, z-blocks, point closures,
+    the disjoint-open table, decider verdicts) on its first read, and kept."""
 
-    __slots__ = (
-        "points", "opens", "n", "full", "_index", "_monad", "_opens_set", "_closed", "_zblocks"
-    )
+    __slots__ = ("points", "opens", "n", "full", "_index", "_monad", "_opens_set", "_facts")
 
     def __init__(self, points: Sequence, opens: Iterable[int], _validated: bool = False):
         pts = tuple(points)
@@ -90,7 +89,7 @@ class FinSpace:
             masks = _check_topology(masks, self.full)
         object.__setattr__(self, "opens", masks)
         object.__setattr__(self, "_opens_set", frozenset(masks))
-        object.__setattr__(self, "_closed", tuple(sorted(self.full ^ o for o in masks)))
+        object.__setattr__(self, "_facts", {})
         monad = []
         for i in range(self.n):
             m = self.full
@@ -101,17 +100,12 @@ class FinSpace:
             monad.append(m)
         object.__setattr__(self, "_monad", tuple(monad))
 
-        def component(i):
-            # connected component of i under "y lies in the monad of x"
-            grown, c = 1 << i, 0
-            while grown != c:
-                c = grown
-                for j, m in enumerate(monad):
-                    if m & c:
-                        grown |= 1 << j | m
-            return c
-
-        object.__setattr__(self, "_zblocks", _partition_by(self.n, component))
+    def _fact(self, key, build):
+        """The fact `key`: build(self) on its first read, the kept value after."""
+        value = self._facts.get(key)
+        if value is None:
+            value = self._facts[key] = build(self)
+        return value
 
     def __setattr__(self, *a):
         raise AttributeError("FinSpace is immutable")
@@ -160,7 +154,11 @@ class FinSpace:
         return (self.full ^ self.mask(subset)) in self._opens_set
 
     def closed_sets(self) -> tuple[int, ...]:
-        return self._closed
+        return self._fact("closed", _closed_sets)
+
+    def point_closures(self) -> tuple[int, ...]:
+        """closure_classical_mask(1 << i) for every point i."""
+        return self._fact("point_closures", _point_closures)
 
     # -- monads --------------------------------------------------------------
 
@@ -236,6 +234,39 @@ class FinSpace:
     def describe(self) -> str:
         opens = ",".join("{" + ",".join(str(x) for x in o) + "}" for o in self.opens_as_labels())
         return f"[{','.join(str(p) for p in self.points)}; {opens}]"
+
+
+def _closed_sets(space: FinSpace) -> tuple[int, ...]:
+    return tuple(sorted(space.full ^ o for o in space.opens))
+
+
+def _point_closures(space: FinSpace) -> tuple[int, ...]:
+    return tuple([space.closure_classical_mask(1 << i) for i in range(space.n)])
+
+
+def _z_blocks(space: FinSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    monad = space._monad
+
+    def component(i):
+        # connected component of i under "y lies in the monad of x"
+        grown, c = 1 << i, 0
+        while grown != c:
+            c = grown
+            for j, m in enumerate(monad):
+                if m & c:
+                    grown |= 1 << j | m
+        return c
+
+    return _partition_by(space.n, component)
+
+
+def _disjoint_unions(space: FinSpace) -> tuple[int, ...]:
+    """For each open g (in the order of space.opens), the union of the opens
+    disjoint from g.  That union is open and holds every open disjoint from g,
+    so it is also the largest such open as a number: the first one met in
+    descending order."""
+    descending = space.opens[::-1]
+    return tuple([next(h for h in descending if not g & h) for g in space.opens])
 
 
 def _check_topology(masks: tuple, full: int) -> tuple:
@@ -338,12 +369,12 @@ def _pair_witness(space: FinSpace, i: int, j: int):
 
 
 def _separated_by_disjoint_opens(space: FinSpace, a: int, b: int) -> bool:
-    """Disjoint opens around the masks a and b (classical separation)."""
-    for g in space.opens:
-        if g & a == a:
-            for h in space.opens:
-                if h & b == b and not g & h:
-                    return True
+    """Disjoint opens around the masks a and b (classical separation): some
+    open g around a leaves room, in the union of the opens disjoint from it,
+    for an open around b."""
+    for g, apart in zip(space.opens, space._fact("disjoint", _disjoint_unions)):
+        if g & a == a and apart & b == b:
+            return True
     return False
 
 
@@ -376,9 +407,7 @@ def is_t0(space: FinSpace) -> PropertyVerdict:
 def is_t1(space: FinSpace) -> PropertyVerdict:
     holds, witness = True, None
     robinson = True
-    oracle = all(
-        space.closure_classical_mask(1 << i) == 1 << i for i in range(space.n)
-    )
+    oracle = all(c == 1 << i for i, c in enumerate(space.point_closures()))
     for i, j in _point_pairs(space):
         mi, mj = space._monad[i], space._monad[j]
         comparable = (mi | mj == mj) or (mj | mi == mi)
@@ -485,7 +514,7 @@ class ZBlockPartition:
 
     def __init__(self, space: FinSpace):
         self.space = space
-        self.blocks, self.block_of = space._zblocks
+        self.blocks, self.block_of = space._fact("zblocks", _z_blocks)
 
     def block_mask(self, i: int) -> int:
         return self.blocks[self.block_of[i]]
@@ -633,7 +662,7 @@ def _smallest_element(space: FinSpace, mask: int) -> Optional[int]:
 
 def generic_point_forms(space: FinSpace, a: int, i: int) -> tuple[bool, bool]:
     """(closure form, monad-intersection form) of "x generates A" for x in A."""
-    closure_form = space.closure_classical_mask(1 << i) == a
+    closure_form = space.point_closures()[i] == a
     inter = space.full
     for j in range(space.n):
         if a >> j & 1:
@@ -653,12 +682,9 @@ def is_sober(space: FinSpace) -> PropertyVerdict:
             holds = False
             witness = witness or space.sorted_labels(a)
     oracle = True
+    closures = space.point_closures()
     for a in irreducible:
-        if not any(
-            space.closure_classical_mask(1 << i) == a
-            for i in range(space.n)
-            if a >> i & 1
-        ):
+        if not any(closures[i] == a for i in range(space.n) if a >> i & 1):
             oracle = False
             witness = witness or space.sorted_labels(a)
     # the irreducibility and directedness routes must also coincide setwise
@@ -691,6 +717,12 @@ PROPERTY_CHECKS = {
     "z_normal": is_z_normal,
     "sober": is_sober,
 }
+
+
+def _holds(space: FinSpace, name: str) -> bool:
+    """Whether the space has the property: the verdict recorded on it, else
+    PROPERTY_CHECKS[name] decides now and its verdict is recorded."""
+    return space._fact(name, lambda s: PROPERTY_CHECKS[name](s).holds)
 
 
 def check_properties(space: FinSpace, names: Optional[Iterable[str]] = None) -> list[PropertyVerdict]:
@@ -890,7 +922,8 @@ def theorem_audit(spaces: Iterable[FinSpace]) -> dict:
         count += 1
         verdicts = {name: PROPERTY_CHECKS[name](space) for name in PROPERTY_CHECKS}
         desc = space.describe()
-        for v in verdicts.values():
+        for name, v in verdicts.items():
+            space._facts[name] = v.holds  # what _holds reads in the hull audits
             if not v.agree:
                 checks["monad_oracle_agreement"].append(f"{desc}:{v.name}")
         t0 = verdicts["t0"].holds

@@ -2,12 +2,13 @@
 
 A family of continuous rational-valued functions identifies the points it
 cannot tell apart; the quotient of the space by that relation, with the
-quotient topology, is the hull.  With the family of all continuous functions
-(generated at finite scale by zero-block indicators) the hull plays the role
-of both the maximal Hausdorff compactification and the realcompactification,
-which coincide here because every function on a finite space is bounded.
-Reports record that collapse explicitly so finite-scale results are not
-mistaken for the infinite theory.
+quotient topology, is the hull.  The family of all continuous functions is
+generated at finite scale by zero-block indicators, and its hull plays the
+role of the maximal Hausdorff compactification; the realcompactification is
+taken by a second route, the indicators of the clopen sets.  The two coincide
+here because every function on a finite space is bounded, and the audit
+checks that they do.  Reports record that collapse explicitly so finite-scale
+results are not mistaken for the infinite theory.
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ from .fintop import (
     SpaceError,
     ZBlockPartition,
     _discontinuity,
+    _holds,
     _partition_by,
     _point_closed_pairs,
-    is_completely_regular,
-    is_t0,
-    is_t2,
-    is_weakly_hausdorff,
     z_partition,
 )
 from .poly import _frac_str
@@ -62,7 +60,7 @@ def validate_family(space: FinSpace, family: dict) -> Family:
                 raise SpaceError(f"family member {name!r} missing a value at {p!r}")
             try:
                 table.append(Fraction(values[p]))
-            except (TypeError, ValueError, ZeroDivisionError):
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise SpaceError(f"family member {name!r} has no rational value at {p!r}") from None
         out[name] = tuple(table)
     return out
@@ -126,22 +124,17 @@ class Hull:
 
 def _build_quotient(space: FinSpace, classes, class_of, family: Family, kind: str) -> Hull:
     labels = tuple("|".join(str(x) for x in space.sorted_labels(m)) for m in classes)
-    k = len(classes)
-    opens = []
-    for v in range(1 << k):
-        pre = 0
-        for i in range(space.n):
-            if v >> class_of[i] & 1:
-                pre |= 1 << i
-        if space.is_open(pre):
-            opens.append(v)
+    pre = [0]  # pre[v]: the preimage of the class subset v
+    for c in classes:
+        pre += [p | c for p in pre]
+    opens = [v for v, m in enumerate(pre) if m in space._opens_set]
     quotient = FinSpace(labels, opens, _validated=True)
     return Hull(space, classes, quotient, class_of, kind, family)
 
 
 def t0_reflection(space: FinSpace) -> Hull:
     """Quotient identifying points with equal closures, with the quotient topology."""
-    classes, class_of = _partition_by(space.n, lambda i: space.closure_classical_mask(1 << i))
+    classes, class_of = _partition_by(space.n, space.point_closures().__getitem__)
     return _build_quotient(space, classes, class_of, {}, "t0-reflection")
 
 
@@ -172,14 +165,26 @@ def canonical_family(space: FinSpace) -> Family:
     }
 
 
+def clopen_family(space: FinSpace) -> Family:
+    """0/1 indicators of the sets that are both open and closed, read from the
+    opens alone (no monads, no z-blocks)."""
+    clopens = [o for o in space.opens if space.is_closed(o)]
+    return {
+        f"clopen{k}": tuple([c >> i & 1 for i in range(space.n)]) for k, c in enumerate(clopens)
+    }
+
+
 def stone_cech_finite(space: FinSpace) -> Hull:
     """Hull over the bounded continuous functions (their block-indicator generators)."""
     return build_hull(space, canonical_family(space), kind="stone-cech")
 
 
 def hewitt_finite(space: FinSpace) -> Hull:
-    """Hull over all continuous functions; coincides with the bounded hull here."""
-    return build_hull(space, canonical_family(space), kind="hewitt")
+    """Hull over all continuous functions, taken by quasi-components: points
+    that every clopen set holds both or neither of.  At finite scale every
+    function is bounded, so it must equal the Stone-Cech hull, which is taken
+    by z-blocks."""
+    return build_hull(space, clopen_family(space), kind="hewitt")
 
 
 # -- audits ---------------------------------------------------------------------
@@ -207,7 +212,7 @@ def hull_report(hull: Hull) -> dict:
     k = len(hull.classes)
 
     discrete = len(hull.quotient.opens) == (1 << k)
-    hausdorff = is_t2(hull.quotient).holds
+    hausdorff = _holds(hull.quotient, "t2")
     if not (discrete and hausdorff):
         raise AuditFailure("hull quotient is not discrete Hausdorff", witness=hull.to_json())
     report["checks"]["quotient_discrete_hausdorff"] = True
@@ -247,7 +252,7 @@ def hull_report(hull: Hull) -> dict:
     report["checks"]["all_points_kept"] = True
     report["checks"]["quotient_compact"] = "finite space; compactness is automatic"
 
-    if disting and is_t2(space).holds and is_completely_regular(space).holds:
+    if disting and _holds(space, "t2") and _holds(space, "completely_regular"):
         # the quotient map must embed the space: classes are singletons (that
         # lifted values restrict to the original ones was checked above)
         if k != space.n:
@@ -276,7 +281,7 @@ def t0_reflection_report(hull: Hull) -> dict:
     report["checks"]["open_map"] = True
     report["checks"]["saturated_opens"] = True
 
-    if not is_t0(hull.quotient).holds:
+    if not _holds(hull.quotient, "t0"):
         raise AuditFailure("reflection is not T0", witness=hull.to_json())
     report["checks"]["reflection_t0"] = True
 
@@ -285,9 +290,7 @@ def t0_reflection_report(hull: Hull) -> dict:
         raise AuditFailure("reflection is not idempotent", witness=hull.to_json())
     report["checks"]["idempotent"] = True
 
-    wh = is_weakly_hausdorff(space).holds
-    t2 = is_t2(hull.quotient).holds
-    if wh != t2:
+    if _holds(space, "weakly_hausdorff") != _holds(hull.quotient, "t2"):
         raise AuditFailure(
             "weakly Hausdorff does not match Hausdorff reflection",
             witness=space.describe(),
@@ -309,7 +312,9 @@ def _random_combinations(zp: ZBlockPartition, seed: int, count: int = 3) -> Fami
 
 
 def generator_subfamily(space: FinSpace, seed: int) -> Family:
-    """A seeded family of indicators, sums, products and rational scalings."""
+    """A seeded family of indicators, sums, products and rational scalings
+    (each scale p/q, q in 1..3, kept as the integer 6p/q; scaling a member by
+    a constant does not change which points it tells apart)."""
     zp = z_partition(space)
     rng = random.Random(seed)
     indicators = [zp.indicator(k) for k in range(len(zp.blocks))]
@@ -322,7 +327,7 @@ def generator_subfamily(space: FinSpace, seed: int) -> Family:
         fam[f"sum{t}"] = tuple([x + y for x, y in zip(a, b)])
         fam[f"prod{t}"] = tuple([x * y for x, y in zip(a, b)])
     for t in range(rng.randint(0, 2)):
-        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        c = 6 * rng.randint(-3, 3) // rng.randint(1, 3)
         a = rng.choice(indicators)
         fam[f"scale{t}"] = tuple([c * x for x in a])
     return fam
@@ -368,11 +373,10 @@ def zero_set_formulas(space: FinSpace, seed: int = 0) -> dict:
     if len(zp.blocks) > 6:
         rng = random.Random(seed)
         zero_sets = rng.sample(zero_sets, 64)
-    for z1 in zero_sets:
-        for z2 in zero_sets:
-            lhs = hull.q_image_mask(z1 & z2)
-            rhs = hull.q_image_mask(z1) & hull.q_image_mask(z2)
-            if lhs != rhs:
+    images = [hull.q_image_mask(z) for z in zero_sets]
+    for z1, image1 in zip(zero_sets, images):
+        for z2, image2 in zip(zero_sets, images):
+            if hull.q_image_mask(z1 & z2) != image1 & image2:
                 raise AuditFailure(
                     "image of an intersection of zero sets differs from the "
                     "intersection of the images",
@@ -440,18 +444,18 @@ def ring_correspondence(hull: Hull, seed: int = 0) -> dict:
         vanishing.append(zero_vec)
         for a in vanishing:
             for b in vanishing:
-                s = tuple([x + y for x, y in zip(a, b)])
-                if s[pidx] != 0:
+                if a[pidx] + b[pidx] != 0:
                     raise AuditFailure("vanishing functions are not closed under sums")
             for h in samples:
-                prod = tuple([x * y for x, y in zip(a, h)])
-                if prod[pidx] != 0:
+                if a[pidx] * h[pidx] != 0:
                     raise AuditFailure("vanishing set does not absorb products")
         checked["ideals"] += 1
+    # evaluations at two hull points differ iff some continuous function on the
+    # space tells their representatives apart, that is iff the representatives
+    # lie in distinct z-blocks
     for p1 in range(k):
         for p2 in range(p1 + 1, k):
-            separating = tuple([int(t == p1) for t in range(k)])
-            if separating[p1] == separating[p2]:
+            if zp.block_of[hull.reps[p1]] == zp.block_of[hull.reps[p2]]:
                 raise AuditFailure("evaluations at distinct hull points coincide")
             checked["distinct_evaluations"] += 1
     return {"checked": checked, "failures": []}

@@ -15,6 +15,11 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 
+class NumberTooLarge(ValueError):
+    """An integer with more decimal digits than the interpreter converts
+    between int and str (see sys.set_int_max_str_digits)."""
+
+
 def _exact(c) -> Union[int, Fraction]:
     """c, an int or a Fraction, as an int when it is integral."""
     if not isinstance(c, (int, Fraction)):
@@ -427,7 +432,10 @@ class Poly:
 
 
 def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    try:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    except ValueError:
+        raise NumberTooLarge("an exact value has too many digits to print") from None
 
 
 def _int_prem(u, v) -> list:

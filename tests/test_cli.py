@@ -367,6 +367,34 @@ class TestTopo:
         assert out.startswith("digraph") and '"0" -> "1";' in out
 
 
+class TestDigitLimit:
+    # the interpreter converts int and str only up to a digit limit (4,300 by
+    # default); a number past it, read from JSON or printed in an exact
+    # answer, is an input error, not a traceback
+    BIG = "7" * 5000
+
+    def test_hyper_answer_too_long_to_print_exits_2(self, capsys):
+        for argv in (("eval", "10^5000"), ("st", "10^5000"), ("root", "10^10000", "2")):
+            code, got = run_json(capsys, "hyper", *argv)
+            assert code == 2 and got["error"]["type"] == "NumberTooLarge", argv
+
+    def test_bqf_binding_integer_exits_2(self, capsys):
+        code, got = run_json(capsys, "bqf", "eval", "x = x", "--bind", f"x={self.BIG}")
+        assert code == 2 and got["error"]["type"] == "NumberTooLarge"
+
+    def test_family_file_integer_exits_2(self, capsys, sierp, tmp_path):
+        fam = tmp_path / "fam.json"
+        fam.write_text(f'{{"f": {{"a": {self.BIG}, "b": {self.BIG}}}}}')
+        code, got = run_json(capsys, "topo", "hull", sierp, str(fam))
+        assert code == 2 and got["error"]["type"] == "NumberTooLarge"
+
+    def test_family_value_overflowing_to_infinity_exits_2(self, capsys, sierp, tmp_path):
+        fam = tmp_path / "fam.json"
+        fam.write_text('{"f": {"a": 1e400, "b": 1e400}}')
+        code, got = run_json(capsys, "topo", "hull", sierp, str(fam))
+        assert code == 2 and got["error"]["type"] == "SpaceError"
+
+
 class TestUsage:
     def test_usage_error_uses_error_schema(self, capsys, sierp):
         for argv in (

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from nsatop import cli
 from nsatop import fintop as F
 
 
@@ -396,3 +397,85 @@ class TestTheoremAudit:
     def test_star_space_identity(self):
         star = F._star_space(FAN3)
         assert star == FAN3
+
+
+def _components(s):
+    """Classes of the equivalence generated by "j lies in the monad of i",
+    ordered by smallest member, and each point's class index."""
+    label = list(range(s.n))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(s.n):
+            for j in range(s.n):
+                if s.monad_mask(i) >> j & 1 and label[i] != label[j]:
+                    label[i] = label[j] = min(label[i], label[j])
+                    changed = True
+    roots = sorted(set(label))
+    blocks = tuple(sum(1 << i for i in range(s.n) if label[i] == r) for r in roots)
+    return blocks, tuple(roots.index(r) for r in label)
+
+
+def _separated_pairwise(s, a, b):
+    return any(
+        g & a == a and h & b == b and not g & h for g in s.opens for h in s.opens
+    )
+
+
+class TestSpaceFacts:
+    """Facts computed on first read and kept equal a direct recomputation,
+    and each decider runs once per space in the audit."""
+
+    def test_tables_equal_recomputation(self):
+        spaces = list(all_spaces(4))
+        assert len(spaces) == 389
+        for s in spaces:
+            assert s.closed_sets() == tuple(sorted(s.full ^ o for o in s.opens))
+            assert s.closed_sets() is s.closed_sets()  # kept, not rebuilt
+            zp = F.z_partition(s)
+            assert (zp.blocks, zp.block_of) == _components(s)
+            assert s.point_closures() == tuple(
+                s.closure_classical_mask(1 << i) for i in range(s.n)
+            )
+            table = s._fact("disjoint", F._disjoint_unions)
+            for g, apart in zip(s.opens, table):
+                union = 0
+                for h in s.opens:
+                    if not g & h:
+                        union |= h
+                assert apart == union
+            # every pair of subsets up to 3 points; at 4, the pairs the oracles ask
+            closed = s.closed_sets()
+            if s.n <= 3:
+                pairs = [(a, b) for a in s.subsets() for b in s.subsets()]
+            else:
+                pairs = [(1 << i, 1 << j) for i in range(s.n) for j in range(s.n)]
+                pairs += [(1 << i, f) for i in range(s.n) for f in closed]
+                pairs += [(a, b) for a in closed for b in closed]
+            for a, b in pairs:
+                assert F._separated_by_disjoint_opens(s, a, b) == _separated_pairwise(s, a, b)
+
+    def test_each_decider_runs_once_per_enumerated_space(self, monkeypatch):
+        enumerated, calls = {}, {}
+        enumerate_topologies = F.enumerate_topologies
+
+        def recording(n):
+            for s in enumerate_topologies(n):
+                enumerated[id(s)] = s  # kept alive, so no other object shares the id
+                yield s
+
+        def counting(name, decide):
+            def decider(space):
+                # quotients and star spaces are other objects and are not counted
+                if id(space) in enumerated:
+                    calls[name, id(space)] = calls.get((name, id(space)), 0) + 1
+                return decide(space)
+
+            return decider
+
+        monkeypatch.setattr(F, "enumerate_topologies", recording)
+        for name, decide in list(F.PROPERTY_CHECKS.items()):
+            monkeypatch.setitem(F.PROPERTY_CHECKS, name, counting(name, decide))
+        report = cli.run_full_audit(4)
+        assert report["all_passed"] and len(enumerated) == 389
+        assert calls == {(name, key): 1 for name in F.PROPERTY_CHECKS for key in enumerated}

@@ -135,6 +135,31 @@ class TestStoneCechHewitt:
             assert sc.classes == hw.classes
             assert sc.quotient.opens == hw.quotient.opens
 
+    def test_clopen_family_holds_every_clopen_indicator(self):
+        fam = H.clopen_family(SIERP_PLUS)
+        # the clopen sets are {}, {c}, {a, b} and the whole space
+        assert sorted(fam.values()) == [(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]
+        assert H.hewitt_finite(SIERP_PLUS).kind == "hewitt"
+
+    def test_audit_catches_merged_z_blocks(self, monkeypatch):
+        spaces = list(all_spaces(3))
+        assert H.hull_theorem_audit(spaces)["asserted"]["stone_cech_equals_hewitt"]["passed"]
+        z_partition, merged = F.z_partition, []
+
+        def merge_first_two_blocks(space):
+            zp = z_partition(space)
+            if len(zp.blocks) > 1:
+                merged.append(space.describe())
+                zp.blocks = (zp.blocks[0] | zp.blocks[1],) + zp.blocks[2:]
+                zp.block_of = tuple([max(b - 1, 0) for b in zp.block_of])
+            return zp
+
+        # the Stone-Cech hull reads z-blocks, the Hewitt hull only opens
+        monkeypatch.setattr(H, "z_partition", merge_first_two_blocks)
+        report = H.hull_theorem_audit(spaces)
+        found = report["asserted"]["stone_cech_equals_hewitt"]["counterexamples"]
+        assert found and set(found) <= set(merged)
+
 
 class TestHullLaws:
     def test_reports_pass_over_enumeration(self):
@@ -191,6 +216,14 @@ class TestRingCorrespondence:
         for s in all_spaces(3):
             assert H.ring_correspondence(H.stone_cech_finite(s))["failures"] == []
 
+    def test_classes_splitting_a_z_block_fail(self):
+        # Sierpinski space is one z-block; a hull that splits it has two points
+        # whose evaluations agree on every continuous function
+        split = H._build_quotient(SIERP, (0b01, 0b10), (0, 1), {}, "hull")
+        with pytest.raises(F.AuditFailure, match="evaluations at distinct hull points"):
+            H.ring_correspondence(split)
+        assert H.ring_correspondence(H.stone_cech_finite(SIERP))["failures"] == []
+
 
 def _fraction_ring_correspondence(hull, seed=0):
     """ring_correspondence over the same draws kept as Fraction(p, q): the
@@ -245,8 +278,7 @@ def _fraction_ring_correspondence(hull, seed=0):
         checked["ideals"] += 1
     for p1 in range(k):
         for p2 in range(p1 + 1, k):
-            separating = tuple([int(t == p1) for t in range(k)])
-            if separating[p1] == separating[p2]:
+            if zp.block_of[hull.reps[p1]] == zp.block_of[hull.reps[p2]]:
                 raise F.AuditFailure("evaluations at distinct hull points coincide")
             checked["distinct_evaluations"] += 1
     return {"checked": checked, "failures": []}
