@@ -591,11 +591,7 @@ def _compile_quant(f: Quant):
 
     def quant(env, pairs):
         members = bound(env, pairs)
-        if isinstance(members, Atom):
-            raise QuantifierOverAtom(
-                f"quantifier range {print_term(f.bound)} evaluates to the atom {members!r}"
-            )
-        if not members:
+        if isinstance(members, Atom) or not members:  # an atom has no members
             return forall
         # the hoisted operand is evaluated once, where the first member would reach it
         body = bodies[test(env, pairs)] if test else bodies[0]

@@ -12,8 +12,9 @@ from frozensets of point labels.
 
 from __future__ import annotations
 
-import operator
 import random
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
@@ -358,10 +359,10 @@ class PropertyVerdict:
         return f"PropertyVerdict({self.name}: holds={self.holds}, oracle={self.oracle})"
 
 
-def _point_pairs(space: FinSpace):
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            yield i, j
+@lru_cache(maxsize=16)
+def _point_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every (i, j) with i < j < n, in order."""
+    return tuple(combinations(range(n), 2))
 
 
 def _pair_witness(space: FinSpace, i: int, j: int):
@@ -391,7 +392,7 @@ def is_t0(space: FinSpace) -> PropertyVerdict:
     holds, witness = True, None
     robinson = True
     oracle = True
-    for i, j in _point_pairs(space):
+    for i, j in _point_pairs(space.n):
         mi, mj = space._monad[i], space._monad[j]
         if mi == mj:
             holds = False
@@ -408,7 +409,7 @@ def is_t1(space: FinSpace) -> PropertyVerdict:
     holds, witness = True, None
     robinson = True
     oracle = all(c == 1 << i for i, c in enumerate(space.point_closures()))
-    for i, j in _point_pairs(space):
+    for i, j in _point_pairs(space.n):
         mi, mj = space._monad[i], space._monad[j]
         comparable = (mi | mj == mj) or (mj | mi == mi)
         if comparable:
@@ -422,7 +423,7 @@ def is_t1(space: FinSpace) -> PropertyVerdict:
 def is_t2(space: FinSpace) -> PropertyVerdict:
     holds, witness = True, None
     oracle = True
-    for i, j in _point_pairs(space):
+    for i, j in _point_pairs(space.n):
         if space._monad[i] & space._monad[j]:
             holds = False
             witness = witness or _pair_witness(space, i, j)
@@ -433,7 +434,7 @@ def is_t2(space: FinSpace) -> PropertyVerdict:
 
 def is_weakly_hausdorff(space: FinSpace) -> PropertyVerdict:
     holds, witness = True, None
-    for i, j in _point_pairs(space):
+    for i, j in _point_pairs(space.n):
         mi, mj = space._monad[i], space._monad[j]
         if mi != mj and mi & mj:
             holds = False
@@ -559,7 +560,7 @@ def is_functionally_separated(space: FinSpace) -> PropertyVerdict:
     indicators = _block_indicators(space, zp)
     holds, witness = True, None
     oracle = True
-    for i, j in _point_pairs(space):
+    for i, j in _point_pairs(space.n):
         if zp.block_of[i] == zp.block_of[j]:
             holds = False
             witness = witness or _pair_witness(space, i, j)
@@ -630,11 +631,11 @@ def irreducible_closed_sets(space: FinSpace) -> list[int]:
 def _is_irreducible_closed(space: FinSpace, a: int, closed: Sequence[int]) -> bool:
     if not a:
         return False
+    # the union is symmetric, and a part never joins itself to `a`
     parts = [c for c in closed if c & a == c and c != a]
-    for x in parts:
-        for y in parts:
-            if x | y == a:
-                return False
+    for x, y in combinations(parts, 2):
+        if x | y == a:
+            return False
     return True
 
 
@@ -643,12 +644,12 @@ def is_downward_directed(space: FinSpace, subset: SubsetLike) -> bool:
     mask = space.mask(subset)
     if not mask:
         return False
-    members = [i for i in range(space.n) if mask >> i & 1]
-    for i in members:
-        for j in members:
-            meet = space._monad[i] & space._monad[j]
-            if not any(space._monad[k] | meet == meet for k in members):
-                return False
+    # the relation is symmetric, and a member is its own lower bound
+    monads = [space._monad[i] for i in range(space.n) if mask >> i & 1]
+    for x, y in combinations(monads, 2):
+        meet = x & y
+        if not any(m | meet == meet for m in monads):
+            return False
     return True
 
 
@@ -658,17 +659,6 @@ def _smallest_element(space: FinSpace, mask: int) -> Optional[int]:
         if all(space._monad[i] | space._monad[j] == space._monad[j] for j in members):
             return i
     return None
-
-
-def generic_point_forms(space: FinSpace, a: int, i: int) -> tuple[bool, bool]:
-    """(closure form, monad-intersection form) of "x generates A" for x in A."""
-    closure_form = space.point_closures()[i] == a
-    inter = space.full
-    for j in range(space.n):
-        if a >> j & 1:
-            inter &= space._monad[j]
-    monad_form = space._monad[i] == inter
-    return closure_form, monad_form
 
 
 def is_sober(space: FinSpace) -> PropertyVerdict:
@@ -689,13 +679,16 @@ def is_sober(space: FinSpace) -> PropertyVerdict:
             witness = witness or space.sorted_labels(a)
     # the irreducibility and directedness routes must also coincide setwise
     equiv = directed == irreducible
-    forms_agree = all(
-        operator.eq(*generic_point_forms(space, a, i))
-        for a in closed
-        if a
-        for i in range(space.n)
-        if a >> i & 1
-    )
+    # "x generates A", for x in A, read two ways: the closure of x is A, and
+    # the monad of x is the intersection of the monads of A's members
+    forms_agree = True
+    for a in closed:
+        members = [i for i in range(space.n) if a >> i & 1]
+        inter = space.full
+        for i in members:
+            inter &= space._monad[i]
+        if any((closures[i] == a) != (space._monad[i] == inter) for i in members):
+            forms_agree = False
     return PropertyVerdict(
         "sober",
         holds,
@@ -767,7 +760,7 @@ def compactness_identities(space: FinSpace, seed: int = 0) -> dict:
 # -- enumeration -------------------------------------------------------------------
 
 
-EXHAUSTIVE_LIMIT = 4
+EXHAUSTIVE_LIMIT = 5
 
 
 def enumerate_topologies(n: int) -> Iterator[FinSpace]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .fintop import (
@@ -25,7 +26,6 @@ from .fintop import (
     _discontinuity,
     _holds,
     _partition_by,
-    _point_closed_pairs,
     z_partition,
 )
 from .poly import _frac_str
@@ -93,16 +93,16 @@ class Hull:
 
     def q_image_mask(self, source_mask: int) -> int:
         out = 0
-        for i in range(self.source.n):
-            if source_mask >> i & 1:
-                out |= 1 << self.class_of[i]
+        for c, m in enumerate(self.classes):
+            if m & source_mask:
+                out |= 1 << c
         return out
 
     def q_preimage_mask(self, class_mask: int) -> int:
         out = 0
-        for i in range(self.source.n):
-            if class_mask >> self.class_of[i] & 1:
-                out |= 1 << i
+        for c, m in enumerate(self.classes):
+            if class_mask >> c & 1:
+                out |= m
         return out
 
     def to_json(self) -> dict:
@@ -146,6 +146,12 @@ def build_hull(space: FinSpace, family: Family, kind: str = "hull") -> Hull:
     rational-valued function on a finite space is finite).
     """
     names = sorted(family)
+    if all(len(family[name]) == space.n for name in names):
+        classes, class_of = _partition_by(space.n, lambda i: tuple([family[name][i] for name in names]))
+        # every member is constant on each monad iff each monad lies in its point's class
+        if all(not m & ~classes[c] for m, c in zip(space._monad, class_of)):
+            return _build_quotient(space, classes, class_of, family, kind)
+    # some member is wrong: name the first in name order
     for name in names:
         table = family[name]
         if len(table) != space.n:
@@ -153,8 +159,6 @@ def build_hull(space: FinSpace, family: Family, kind: str = "hull") -> Hull:
         i = _discontinuity(space, table)
         if i is not None:
             raise DiscontinuousFamilyMember(name, space.points[i], space.labels(space.monad_mask(i)))
-    classes, class_of = _partition_by(space.n, lambda i: tuple([family[name][i] for name in names]))
-    return _build_quotient(space, classes, class_of, family, kind)
 
 
 def canonical_family(space: FinSpace) -> Family:
@@ -192,9 +196,17 @@ def hewitt_finite(space: FinSpace) -> Hull:
 
 def distinguishes_points_and_closed_sets(space: FinSpace, family: Family) -> bool:
     """For every closed F and x outside it, some member separates x from F's values."""
-    for i, f in _point_closed_pairs(space):
+    for f in space.closed_sets():
         members = [j for j in range(space.n) if f >> j & 1]
-        if not any(table[i] not in {table[j] for j in members} for table in family.values()):
+        apart = f  # F, and the points some member has told apart from it
+        for table in family.values():
+            if apart == space.full:
+                break
+            values = {table[j] for j in members}  # once per member and closed set
+            for i in range(space.n):
+                if table[i] not in values:
+                    apart |= 1 << i
+        if apart != space.full:
             return False
     return True
 
@@ -299,16 +311,39 @@ def t0_reflection_report(hull: Hull) -> dict:
     return report
 
 
+# Seeded draws depend only on the seed and the number of blocks or hull classes, so each
+# helper below draws once per such shape, and callers build each space's vectors from them.
+@lru_cache(maxsize=256)
+def _combination_draws(seed: int, blocks: int, count: int) -> tuple:
+    """(per-block values, shift) for each of `count` combinations."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        per_block = tuple([6 * rng.randint(-3, 3) // rng.randint(1, 3) for _ in range(blocks)])
+        draws.append((per_block, 6 * rng.randint(-1, 1)))
+    return tuple(draws)
+
+
 def _random_combinations(zp: ZBlockPartition, seed: int, count: int = 3) -> Family:
     """Seeded rational combinations of the block indicators, plus a constant,
     as integer numerators over 6 (see ring_correspondence)."""
-    rng = random.Random(seed)
-    fams: Family = {}
-    for t in range(count):
-        per_block = [6 * rng.randint(-3, 3) // rng.randint(1, 3) for _ in zp.blocks]
-        shift = 6 * rng.randint(-1, 1)
-        fams[f"g{t}"] = tuple([per_block[b] + shift for b in zp.block_of])
-    return fams
+    return {
+        f"g{t}": tuple([per_block[b] + shift for b in zp.block_of])
+        for t, (per_block, shift) in enumerate(_combination_draws(seed, len(zp.blocks), count))
+    }
+
+
+@lru_cache(maxsize=256)
+def _subfamily_draws(seed: int, blocks: int) -> tuple:
+    """(kept indicators, (a, b) per sum and product, (scale, a) per scaling),
+    each a block index where it names an indicator."""
+    rng, index = random.Random(seed), range(blocks)
+    kept = tuple([t for t in index if rng.random() < 0.7])
+    pairs = tuple([(rng.choice(index), rng.choice(index)) for _ in range(rng.randint(0, 2))])
+    scales = []
+    for _ in range(rng.randint(0, 2)):
+        scales.append((6 * rng.randint(-3, 3) // rng.randint(1, 3), rng.choice(index)))
+    return kept, pairs, tuple(scales)
 
 
 def generator_subfamily(space: FinSpace, seed: int) -> Family:
@@ -316,20 +351,15 @@ def generator_subfamily(space: FinSpace, seed: int) -> Family:
     (each scale p/q, q in 1..3, kept as the integer 6p/q; scaling a member by
     a constant does not change which points it tells apart)."""
     zp = z_partition(space)
-    rng = random.Random(seed)
     indicators = [zp.indicator(k) for k in range(len(zp.blocks))]
-    fam: Family = {}
-    for t, ind in enumerate(indicators):
-        if rng.random() < 0.7:
-            fam[f"ind{t}"] = ind
-    for t in range(rng.randint(0, 2)):
-        a, b = rng.choice(indicators), rng.choice(indicators)
+    kept, pairs, scales = _subfamily_draws(seed, len(indicators))
+    fam: Family = {f"ind{t}": indicators[t] for t in kept}
+    for t, (a, b) in enumerate(pairs):
+        a, b = indicators[a], indicators[b]
         fam[f"sum{t}"] = tuple([x + y for x, y in zip(a, b)])
         fam[f"prod{t}"] = tuple([x * y for x, y in zip(a, b)])
-    for t in range(rng.randint(0, 2)):
-        c = 6 * rng.randint(-3, 3) // rng.randint(1, 3)
-        a = rng.choice(indicators)
-        fam[f"scale{t}"] = tuple([c * x for x in a])
+    for t, (c, a) in enumerate(scales):
+        fam[f"scale{t}"] = tuple([c * x for x in indicators[a]])
     return fam
 
 
@@ -386,6 +416,18 @@ def zero_set_formulas(space: FinSpace, seed: int = 0) -> dict:
     return {"checked": checked, "failures": []}
 
 
+@lru_cache(maxsize=256)
+def _ring_draws(seed: int, k: int, blocks: int) -> tuple:
+    """(sample vectors per class, block values per surjectivity test)."""
+    rng = random.Random(seed)
+    # sample hull functions as value vectors per class: rationals p/q (q in 1..3) kept as
+    # the integers 6p/q; sums scale by 6 and products by 36, so every test answers as over Q
+    samples = [tuple(6 * rng.randint(-4, 4) // rng.randint(1, 3) for _ in range(k)) for _ in range(6)]
+    samples += [tuple([6 * (t == j) for t in range(k)]) for j in range(k)]
+    block_draws = tuple([tuple([rng.randint(-4, 4) for _ in range(blocks)]) for _ in range(6)])
+    return tuple(samples), block_draws
+
+
 def ring_correspondence(hull: Hull, seed: int = 0) -> dict:
     """Composition with the quotient map of the Stone-Cech hull is a ring
     isomorphism at finite scale.
@@ -399,27 +441,20 @@ def ring_correspondence(hull: Hull, seed: int = 0) -> dict:
     space = hull.source
     zp = z_partition(space)
     k = len(hull.classes)
-    rng = random.Random(seed)
+    samples, block_draws = _ring_draws(seed, k, len(zp.blocks))
     checked = {"bijection": 0, "homomorphism": 0, "ideals": 0, "distinct_evaluations": 0}
-
-    # sample hull functions as value vectors per class: rationals p/q (q in 1..3) kept as
-    # the integers 6p/q; sums scale by 6 and products by 36, so every test answers as over Q
-    samples = [tuple(6 * rng.randint(-4, 4) // rng.randint(1, 3) for _ in range(k)) for _ in range(6)]
-    samples += [tuple([6 * (t == j) for t in range(k)]) for j in range(k)]
 
     def compose(vec):
         return tuple([vec[c] for c in hull.class_of])
 
     composed = [compose(a) for a in samples]
-    # injectivity: distinct vectors compose to distinct functions (q is onto)
-    for a, fa in zip(samples, composed):
-        for b, fb in zip(samples, composed):
-            if (a == b) != (fa == fb):
-                raise AuditFailure("composition with the quotient map is not injective")
-            checked["bijection"] += 1
+    # injectivity: distinct vectors compose to distinct functions (q is onto); "a == b iff
+    # compose(a) == compose(b)" for every pair of samples is these three counts being equal
+    if not len(set(samples)) == len(set(composed)) == len(set(zip(samples, composed))):
+        raise AuditFailure("composition with the quotient map is not injective")
+    checked["bijection"] += len(samples) ** 2
     # surjectivity: every block-constant function on the source arises as a composition
-    for _ in range(6):
-        per_block = [rng.randint(-4, 4) for _ in zp.blocks]
+    for per_block in block_draws:
         table = tuple([per_block[b] for b in zp.block_of])
         if compose(hull.lift(table)) != table:
             raise AuditFailure("a continuous function fails to factor through the hull")
@@ -437,18 +472,14 @@ def ring_correspondence(hull: Hull, seed: int = 0) -> dict:
     if compose((7,) * k) != (7,) * space.n:
         raise AuditFailure("composition does not preserve constants")
 
-    # maximal ideal audit per hull point
+    # maximal ideal audit per hull point: the samples vanishing there, with the zero vector, are
+    # closed under sums iff each is 0 there (add the zero vector), and then so is each product
     zero_vec = (0,) * k
     for pidx in range(k):
         vanishing = [vec for vec in samples if vec[pidx] == 0]
         vanishing.append(zero_vec)
-        for a in vanishing:
-            for b in vanishing:
-                if a[pidx] + b[pidx] != 0:
-                    raise AuditFailure("vanishing functions are not closed under sums")
-            for h in samples:
-                if a[pidx] * h[pidx] != 0:
-                    raise AuditFailure("vanishing set does not absorb products")
+        if any(a[pidx] for a in vanishing):
+            raise AuditFailure("vanishing functions are not closed under sums")
         checked["ideals"] += 1
     # evaluations at two hull points differ iff some continuous function on the
     # space tells their representatives apart, that is iff the representatives

@@ -169,8 +169,11 @@ class TestEval:
         assert B.evaluate("a in b", {"a": a, "b": b}) is False
 
     def test_quantifier_over_atom(self):
-        with pytest.raises(B.QuantifierOverAtom):
-            B.evaluate("(forall x in a) x = x", {"a": a})
+        # an atom has no members, as for `in`
+        assert B.evaluate("(forall x in a) not x = x", {"a": a}) is True
+        assert B.evaluate("(exists x in a) x = x", {"a": a}) is False
+        # the verdict of the hash-order example does not depend on which member comes first
+        assert B.evaluate("(exists x in B)(exists z in x) z = z", {"B": FSet([a, FSet([b])])}) is True
 
     def test_unbound_constant(self):
         with pytest.raises(B.UnboundConstant):
@@ -184,17 +187,27 @@ class TestEval:
         with pytest.raises(B.UnboundConstant):
             B.define_set(B.EMPTY, "(x = a or x = zz)", {"a": a}, var="x")
 
-    def test_connectives_short_circuit(self):
-        # the right side quantifies over an atom, which raises if evaluated
-        bad = "(forall x in a) x = x"
-        env = {"a": a, "b": b}
-        assert B.evaluate(f"(a = b and {bad})", env) is False
-        assert B.evaluate(f"(a = a or {bad})", env) is True
-        assert B.evaluate(f"(a = b => {bad})", env) is True
+    def test_connectives_short_circuit(self, monkeypatch):
+        # the compiled right side counts its evaluations
+        probe, evaluated = B.parse("a in A"), []
+        compile_formula = B._compile
+
+        def compile_counted(f):
+            compiled = compile_formula(f)
+            if f != probe:
+                return compiled
+            return lambda env, pairs: evaluated.append(f) or compiled(env, pairs)
+
+        monkeypatch.setattr(B, "_compile", compile_counted)
+        env = {"a": a, "b": b, "A": A}
+        for lhs, op, want in (("a = b", "and", False), ("a = a", "or", True), ("a = b", "=>", True)):
+            assert B.evaluate(f"({lhs} {op} a in A)", env) is want
+            assert evaluated == []
         # where the left side does not settle it, and always for <=>
         for lhs, op in (("a = a", "and"), ("a = b", "or"), ("a = a", "=>"), ("a = a", "<=>"), ("a = b", "<=>")):
-            with pytest.raises(B.QuantifierOverAtom):
-                B.evaluate(f"({lhs} {op} {bad})", env)
+            B.evaluate(f"({lhs} {op} a in A)", env)
+            assert evaluated == [probe]
+            evaluated.clear()
 
     def test_shadowing(self):
         f = B.parse("(forall a in S) a in S")
@@ -220,8 +233,8 @@ _SINGLE_VALUED = "(forall x in A)(forall y in B)(forall w in B)((<x, y> in F and
 # A formula whose quantifier bodies start with an operand that does not mention
 # the bound variable, next to the same formula with that operand moved out by
 # hand.  Where the moved operand is evaluated, the rewrite first reads the
-# bound through a guard `(exists v in B) v = v`, so an atom bound still raises
-# first and an empty bound still leaves the operand unevaluated.
+# bound through a guard `(exists v in B) v = v`, so an empty bound, or an atom,
+# which has no members, still leaves the operand unevaluated.
 HOISTED_PAIRS = [
     (_SINGLE_VALUED, "(forall x in A)(forall y in B)(not <x, y> in F or (forall w in B)(<x, w> in F => y = w))"),
     (
@@ -287,7 +300,7 @@ class TestHoisting:
                 got = _outcome(f, env)
                 assert got == _outcome(g, env), (hoisted, env)
                 seen.add(got if isinstance(got, bool) else got[0])
-        assert seen == {True, False, B.QuantifierOverAtom}
+        assert seen == {True, False}
 
     # caught mutant: a compiler that never hoists, which evaluates the
     # operand once per member
@@ -315,6 +328,92 @@ class TestHoisting:
             text = f"(forall v{k} in A)(a in A and (v{k} = v{k} and {text}))"
         assert B.evaluate(text, {"a": a, "A": AB}) is True
         assert len(compiled) == 1 + 4 * 12  # the root, and four nodes per level
+
+
+def _model_members(e):
+    """Members of a plain entity: a str has none."""
+    return () if isinstance(e, str) else e
+
+
+def _model_term(t, env):
+    if isinstance(t, B.Name):
+        return env[t.name]
+    if isinstance(t, B.PairTerm):
+        x, y = _model_term(t.first, env), _model_term(t.second, env)
+        return frozenset([frozenset([x]), frozenset([x, y])])
+    return frozenset(_model_term(item, env) for item in t.items)
+
+
+def _model(f, env, atom_bounds):
+    """Truth value over plain nested frozensets of str, every subformula
+    evaluated (no short-circuit, so no order); counts quantifiers over a str."""
+    if isinstance(f, B.Eq):
+        return _model_term(f.lhs, env) == _model_term(f.rhs, env)
+    if isinstance(f, B.Member):
+        return _model_term(f.lhs, env) in _model_members(_model_term(f.rhs, env))
+    if isinstance(f, B.Not):
+        return not _model(f.body, env, atom_bounds)
+    if isinstance(f, B.BinOp):
+        lhs, rhs = _model(f.lhs, env, atom_bounds), _model(f.rhs, env, atom_bounds)
+        return {"and": lhs and rhs, "or": lhs or rhs, "=>": not lhs or rhs, "<=>": lhs == rhs}[f.op]
+    bound = _model_term(f.bound, env)
+    atom_bounds.append(isinstance(bound, str))
+    values = [_model(f.body, {**env, f.var: m}, atom_bounds) for m in _model_members(bound)]
+    return all(values) if f.kind == "forall" else any(values)
+
+
+def _as_entity(e):
+    return Atom(e) if isinstance(e, str) else FSet(map(_as_entity, e))
+
+
+class TestAgainstModel:
+    # caught mutant: a quantifier that raises QuantifierOverAtom when its bound
+    # is an atom, so whether it is reached depends on hash order
+    def test_evaluate_define_set_and_transfer_match_plain_frozenset_model(self):
+        rng = random.Random(2024)
+        names = ["a", "b", "A", "B", "x", "y"]
+        atoms = ["a", "b", "c"]
+
+        def plain(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(atoms)
+            return frozenset(plain(depth - 1) for _ in range(rng.randint(0, 3)))
+
+        def term(depth):
+            roll = rng.random()
+            if depth == 0 or roll < 0.7:
+                return B.Name(rng.choice(names))
+            if roll < 0.85:
+                return B.PairTerm(term(depth - 1), term(depth - 1))
+            return B.SetTerm([term(depth - 1) for _ in range(rng.randint(0, 2))])
+
+        def formula(depth):
+            roll = rng.random()
+            if depth == 0 or roll < 0.25:
+                return (B.Eq if rng.random() < 0.5 else B.Member)(term(1), term(1))
+            if roll < 0.35:
+                return B.Not(formula(depth - 1))
+            if roll < 0.6:
+                op = rng.choice(["and", "or", "=>", "<=>"])
+                return B.BinOp(op, formula(depth - 1), formula(depth - 1))
+            kind = rng.choice(["forall", "exists"])
+            return B.Quant(kind, rng.choice(["x", "y"]), term(1), formula(depth - 1))
+
+        verdicts, atom_bounds = [], []
+        for _ in range(2000):
+            f = formula(4)
+            env = {name: plain(2) for name in names}
+            want = _model(f, env, atom_bounds)
+            entities = {k: _as_entity(v) for k, v in env.items()}
+            assert B.evaluate(f, entities) is want, B.print_formula(f)
+            assert B.check_transfer_finite(f, entities)["standard_truth"] is want
+            if not isinstance(env["B"], str):
+                subset = {m for m in env["B"] if _model(f, {**env, "x": m}, [])}
+                assert B.define_set(entities["B"], f, entities, var="x") == subset
+            verdicts.append(want)
+        # both verdicts, and many quantifiers whose bound is an atom
+        assert 200 < sum(verdicts) < 1800
+        assert sum(atom_bounds) > 500
 
 
 def _live_fsets() -> int:

@@ -243,6 +243,27 @@ class TestSober:
                 dd = bool(a) and F.is_downward_directed(s, a)
                 assert irr == dd
 
+    def test_unordered_pair_scans_equal_ordered_pair_definitions(self):
+        def directed(s, mask):
+            members = [i for i in range(s.n) if mask >> i & 1]
+            return bool(members) and all(
+                any(s.monad_mask(k) & ~(s.monad_mask(i) & s.monad_mask(j)) == 0 for k in members)
+                for i in members
+                for j in members
+            )
+
+        def irreducible(s, a, closed):
+            parts = [c for c in closed if c & a == c and c != a]
+            return bool(a) and not any(x | y == a for x in parts for y in parts)
+
+        spaces = list(all_spaces(4))
+        assert len(spaces) == 389
+        for s in spaces:
+            closed = s.closed_sets()
+            for mask in s.subsets():
+                assert F.is_downward_directed(s, mask) == directed(s, mask)
+                assert F._is_irreducible_closed(s, mask, closed) == irreducible(s, mask, closed)
+
     def test_every_finite_space_is_sober(self):
         for s in all_spaces(4):
             v = F.is_sober(s)
@@ -287,7 +308,7 @@ class TestEnumeration:
 
     def test_too_large(self):
         with pytest.raises(F.TooLarge):
-            list(F.enumerate_topologies(5))
+            list(F.enumerate_topologies(6))
 
     def test_all_results_valid(self):
         for s in F.enumerate_topologies(3):
@@ -318,8 +339,7 @@ class TestEnumeration:
                     want.append(tuple(opens))
             assert [s.opens for s in F.enumerate_topologies(n)] == want
 
-    def test_five_points(self, monkeypatch):
-        monkeypatch.setattr(F, "EXHAUSTIVE_LIMIT", 5)
+    def test_five_points(self):
         start = time.monotonic()
         spaces = list(F.enumerate_topologies(5))
         assert len(spaces) == len({s.opens for s in spaces}) == 6942  # OEIS A000798

@@ -48,6 +48,19 @@ class TestFamilies:
         assert err.value.point == "1"
         assert err.value.monad == {"0", "1"}
 
+    def test_first_failing_member_in_name_order_is_named(self):
+        # f is first in name order though g comes first in the dict; each is
+        # discontinuous at another point
+        fam = {"g": (0, 1, 1), "f": (0, 0, 1)}
+        with pytest.raises(H.DiscontinuousFamilyMember) as err:
+            H.build_hull(FAN3, fam)
+        assert (err.value.name, err.value.point, err.value.monad) == ("f", "2", {"0", "2"})
+        # a wrong length is named only where a member-by-member scan reaches it
+        with pytest.raises(H.DiscontinuousFamilyMember):
+            H.build_hull(FAN3, {"f": (0, 0, 1), "h": (0,)})
+        with pytest.raises(F.SpaceError, match="'e' has 1 values"):
+            H.build_hull(FAN3, {"e": (0,), "f": (0, 0, 1)})
+
     def test_missing_value(self):
         with pytest.raises(F.SpaceError):
             H.validate_family(SIERP, {"f": {"a": 0}})
@@ -178,6 +191,25 @@ class TestHullLaws:
                 hull = H.build_hull(s, fam)
                 for i in range(s.n):
                     assert s.monad_mask(i) == hull.classes[hull.class_of[i]]
+
+    def test_distinguishing_equals_the_point_closed_pair_definition(self):
+        def pairwise(s, family):
+            return all(
+                any(t[i] not in {t[j] for j in range(s.n) if f >> j & 1} for t in family.values())
+                for i in range(s.n)
+                for f in s.closed_sets()
+                if not f >> i & 1
+            )
+
+        verdicts = set()
+        for s in all_spaces(4):
+            families = [H.canonical_family(s), H.clopen_family(s), {}]
+            families += [H.generator_subfamily(s, seed) for seed in range(2)]
+            for fam in families:
+                got = H.distinguishes_points_and_closed_sets(s, fam)
+                assert got == pairwise(s, fam)
+                verdicts.add(got)
+        assert verdicts == {True, False}
 
     def test_embedding_on_discrete(self):
         report = H.hull_report(H.stone_cech_finite(DISC3))
@@ -324,6 +356,94 @@ class TestIntegerSamples:
                 got = H._random_combinations(zp, seed)
                 assert got == expected
                 assert all(type(v) is int for table in got.values() for v in table)
+
+
+def _old_combinations(zp, seed, count=3):
+    rng = random.Random(seed)
+    fams = {}
+    for t in range(count):
+        per_block = [6 * rng.randint(-3, 3) // rng.randint(1, 3) for _ in zp.blocks]
+        shift = 6 * rng.randint(-1, 1)
+        fams[f"g{t}"] = tuple([per_block[b] + shift for b in zp.block_of])
+    return fams
+
+
+def _old_subfamily(space, seed):
+    zp = F.z_partition(space)
+    rng = random.Random(seed)
+    indicators = [zp.indicator(k) for k in range(len(zp.blocks))]
+    fam = {}
+    for t, ind in enumerate(indicators):
+        if rng.random() < 0.7:
+            fam[f"ind{t}"] = ind
+    for t in range(rng.randint(0, 2)):
+        a, b = rng.choice(indicators), rng.choice(indicators)
+        fam[f"sum{t}"] = tuple([x + y for x, y in zip(a, b)])
+        fam[f"prod{t}"] = tuple([x * y for x, y in zip(a, b)])
+    for t in range(rng.randint(0, 2)):
+        c = 6 * rng.randint(-3, 3) // rng.randint(1, 3)
+        a = rng.choice(indicators)
+        fam[f"scale{t}"] = tuple([c * x for x in a])
+    return fam
+
+
+def _old_ring_draws(seed, k, blocks):
+    rng = random.Random(seed)
+    samples = [tuple(6 * rng.randint(-4, 4) // rng.randint(1, 3) for _ in range(k)) for _ in range(6)]
+    samples += [tuple([6 * (t == j) for t in range(k)]) for j in range(k)]
+    block_draws = [[rng.randint(-4, 4) for _ in range(blocks)] for _ in range(6)]
+    return samples, block_draws
+
+
+class TestDrawsPerShape:
+    """The draws kept per (seed, shape) equal fresh draws in the old call order."""
+
+    def test_families_and_ring_draws_equal_fresh_draws(self):
+        spaces = list(all_spaces(4))
+        assert len(spaces) == 389
+        for seed in range(5):
+            for other in (None, seed + 100):
+                for s in spaces:
+                    zp = F.z_partition(s)
+                    k = len(H.stone_cech_finite(s).classes)
+                    if other is not None:  # draws for another seed first
+                        H._random_combinations(zp, other)
+                        H.generator_subfamily(s, other)
+                        H._ring_draws(other, k, len(zp.blocks))
+                    assert H._random_combinations(zp, seed) == _old_combinations(zp, seed)
+                    assert H.generator_subfamily(s, seed) == _old_subfamily(s, seed)
+                    samples, block_draws = H._ring_draws(seed, k, len(zp.blocks))
+                    assert (list(samples), [list(d) for d in block_draws]) == _old_ring_draws(
+                        seed, k, len(zp.blocks)
+                    )
+
+
+class TestQuotientMaps:
+    def test_class_loops_equal_point_loops(self, monkeypatch):
+        hulls = []
+        build_quotient = H._build_quotient
+
+        def recording(*args):
+            hulls.append(build_quotient(*args))
+            return hulls[-1]
+
+        monkeypatch.setattr(H, "_build_quotient", recording)
+        assert H.hull_theorem_audit(all_spaces(4))["all_passed"]
+        assert len(hulls) == 389 * 7
+        for hull in hulls:
+            n, k = hull.source.n, len(hull.classes)
+            for mask in range(1 << n):
+                image = 0
+                for i in range(n):
+                    if mask >> i & 1:
+                        image |= 1 << hull.class_of[i]
+                assert hull.q_image_mask(mask) == image
+            for mask in range(1 << k):
+                pre = 0
+                for i in range(n):
+                    if mask >> hull.class_of[i] & 1:
+                        pre |= 1 << i
+                assert hull.q_preimage_mask(mask) == pre
 
 
 class TestHullAudit:
