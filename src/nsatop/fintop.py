@@ -13,6 +13,7 @@ from frozensets of point labels.
 from __future__ import annotations
 
 import random
+import weakref
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -70,10 +71,24 @@ def _partition_by(n: int, key) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(classes), tuple(class_of)
 
 
+class _Facts(dict):
+    """The facts of one topology: a dict that can be weakly referenced."""
+
+    __slots__ = ("__weakref__",)
+
+
+# (n, opens) -> the fact table every live space with that topology shares; an
+# entry goes when the last such space does
+_FACT_TABLES: weakref.WeakValueDictionary[tuple, _Facts] = weakref.WeakValueDictionary()
+
+
 class FinSpace:
-    """A validated finite topological space.  Monads are computed on
+    """A validated finite topological space.  Monads are read on
     construction; every other fact (closed sets, z-blocks, point closures,
-    the disjoint-open table, decider verdicts) on its first read, and kept."""
+    the disjoint-open table, decider verdicts) on its first read.  Each is
+    computed once and kept in a table shared by every live space with the
+    same n and opens: facts are masks and booleans, never labels, so
+    relabelled spaces may share them."""
 
     __slots__ = ("points", "opens", "n", "full", "_index", "_monad", "_opens_set", "_facts")
 
@@ -90,16 +105,11 @@ class FinSpace:
             masks = _check_topology(masks, self.full)
         object.__setattr__(self, "opens", masks)
         object.__setattr__(self, "_opens_set", frozenset(masks))
-        object.__setattr__(self, "_facts", {})
-        monad = []
-        for i in range(self.n):
-            m = self.full
-            bit = 1 << i
-            for o in masks:
-                if o & bit:
-                    m &= o
-            monad.append(m)
-        object.__setattr__(self, "_monad", tuple(monad))
+        facts = _FACT_TABLES.get((self.n, masks))
+        if facts is None:
+            facts = _FACT_TABLES[self.n, masks] = _Facts()
+        object.__setattr__(self, "_facts", facts)
+        object.__setattr__(self, "_monad", self._fact("monads", _monads))
 
     def _fact(self, key, build):
         """The fact `key`: build(self) on its first read, the kept value after."""
@@ -235,6 +245,19 @@ class FinSpace:
     def describe(self) -> str:
         opens = ",".join("{" + ",".join(str(x) for x in o) + "}" for o in self.opens_as_labels())
         return f"[{','.join(str(p) for p in self.points)}; {opens}]"
+
+
+def _monads(space: FinSpace) -> tuple[int, ...]:
+    """For each point, the intersection of the opens that hold it."""
+    monad = []
+    for i in range(space.n):
+        m = space.full
+        bit = 1 << i
+        for o in space.opens:
+            if o & bit:
+                m &= o
+        monad.append(m)
+    return tuple(monad)
 
 
 def _closed_sets(space: FinSpace) -> tuple[int, ...]:
@@ -497,7 +520,8 @@ def is_normal(space: FinSpace) -> PropertyVerdict:
         if mu[a] & mu[b]:
             holds = False
             witness = witness or [space.sorted_labels(a), space.sorted_labels(b)]
-    return PropertyVerdict("normal", holds, _classically_normal(space), {}, witness)
+    oracle = space._fact("classically_normal", _classically_normal)  # shared with is_z_normal
+    return PropertyVerdict("normal", holds, oracle, {}, witness)
 
 
 # -- zero-set blocks ---------------------------------------------------------------
@@ -600,7 +624,8 @@ def is_z_normal(space: FinSpace) -> PropertyVerdict:
         if zp.mu_z_set(a) & zp.mu_z_set(b):
             holds = False
             witness = witness or [space.sorted_labels(a), space.sorted_labels(b)]
-    return PropertyVerdict("z_normal", holds, _classically_normal(space), {}, witness)
+    oracle = space._fact("classically_normal", _classically_normal)  # shared with is_normal
+    return PropertyVerdict("z_normal", holds, oracle, {}, witness)
 
 
 def _discontinuity(space: FinSpace, values: Sequence) -> Optional[int]:
@@ -914,11 +939,11 @@ def theorem_audit(spaces: Iterable[FinSpace]) -> dict:
     for space in spaces:
         count += 1
         verdicts = {name: PROPERTY_CHECKS[name](space) for name in PROPERTY_CHECKS}
-        desc = space.describe()
+        named = []  # (list, suffix) for each entry naming this space, in check order
         for name, v in verdicts.items():
             space._facts[name] = v.holds  # what _holds reads in the hull audits
             if not v.agree:
-                checks["monad_oracle_agreement"].append(f"{desc}:{v.name}")
+                named.append((checks["monad_oracle_agreement"], f":{v.name}"))
         t0 = verdicts["t0"].holds
         wh = verdicts["weakly_hausdorff"].holds
         t2 = verdicts["t2"].holds
@@ -926,23 +951,23 @@ def theorem_audit(spaces: Iterable[FinSpace]) -> dict:
         nor = verdicts["normal"].holds
         sob = verdicts["sober"].holds
         if t0 and wh and not t2:
-            checks["t0_and_weakly_hausdorff_implies_hausdorff"].append(desc)
+            named.append((checks["t0_and_weakly_hausdorff_implies_hausdorff"], ""))
         if t0 and reg and not t2:
-            checks["t0_and_regular_implies_hausdorff"].append(desc)
+            named.append((checks["t0_and_regular_implies_hausdorff"], ""))
         if t2 and not reg:
-            checks["hausdorff_implies_regular"].append(desc)
+            named.append((checks["hausdorff_implies_regular"], ""))
         if reg and not nor:
-            checks["regular_implies_normal"].append(desc)
+            named.append((checks["regular_implies_normal"], ""))
         if t2 and not sob:
-            checks["hausdorff_implies_sober"].append(desc)
+            named.append((checks["hausdorff_implies_sober"], ""))
         if not sob:
-            checks["every_finite_space_sober"].append(desc)
+            named.append((checks["every_finite_space_sober"], ""))
         # the star space equals the space, so its verdicts are the ones above
         star_is_space = _star_space(space) == space
         if not star_is_space:
-            checks["star_space_normal_iff_normal"].append(desc)
+            named.append((checks["star_space_normal_iff_normal"], ""))
         if not star_is_space or reg != all(space.is_closed(o) for o in space.opens):
-            checks["star_space_regular_iff_all_opens_clopen"].append(desc)
+            named.append((checks["star_space_regular_iff_all_opens_clopen"], ""))
         # is_sober decided this equivalence; the closed sets are walked only to name failures
         if not verdicts["sober"].forms["irreducible_iff_directed"]:
             closed = space.closed_sets()
@@ -950,11 +975,15 @@ def theorem_audit(spaces: Iterable[FinSpace]) -> dict:
                 if _is_irreducible_closed(space, a, closed) != (
                     bool(a) and is_downward_directed(space, a)
                 ):
-                    checks["irreducible_iff_downward_directed"].append(
-                        f"{desc}:{space.sorted_labels(a)}"
+                    named.append(
+                        (checks["irreducible_iff_downward_directed"], f":{space.sorted_labels(a)}")
                     )
         if not t0:
-            descriptive["finite_star_space_t0"].append(desc)
+            named.append((descriptive["finite_star_space_t0"], ""))
+        if named:  # the description is built only for a space some list names
+            desc = space.describe()
+            for entries, suffix in named:
+                entries.append(desc + suffix)
     report = {
         "spaces_checked": count,
         "asserted": {

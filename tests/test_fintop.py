@@ -1,3 +1,4 @@
+import gc
 import time
 
 import pytest
@@ -474,6 +475,43 @@ class TestSpaceFacts:
                 pairs += [(a, b) for a in closed for b in closed]
             for a, b in pairs:
                 assert F._separated_by_disjoint_opens(s, a, b) == _separated_pairwise(s, a, b)
+
+    def test_shared_facts_do_not_depend_on_labels(self):
+        spaces = list(all_spaces(4))
+        F.theorem_audit(spaces)  # reads every kind of fact
+        computes = {
+            "monads": F._monads,
+            "closed": F._closed_sets,
+            "point_closures": F._point_closures,
+            "zblocks": F._z_blocks,
+            "disjoint": F._disjoint_unions,
+            "classically_normal": F._classically_normal,
+        }
+        for name, decide in F.PROPERTY_CHECKS.items():
+            computes[name] = lambda s, decide=decide: decide(s).holds
+        for s in spaces:
+            assert set(s._facts) <= set(computes)  # a one-point space reads no disjoint table
+            labels = [f"p{s.n - i}" for i in range(s.n)]
+            relabelled = F.FinSpace(labels, s.opens)
+            assert relabelled._facts is s._facts
+            fresh = F.FinSpace(labels, s.opens)
+            object.__setattr__(fresh, "_facts", F._Facts())  # a table of its own
+            for key, compute in computes.items():
+                assert relabelled._fact(key, compute) == fresh._fact(key, compute), key
+            assert [v.holds for v in F.check_properties(relabelled)] == [
+                F._holds(fresh, name) for name in F.PROPERTY_CHECKS
+            ]
+
+    def test_tables_go_with_their_spaces(self):
+        spaces = list(all_spaces(4))
+        assert all((s.n, s.opens) in F._FACT_TABLES for s in spaces)
+        del spaces
+        assert cli.run_full_audit(4)["all_passed"]
+        gc.collect()
+        # every table left belongs to a space still alive (other modules keep a few)
+        live = {(s.n, s.opens) for s in gc.get_objects() if type(s) is F.FinSpace}
+        assert set(F._FACT_TABLES.keys()) <= live
+        assert sum(n == 4 for n, _ in F._FACT_TABLES.keys()) < 355
 
     def test_each_decider_runs_once_per_enumerated_space(self, monkeypatch):
         enumerated, calls = {}, {}

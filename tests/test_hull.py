@@ -126,6 +126,33 @@ class TestBuildHull:
         assert ints.lifted == fracs.lifted == {"f": (0, 1)}
 
 
+def _tampered_z_partition(tamper, changed):
+    """A z_partition whose block map is tamper(block_of), with blocks to match;
+    the description of each space whose map it changes is appended to changed."""
+
+    def z_partition(space):
+        zp = F.z_partition(space)
+        block_of = tamper(zp.block_of)
+        if block_of != zp.block_of:
+            changed.append(space.describe())
+            zp.block_of = block_of
+            zp.blocks = tuple(
+                sum(1 << i for i, b in enumerate(block_of) if b == t) for t in range(max(block_of) + 1)
+            )
+        return zp
+
+    return z_partition
+
+
+def _merge_first_two(block_of):
+    return tuple([max(b - 1, 0) for b in block_of])
+
+
+def _move_last_point(block_of):
+    """The last point moves to the next block: as many blocks, unless it was alone."""
+    return block_of[:-1] + ((block_of[-1] + 1) % (max(block_of) + 1),)
+
+
 class TestStoneCechHewitt:
     def test_discrete_space_is_its_own_hull(self):
         hull = H.stone_cech_finite(DISC3)
@@ -157,18 +184,9 @@ class TestStoneCechHewitt:
     def test_audit_catches_merged_z_blocks(self, monkeypatch):
         spaces = list(all_spaces(3))
         assert H.hull_theorem_audit(spaces)["asserted"]["stone_cech_equals_hewitt"]["passed"]
-        z_partition, merged = F.z_partition, []
-
-        def merge_first_two_blocks(space):
-            zp = z_partition(space)
-            if len(zp.blocks) > 1:
-                merged.append(space.describe())
-                zp.blocks = (zp.blocks[0] | zp.blocks[1],) + zp.blocks[2:]
-                zp.block_of = tuple([max(b - 1, 0) for b in zp.block_of])
-            return zp
-
+        merged = []
         # the Stone-Cech hull reads z-blocks, the Hewitt hull only opens
-        monkeypatch.setattr(H, "z_partition", merge_first_two_blocks)
+        monkeypatch.setattr(H, "z_partition", _tampered_z_partition(_merge_first_two, merged))
         report = H.hull_theorem_audit(spaces)
         found = report["asserted"]["stone_cech_equals_hewitt"]["counterexamples"]
         assert found and set(found) <= set(merged)
@@ -323,22 +341,27 @@ def _outcome(audit, hull, seed):
         return str(exc)
 
 
+def _redrawn_hulls():
+    """(hull, seed): for each space on at most 4 points and seeds 0-4, the real
+    Stone-Cech hull and a tampered one whose class map is redrawn at random
+    within range(k), so classes merge or go empty."""
+    rng = random.Random(0)
+    for s in all_spaces(4):
+        sc = H.stone_cech_finite(s)
+        k = len(sc.classes)
+        for seed in range(5):
+            class_of = tuple(rng.randrange(k) for _ in range(s.n))
+            yield sc, seed
+            yield H.Hull(s, sc.classes, sc.quotient, class_of, sc.kind, sc.family), seed
+
+
 class TestIntegerSamples:
     def test_ring_audit_matches_fraction_reference(self):
-        # the real Stone-Cech hull, and tampered hulls whose class map is
-        # redrawn at random within range(k), so classes merge or go empty
-        rng = random.Random(0)
         outcomes = set()
-        for s in all_spaces(4):
-            sc = H.stone_cech_finite(s)
-            k = len(sc.classes)
-            for seed in range(5):
-                class_of = tuple(rng.randrange(k) for _ in range(s.n))
-                tampered = H.Hull(s, sc.classes, sc.quotient, class_of, sc.kind, sc.family)
-                for hull in (sc, tampered):
-                    got = _outcome(H.ring_correspondence, hull, seed)
-                    assert got == _outcome(_fraction_ring_correspondence, hull, seed)
-                    outcomes.add(got if isinstance(got, str) else "passed")
+        for hull, seed in _redrawn_hulls():
+            got = _outcome(H.ring_correspondence, hull, seed)
+            assert got == _outcome(_fraction_ring_correspondence, hull, seed)
+            outcomes.add(got if isinstance(got, str) else "passed")
         # both verdicts occur, and more than one kind of failure
         assert "passed" in outcomes and len(outcomes) >= 3
 
@@ -356,6 +379,48 @@ class TestIntegerSamples:
                 got = H._random_combinations(zp, seed)
                 assert got == expected
                 assert all(type(v) is int for table in got.values() for v in table)
+
+
+def _uncached_ring_correspondence(hull, seed=0):
+    """The body ring_correspondence keeps per key, run afresh on the hull's values."""
+    zp = H.z_partition(hull.source)
+    checked = H._ring_audit.__wrapped__(seed, hull.classes, hull.class_of, zp.block_of, len(zp.blocks))
+    return {"checked": checked, "failures": []}
+
+
+class TestRingMemo:
+    """A kept ring audit equals the body run afresh, whichever hull filled its key first."""
+
+    def test_kept_results_equal_the_body(self, monkeypatch):
+        cases = list(_redrawn_hulls())
+        assert len(cases) == 3890
+        for s in all_spaces(4):  # the classes of the Stone-Cech hull, reordered
+            sc = H.stone_cech_finite(s)
+            cases.append((H.Hull(s, sc.classes[::-1], sc.quotient, sc.class_of, sc.kind, {}), 0))
+        outcomes = set()
+        for hull, seed in cases:
+            got = _outcome(H.ring_correspondence, hull, seed)
+            assert got == _outcome(_uncached_ring_correspondence, hull, seed)
+            outcomes.add(got if isinstance(got, str) else "passed")
+        assert "passed" in outcomes and len(outcomes) >= 3
+
+        # keys with the classes and class maps read above, and tampered z-blocks: merged
+        # ones (one block fewer), and ones with a point moved (mostly as many blocks)
+        for tamper in (_merge_first_two, _move_last_point):
+            changed = []
+            monkeypatch.setattr(H, "z_partition", _tampered_z_partition(tamper, changed))
+            for hull, seed in cases[::2]:
+                got = _outcome(H.ring_correspondence, hull, seed)
+                assert got == _outcome(_uncached_ring_correspondence, hull, seed)
+            assert changed
+
+    def test_reports_are_fresh(self):
+        sc = H.stone_cech_finite(SIERP_PLUS)
+        report = H.ring_correspondence(sc)
+        expected = {"checked": dict(report["checked"]), "failures": []}
+        report["checked"]["bijection"] = -1
+        report["failures"].append("changed by the caller")
+        assert H.ring_correspondence(sc) == expected
 
 
 def _old_combinations(zp, seed, count=3):
