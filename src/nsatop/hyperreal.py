@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .poly import Poly, _frac_str, _power
+from .poly import Poly, _frac_str
 
 
 class HyperrealError(Exception):
@@ -132,6 +132,25 @@ def _reduce_ramification(num: Poly, den: Poly, ram: int) -> tuple[Poly, Poly, in
     return num, den, ram
 
 
+def _settle(h: "Hyperreal", num: Poly, den: Poly, ram: int) -> "Hyperreal":
+    """Fill h with coprime num/den: the lowest coefficient of den scaled to 1,
+    the ramification reduced (decimation keeps a coprime pair coprime)."""
+    if not num.ints:
+        num, den, ram = Poly.ZERO, Poly.ONE, 1
+    elif den.ints[0] != den.den:
+        s = Fraction(den.den, den.ints[0])
+        num, den = num.scale(s), den.scale(s)
+    num, den, ram = _reduce_ramification(num, den, ram)
+    object.__setattr__(h, "num", num)
+    object.__setattr__(h, "den", den)
+    object.__setattr__(h, "ram", ram)
+    return h
+
+
+def _from_coprime(num: Poly, den: Poly, ram: int) -> "Hyperreal":
+    return _settle(object.__new__(Hyperreal), num, den, ram)
+
+
 class Hyperreal:
     """Canonical quotient num/den of polynomials in e**(1/ram).
 
@@ -151,9 +170,7 @@ class Hyperreal:
             raise ZeroDenominator("denominator is the zero polynomial")
         if ram < 1:
             raise ValueError("ramification must be a positive integer")
-        if num.is_zero():
-            num, den, ram = Poly.ZERO, Poly.ONE, 1
-        else:
+        if num.ints:
             # strip the common power of the variable and reduce the
             # ramification early; both shrink the gcd computation
             common = min(num.valuation, den.valuation)
@@ -163,16 +180,8 @@ class Hyperreal:
             if num.degree > 0 and den.degree > 0:
                 g = num.gcd(den)
                 if g.degree > 0:
-                    # one side has valuation 0, so g has a nonzero constant term
                     num, den = num.exact_div(g), den.exact_div(g)
-            low = den.lowest
-            if low != 1:
-                num, den = num.scale(1 / low), den.scale(1 / low)
-            # cancellation can expose a further ramification reduction
-            num, den, ram = _reduce_ramification(num, den, ram)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "ram", ram)
+        _settle(self, num, den, ram)
 
     def __setattr__(self, *args):
         raise AttributeError("Hyperreal is immutable")
@@ -221,16 +230,25 @@ class Hyperreal:
         )
 
     def __add__(self, other) -> "Hyperreal":
+        """Henrici's sum (TAOCP 4.5.1): a common factor can only divide gcd(ad, bd)."""
         other = _coerce(other)
         if other is None:
             return NotImplemented
         an, ad, bn, bd, m = self._rebase(other)
-        return Hyperreal(an * bd + bn * ad, ad * bd, m)
+        g = ad.gcd(bd)
+        if not g.degree:
+            return _from_coprime(an * bd + bn * ad, ad * bd, m)
+        ad = ad.exact_div(g)
+        t = an * bd.exact_div(g) + bn * ad
+        g = t.gcd(g)
+        if g.degree:
+            t, bd = t.exact_div(g), bd.exact_div(g)
+        return _from_coprime(t, ad * bd, m)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Hyperreal":
-        return Hyperreal(-self.num, self.den, self.ram)
+        return _from_coprime(-self.num, self.den, self.ram)
 
     def __sub__(self, other) -> "Hyperreal":
         other = _coerce(other)
@@ -242,18 +260,25 @@ class Hyperreal:
         return (-self) + other
 
     def __mul__(self, other) -> "Hyperreal":
+        """Henrici's product: a common factor can only divide an and bd, or bn and ad."""
         other = _coerce(other)
         if other is None:
             return NotImplemented
         an, ad, bn, bd, m = self._rebase(other)
-        return Hyperreal(an * bn, ad * bd, m)
+        g = an.gcd(bd)
+        if g.degree:
+            an, bd = an.exact_div(g), bd.exact_div(g)
+        g = bn.gcd(ad)
+        if g.degree:
+            bn, ad = bn.exact_div(g), ad.exact_div(g)
+        return _from_coprime(an * bn, ad * bd, m)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Hyperreal":
         if self.num.is_zero():
             raise DivisionByZero("inverse of zero")
-        return Hyperreal(self.den, self.num, self.ram)
+        return _from_coprime(self.den, self.num, self.ram)
 
     def __truediv__(self, other) -> "Hyperreal":
         other = _coerce(other)
@@ -267,29 +292,41 @@ class Hyperreal:
     def __pow__(self, n: int) -> "Hyperreal":
         if n < 0:
             return self.inverse() ** (-n)
-        return _power(self, n, Hyperreal.from_rational(1))
+        return _from_coprime(self.num**n, self.den**n, self.ram)
 
     # -- order -------------------------------------------------------------------
 
     def sign(self) -> int:
         """Sign of the element as e -> 0+ (the lowest Laurent coefficient)."""
-        if self.num.is_zero():
+        if not self.num.ints:
             return 0
-        low = self.num.lowest
-        return 1 if low > 0 else -1
+        return 1 if self.num.ints[0] > 0 else -1
 
     def _order_sign(self, other: "Hyperreal") -> int:
         """Sign of self - other without building it.
 
-        self - other = (an*bd - bn*ad) / (ad*bd), and the lowest coefficient
-        of ad*bd is positive, so the sign is that of the lowest coefficient
-        of an*bd - bn*ad.
+        self - other = (an*bd - bn*ad) / (ad*bd) on the common ramification.
+        Each den has lowest coefficient 1, so an*bd and bn*ad have the lowest
+        terms of an and bn, at valuations an.val + bd.val and bn.val + ad.val;
+        the difference is formed only when those two terms cancel.
         """
+        a, b, sa, sb = self.num, other.num, self.sign(), other.sign()
+        if not (sa and sb):
+            return sa - sb
+        g = math.gcd(self.ram, other.ram)
+        ka, kb = other.ram // g, self.ram // g
+        va = a.val * ka + other.den.val * kb
+        vb = b.val * kb + self.den.val * ka
+        if va != vb:
+            return sa if va < vb else -sb
+        x, y = a.ints[0] * b.den, b.ints[0] * a.den
+        if x != y:
+            return 1 if x > y else -1
         an, ad, bn, bd, _ = self._rebase(other)
         diff = an * bd - bn * ad
-        if diff.is_zero():
+        if not diff.ints:
             return 0
-        return 1 if diff.lowest > 0 else -1
+        return 1 if diff.ints[0] > 0 else -1
 
     def __lt__(self, other) -> bool:
         other = _coerce(other)
@@ -440,7 +477,7 @@ def nth_root(a: Hyperreal, n: int) -> Hyperreal:
     # vn - vd becomes an exact exponent again
     num = Poly.monomial(vn) * rn.stretch(n)
     den = Poly.monomial(vd) * rd.stretch(n)
-    return Hyperreal(num, den, a.ram * n)
+    return _from_coprime(num, den, a.ram * n)
 
 
 _INTERVAL_KINDS = {

@@ -272,12 +272,12 @@ class Poly:
         return _from_ints([c * other.den for c in q], den), _from_ints(rem, den)
 
     def exact_div(self, other: "Poly") -> "Poly":
-        """self / other for a divisor of self with a nonzero constant term.
+        """self / other for a divisor other of self.
 
-        Such a divisor divides the part above the valuation, so the long
-        division never pads self to dense form."""
-        q = self.shift_down(self.val).divmod(other)[0]
-        return _new(q.ints, q.den, q.val + self.val)
+        The part of other above its valuation divides the part of self above
+        its own, so the long division never pads either side to dense form."""
+        q = self.shift_down(self.val).divmod(other.shift_down(other.val))[0]
+        return _new(q.ints, q.den, q.val + self.val - other.val) if q.ints else q
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
@@ -297,13 +297,16 @@ class Poly:
         """Monic greatest common divisor (primitive remainder sequence).
 
         Neither ``ints`` has a root at 0, so the power of x in the gcd is
-        the smaller valuation and the remainder sequence runs on ``ints``.
+        the smaller valuation and the remainder sequence runs on ``ints``;
+        a monomial has no other factor, so then that power is the gcd.
         """
         if self.is_zero():
             return other.monic()
         if other.is_zero():
             return self.monic()
         a, b = self.ints, other.ints
+        if len(a) == 1 or len(b) == 1:
+            return _new((1,), 1, min(self.val, other.val))
         if len(a) < len(b):
             a, b = b, a
         while b:

@@ -1,3 +1,6 @@
+import functools
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,7 +10,7 @@ from nsatop import hyperreal as H
 from nsatop.hyperreal import Classification, EPSILON, Hyperreal, ONE, StandardPart, ZERO
 from nsatop.poly import Poly
 
-from helpers import rand_finite, rand_hyperreal, rand_infinitesimal
+from helpers import rand_finite, rand_fraction, rand_hyperreal, rand_infinitesimal
 
 
 def H_(text):
@@ -67,6 +70,102 @@ class TestArithmetic:
         assert EPSILON * Fraction(1, 2) == H_("e/2")
 
 
+# -- results from reduced operands against the general constructor ---------------
+
+RAMS = (1, 2, 3, 4, 6)
+
+
+def _rebased(a, b):
+    """Both operands' num and den stretched to the common ramification."""
+    m = math.lcm(a.ram, b.ram)
+    ka, kb = m // a.ram, m // b.ram
+    return (a.num.stretch(ka), a.den.stretch(ka), b.num.stretch(kb), b.den.stretch(kb), m)
+
+
+def _product(factors):
+    return functools.reduce(operator.mul, factors, Poly.ONE)
+
+
+def _assert_canonical(x):
+    assert x.num.gcd(x.den) == Poly.ONE, x
+    assert x.den.lowest == 1, x
+    assert H._reduce_ramification(x.num, x.den, x.ram) == (x.num, x.den, x.ram), x
+
+
+def _shared_factor_pair(rng):
+    """a and b built, by the general constructor, from products of a few
+    shared linear factors (x itself among them), so that gcd(ad, bd),
+    gcd(an, bd) and gcd(bn, ad) are often not 1; b is sometimes s - a or
+    s / a for such an s, so that the sum or product cancels further."""
+    pool = [Poly.X] + [Poly((rand_fraction(rng), 1)) for _ in range(2)]
+    ram = rng.choice(RAMS)
+
+    def raw():
+        num = Poly.const(rand_fraction(rng) or 1)
+        den = Poly.const(rng.randint(1, 3))
+        for _ in range(rng.randint(0, 3)):
+            num = num * rng.choice(pool)
+        for _ in range(rng.randint(0, 3)):
+            den = den * rng.choice(pool)
+        return num, den
+
+    an, ad = raw()
+    bn, bd = raw()
+    kind = rng.randrange(3)
+    if kind == 1:
+        bn, bd = bn * ad - an * bd, bd * ad
+    elif kind == 2:
+        bn, bd = bn * ad, bd * an
+    return Hyperreal(an, ad, ram), Hyperreal(bn, bd, ram)
+
+
+def check_reduced_operands(pairs, seed):
+    """Check +, -, *, /, negation, inverse, powers and the square root of a
+    square on `pairs` seeded pairs against the general constructor applied to
+    the rebased raw products, and check that every result is canonical.  Half
+    the pairs come from rand_hyperreal and half from _shared_factor_pair.
+    Returns how many pairs had a common factor in gcd(ad, bd), in the sum's
+    second gcd, and in a cross gcd of the product."""
+    rng = random.Random(seed)
+    hits = {"add": 0, "add_g2": 0, "mul": 0}
+    for i in range(pairs):
+        if i % 2:
+            a, b = _shared_factor_pair(rng)
+        else:
+            a, b = (rand_hyperreal(rng, rams=RAMS) for _ in range(2))
+        an, ad, bn, bd, m = _rebased(a, b)
+        k = rng.randint(0, 5)
+        cases = [
+            (a + b, Hyperreal(an * bd + bn * ad, ad * bd, m)),
+            (a - b, Hyperreal(an * bd - bn * ad, ad * bd, m)),
+            (a * b, Hyperreal(an * bn, ad * bd, m)),
+            (-a, Hyperreal(-a.num, a.den, a.ram)),
+            (a**k, Hyperreal(_product([a.num] * k), _product([a.den] * k), a.ram)),
+        ]
+        if b.num:
+            cases.append((a / b, Hyperreal(an * bd, ad * bn, m)))
+        if a.num:
+            cases.append((a.inverse(), Hyperreal(a.den, a.num, a.ram)))
+            cases.append((H.nth_root(a * a, 2), Hyperreal(a.num.scale(a.sign()), a.den, a.ram)))
+        for got, want in cases:
+            _assert_canonical(got)
+            assert (got.num, got.den, got.ram) == (want.num, want.den, want.ram), (a, b, k)
+        g = ad.gcd(bd)
+        if g.degree:
+            hits["add"] += 1
+            t = an * bd.exact_div(g) + bn * ad.exact_div(g)
+            hits["add_g2"] += t.gcd(g).degree > 0
+        hits["mul"] += an.gcd(bd).degree > 0 or bn.gcd(ad).degree > 0
+    return hits
+
+
+class TestReducedOperands:
+    def test_results_equal_the_general_constructor(self):
+        hits = check_reduced_operands(5000, seed=43)
+        # every path of the sum and the product ran, the rarer ones too
+        assert min(hits.values()) >= 250, hits
+
+
 class TestOrder:
     def test_sign(self):
         assert H.sign(EPSILON) == 1
@@ -94,23 +193,28 @@ class TestOrder:
                 assert ZERO < a * b
 
     def test_operators_agree_with_compare(self):
-        # compare() subtracts and reads the sign; the operators do not
+        # compare() subtracts and reads the sign; the operators read the
+        # lowest terms and subtract only when those tie, as a and a + c*e^k
+        # do whenever e^k lies above a's lowest term
         rng = random.Random(41)
-        rams = set()
+        rams, ties = set(), 0
         for _ in range(400):
             a = rand_hyperreal(rng, rams=(1, 2, 3))
             b = rng.choice((a, rand_hyperreal(rng, rams=(1, 2, 3))))
             rams.update((a.ram, b.ram))
             q = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-            for lhs, rhs, c in (
-                (a, b, H.compare(a, b)),
-                (a, q, H.compare(a, Hyperreal.from_rational(q))),
-                (q, a, H.compare(Hyperreal.from_rational(q), a)),
+            near = a + Hyperreal(Poly.monomial(rng.randint(0, 4), rng.choice((-1, 0, 1))))
+            if near != a and a.sign():
+                ties += (a.order(), a.num.lowest) == (near.order(), near.num.lowest)
+            for lhs, rhs in (
+                (a, b), (a, near), (near, a), (a, q), (q, a), (a, ZERO), (ZERO, a), (ZERO, ZERO)
             ):
+                c = H.compare(lhs, rhs)
                 assert (lhs < rhs, lhs <= rhs, lhs > rhs, lhs >= rhs) == (
                     c < 0, c <= 0, c > 0, c >= 0
                 ), (lhs, rhs)
         assert {1, 2, 3} <= rams
+        assert ties >= 100, ties
 
     def test_order_rejects_non_numbers(self):
         for other in ("x", 0.5):

@@ -196,6 +196,8 @@ def _rand_sparse(rng):
 
 def test_stored_valuation_against_dense_oracle():
     rng = random.Random(11)
+    # a second stream, so that the first draws the same pairs as it always has
+    mono_rng = random.Random(12)
     for _ in range(300):
         (a, da), (b, db) = _rand_sparse(rng), _rand_sparse(rng)
         assert list(a.coeffs) == da
@@ -221,6 +223,16 @@ def test_stored_valuation_against_dense_oracle():
             results += [(q, _dense_divmod(da, db)[0]), (r, _dense_divmod(da, db)[1])]
             if a:
                 results.append((a.gcd(b), _dense_gcd(da, db)))
+            # a divisor with a positive valuation, and a monomial operand of gcd
+            quotient = (a * b).exact_div(b)
+            results.append((quotient, da))
+            assert quotient == (a * b).divmod(b)[0]
+            c = Fraction(mono_rng.choice((-3, -1, 1, 2)), mono_rng.randint(1, 3))
+            dm = [Fraction(0)] * mono_rng.randint(0, 40) + [c]
+            for x, dx in ((a, da), (b, db)):
+                if x:
+                    results.append((x.gcd(Poly(dm)), _dense_gcd(dx, dm)))
+                    results.append((Poly(dm).gcd(x), _dense_gcd(dm, dx)))
         for got, want in results:
             assert_canonical(got)
             assert list(got.coeffs) == want
