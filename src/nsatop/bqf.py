@@ -10,7 +10,12 @@ transfer an identity that can be checked, not assumed.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, NoReturn, Optional, Union
+import re
+from typing import Iterable, Optional, Union
+
+# MAX_DEPTH, the shared parser's nesting limit, bounds formulas and entities
+# here too; evaluation, printing and hashing recurse once per level
+from .hyperreal import MAX_DEPTH, _TermParser
 
 
 class BqfError(Exception):
@@ -20,14 +25,9 @@ class BqfError(Exception):
 class FormulaSyntaxError(BqfError):
     """Bad formula text; `position` is the character offset of the culprit."""
 
-    def __init__(self, message: str, position: int, expected: tuple = ()):
-        detail = f"{message} (at position {position}"
-        if expected:
-            detail += f", expected one of {', '.join(expected)}"
-        detail += ")"
-        super().__init__(detail)
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
         self.position = position
-        self.expected = expected
 
 
 class UnboundedQuantifier(BqfError):
@@ -43,13 +43,13 @@ class QuantifierOverAtom(BqfError):
 
 
 class NestingTooDeep(BqfError):
-    """A formula or an entity nested deeper than MAX_DEPTH levels."""
+    """A formula or an entity nested deeper than MAX_DEPTH levels; `position`
+    is the character offset of the formula's first opener past the limit,
+    or None for an entity."""
 
-
-# deepest nesting the parser and entity_from_json accept; evaluation, printing
-# and hashing recurse once per level, so this keeps them far from Python's
-# recursion limit
-MAX_DEPTH = 100
+    def __init__(self, message: str, position: Optional[int] = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
+        self.position = position
 
 
 class AuditFailure(BqfError):
@@ -144,11 +144,16 @@ def star(e: Entity) -> Entity:
 
 # -- formula syntax ------------------------------------------------------------------
 #
-# formula ::= quant formula | '(' formula binop formula ')' | 'not' formula | atom
-# quant   ::= '(' ('forall'|'exists') IDENT 'in' term ')'
+# formula ::= quant formula | '(' formula binop formula ')' | '(' formula ')'
+#           | 'not' formula | atom
+# quant   ::= '(' ('forall'|'exists') NAME 'in' term ')'
 # binop   ::= 'and' | 'or' | '=>' | '<=>'
 # atom    ::= term '=' term | term 'in' term
-# term    ::= IDENT | '<' term ',' term '>' | '{' [term {',' term}] '}'
+# term    ::= NAME | '<' term ',' term '>' | '{' [term {',' term}] '}'
+#
+# A NAME is a word that does not start with a decimal digit; the keywords are
+# words of their own.  The Unicode aliases ∀ ∃ ∈ ¬ ∧ ∨ ⇒ ⇔ ⟨ ⟩ read as the ASCII
+# spellings.
 
 
 class _Node:
@@ -226,194 +231,98 @@ class Quant(Formula):
         super().__init__(kind, var, bound, body)
 
 
-_KEYWORDS = {"forall", "exists", "in", "and", "or", "not"}
-_UNICODE_ALIASES = {
-    "∀": "forall",
-    "∃": "exists",
-    "∈": "in",
-    "¬": "not",
-    "∧": "and",
-    "∨": "or",
-    "⇒": "=>",
-    "⇔": "<=>",
-    "⟨": "<",
-    "⟩": ">",
-}
+class _Errors:
+    """The shared cursor's errors, raised as this module's types."""
+
+    syntax_error, too_deep = FormulaSyntaxError, NestingTooDeep
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, value, position); kind is 'ident', 'kw' or 'sym'."""
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _UNICODE_ALIASES:
-            val = _UNICODE_ALIASES[ch]
-            kind = "kw" if val.isalpha() else "sym"
-            out.append((kind, val, i))
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            out.append(("kw" if word in _KEYWORDS else "ident", word, i))
-            i = j
-            continue
-        for sym in ("<=>", "=>", "<", ">", "=", "(", ")", "{", "}", ","):
-            if text.startswith(sym, i):
-                out.append(("sym", sym, i))
-                i += len(sym)
-                break
-        else:
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-    return out
+class _Parser(_TermParser):
+    """The rules above on the shared scanner and cursor.  Each 'not', '(',
+    quantifier, '<' and '{' opens one level; a quantifier's level, opened at
+    its '(', holds its bound and its whole body."""
 
+    TOKEN = re.compile(r"(?!)()|([^\W\d]\w*)|(<=>|=>|\S)")  # no number token
+    WORDS = {"forall", "exists", "in", "and", "or", "not"}
+    SYMBOLS = {"<=>", "=>", "<", ">", "=", "(", ")", "{", "}", ","}
+    ALIASES = {"∀": "forall", "∃": "exists", "∈": "in", "¬": "not", "∧": "and", "∨": "or",
+               "⇒": "=>", "⇔": "<=>", "⟨": "<", "⟩": ">"}
 
-def _nested(parse):
-    """Count the nesting depth of a recursive parse method.
+    def formula(self) -> Formula:
+        kind = self.peek()
+        if kind == "not":
+            return Not(self.nested(self.formula))
+        if kind != "(":
+            lhs = self.entity()
+            rel = self.peek()
+            if rel not in ("=", "in"):
+                raise self.error("expected '=' or 'in'")
+            self.i += 1
+            return (Eq if rel == "=" else Member)(lhs, self.entity())
+        if self.tokens[self.i + 1][0] in ("forall", "exists"):
+            return self.nested(self.quantifier)
+        return self.nested(self.group)
 
-    A parse that goes past MAX_DEPTH raises and is abandoned, so the count
-    is only unwound on success.
-    """
-
-    def method(self):
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise NestingTooDeep(
-                f"formula nested deeper than {MAX_DEPTH} levels (at position {self.offset()})"
-            )
-        node = parse(self)
-        self.depth -= 1
-        return node
-
-    return method
-
-
-_BINOPS = {("kw", "and"), ("kw", "or"), ("sym", "=>"), ("sym", "<=>")}
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.end = len(text)
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self) -> Optional[tuple]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def offset(self) -> int:
-        """Character offset of the next token, or the text's length at its end."""
-        return self.tokens[self.pos][2] if self.pos < len(self.tokens) else self.end
-
-    def next_is(self, kind: str, value: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == kind and (value is None or tok[1] == value)
-
-    def fail(self, expected: tuple) -> NoReturn:
-        tok = self.peek()
-        raise FormulaSyntaxError(
-            f"unexpected {tok[1]!r}" if tok else "unexpected end of input", self.offset(), expected
-        )
-
-    def take(self, kind: str, value: Optional[str] = None, expected: tuple = ()):
-        tok = self.peek()
-        if tok is None or tok[0] != kind or (value is not None and tok[1] != value):
-            self.fail(expected or ((value,) if value else (kind,)))
-        self.pos += 1
-        return tok
-
-    @_nested
-    def parse_formula(self) -> Formula:
-        if self.peek() is None:
-            self.fail(("formula",))
-        if self.next_is("kw", "not"):
-            self.pos += 1
-            return Not(self.parse_formula())
-        if self.next_is("sym", "("):
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if nxt is not None and nxt[0] == "kw" and nxt[1] in ("forall", "exists"):
-                return self.parse_quant()
-            self.pos += 1
-            lhs = self.parse_formula()
-            op_tok = self.peek()
-            if self.next_is("sym", ")"):
-                # plain grouping, e.g. the body in "(forall x in A)(x in B)"
-                self.pos += 1
-                return lhs
-            if op_tok is None or op_tok[:2] not in _BINOPS:
-                self.fail(("and", "or", "=>", "<=>"))
-            self.pos += 1
-            rhs = self.parse_formula()
-            self.take("sym", ")")
-            return BinOp(op_tok[1], lhs, rhs)
-        return self.parse_atom()
-
-    def parse_quant(self) -> Formula:
-        self.take("sym", "(")
-        kind = self.take("kw")[1]
-        var = self.take("ident", expected=("variable name",))[1]
-        if self.next_is("sym", ")"):
+    def quantifier(self) -> Formula:
+        kind = self.peek()
+        self.i += 1
+        var = self.take("name")
+        if self.peek() == ")":
             raise UnboundedQuantifier(
                 f"quantifier over {var!r} has no bounding set; unbounded quantifiers are not allowed"
             )
-        self.take("kw", "in")
-        bound = self.parse_term()
-        self.take("sym", ")")
-        body = self.parse_formula()
-        return Quant(kind, var, bound, body)
+        self.take("in")
+        bound = self.entity()
+        self.take(")")
+        return Quant(kind, var, bound, self.formula())
 
-    def parse_atom(self) -> Formula:
-        lhs = self.parse_term()
-        if self.next_is("sym", "="):
-            self.pos += 1
-            return Eq(lhs, self.parse_term())
-        if self.next_is("kw", "in"):
-            self.pos += 1
-            return Member(lhs, self.parse_term())
-        self.fail(("=", "in"))
+    def group(self) -> Formula:
+        """A formula in parentheses, e.g. the body in "(forall x in A)(x in B)",
+        or two joined by a connective."""
+        lhs = self.formula()
+        op = self.peek()
+        if op == ")":
+            self.i += 1
+            return lhs
+        if op not in ("and", "or", "=>", "<=>"):
+            raise self.error("expected 'and', 'or', '=>', '<=>' or ')'")
+        self.i += 1
+        rhs = self.formula()
+        self.take(")")
+        return BinOp(op, lhs, rhs)
 
-    @_nested
-    def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok is None:
-            self.fail(("term",))
-        if tok[0] == "ident":
-            self.pos += 1
-            return Name(tok[1])
-        if self.next_is("sym", "<"):
-            self.pos += 1
-            first = self.parse_term()
-            self.take("sym", ",")
-            second = self.parse_term()
-            self.take("sym", ">")
-            return PairTerm(first, second)
-        if self.next_is("sym", "{"):
-            self.pos += 1
-            items = []
-            if not self.next_is("sym", "}"):
-                items.append(self.parse_term())
-                while self.next_is("sym", ","):
-                    self.pos += 1
-                    items.append(self.parse_term())
-            self.take("sym", "}")
-            return SetTerm(items)
-        self.fail(("identifier", "<", "{"))
+    def entity(self) -> Term:
+        """A term: a name, a pair or a set."""
+        kind, value, _ = self.tokens[self.i]
+        if kind == "name":
+            self.i += 1
+            return Name(value)
+        if kind == "<":
+            return self.nested(self.pair)
+        if kind != "{":
+            raise self.error("expected a name, '<' or '{'")
+        return self.nested(self.members)
+
+    def pair(self) -> Term:
+        first = self.entity()
+        self.take(",")
+        second = self.entity()
+        self.take(">")
+        return PairTerm(first, second)
+
+    def members(self) -> Term:
+        items = [] if self.peek() == "}" else [self.entity()]
+        while self.peek() == ",":
+            self.i += 1
+            items.append(self.entity())
+        self.take("}")
+        return SetTerm(items)
 
 
 def parse(text: str) -> Formula:
     """Parse a bounded-quantifier formula; rejects unbounded quantifiers."""
-    parser = _Parser(text)
-    formula = parser.parse_formula()
-    tok = parser.peek()
-    if tok is not None:
-        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2], ())
-    return formula
+    parser = _Parser(text, _Errors)
+    return parser.whole(parser.formula)
 
 
 def print_formula(f: Formula) -> str:

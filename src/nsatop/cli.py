@@ -22,7 +22,10 @@ One term grammar serves `hyper` expressions, rf(...) germs and `germ los`:
 In `hyper` the one name is `e`, the positive infinitesimal: (2+e)/(1+3*e),
 e^(1/2), 1/e - 7.  Germ terms name n (in rf) or the bound variables (in
 `germ los`) instead, and have no '^'.  '/' is left-associative and spacing
-never changes meaning: x/1/2 is x / 1 / 2.
+never changes meaning: x/1/2 is x / 1 / 2.  `bqf` formulas such as
+(forall x in A)(x in B) have a grammar of their own, read by the same
+scanner and parser cursor.  Every grammar accepts 100 levels of openers:
+'(' and signs in terms, 'not', and in `bqf` a quantifier, '<' and '{'.
 
 Germ textual forms: rf((2*n+1)/(n+3)) for rational functions of the index n,
 ep([1,-2];[0,1/2]) for eventually periodic sequences (preperiod; period), or a

@@ -522,39 +522,11 @@ def in_star_interval(a: Hyperreal, lo: Scalar, hi: Scalar, kind: str = "closed")
 # terms (germs.py) read names as variables and refuse '^'.  Every binary
 # operator, '/' too, is left-associative, and spaces never change meaning.
 
-# deepest nesting of parentheses, signs and (in germ formulas) 'not' that the
-# parsers accept; a level costs six Python frames, well inside the recursion
-# limit
+# deepest nesting that every parser accepts: MAX_DEPTH openers, each a '(',
+# a sign or (in germ formulas) 'not', or in bqf formulas a 'not', a '(', a
+# quantifier, a '<' or a '{'; a level costs a few Python frames, well inside
+# the recursion limit
 MAX_DEPTH = 100
-
-_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|(<=|>=|!=|\S)")
-_ALIASES = {"·": "*", "¬": "not", "∧": "and", "∨": "or", "∀": "forall", "∃": "exists"}
-_WORDS = {"and", "or", "not", "forall", "exists"}
-_SYMBOLS = {"+", "-", "*", "/", "^", "(", ")", "[", "]", ";", ",", "=", "!=", "<", "<=", ">", ">="}
-
-
-def _tokenize(text: str, error) -> list:
-    """Tokens of text as (kind, value, character position), ending with
-    ("end", None, len(text)).  kind is "num" (an int), "name", or the word or
-    symbol itself; a character no token starts with raises error(message,
-    position)."""
-    out = []
-    for m in _TOKEN.finditer(text):
-        digits, name, sym = m.groups()
-        if digits:
-            try:
-                out.append(("num", int(digits), m.start()))
-            except ValueError:  # past the interpreter's limit on integer digits
-                raise error("integer literal too long", m.start()) from None
-        elif name:
-            out.append((name if name in _WORDS else "name", name, m.start()))
-        else:
-            sym = _ALIASES.get(sym, sym)
-            if sym not in _SYMBOLS and sym not in _WORDS:
-                raise error(f"unexpected character {sym!r}", m.start())
-            out.append((sym, sym, m.start()))
-    out.append(("end", None, len(text)))
-    return out
 
 
 class _TermParser:
@@ -564,13 +536,46 @@ class _TermParser:
     rhs) for + - * /, unary(op, value) for a sign, power(base, exponent,
     position) for '^' and atom(kind, value, position) for a number or a
     name.  Errors are build.syntax_error(message, position), or
-    build.too_deep at the opener that goes past MAX_DEPTH."""
+    build.too_deep at the opener that goes past MAX_DEPTH.
+
+    A subclass with another grammar overrides the scanner's four class
+    attributes: TOKEN's three groups match a number, a name and a symbol;
+    a name in WORDS and a symbol in SYMBOLS or WORDS is a token of its own
+    kind, after ALIASES maps a one-character symbol to its spelling."""
+
+    TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|(<=|>=|!=|\S)")
+    WORDS = {"and", "or", "not", "forall", "exists"}
+    SYMBOLS = {"+", "-", "*", "/", "^", "(", ")", "[", "]", ";", ",", "=", "!=", "<", "<=", ">", ">="}
+    ALIASES = {"·": "*", "¬": "not", "∧": "and", "∨": "or", "∀": "forall", "∃": "exists"}
 
     def __init__(self, text: str, build):
         self.build = build
-        self.tokens = _tokenize(text, build.syntax_error)
+        self.tokens = self._tokenize(text)
         self.i = 0
         self.depth = 0
+
+    def _tokenize(self, text: str) -> list:
+        """Tokens of text as (kind, value, character position), ending with
+        ("end", None, len(text)).  kind is "num" (an int), "name", or the word
+        or symbol itself; a character no token starts with is a syntax error."""
+        out = []
+        words, symbols, aliases = self.WORDS, self.SYMBOLS, self.ALIASES
+        for m in self.TOKEN.finditer(text):
+            digits, name, sym = m.groups()
+            if digits:
+                try:
+                    out.append(("num", int(digits), m.start()))
+                except ValueError:  # past the interpreter's limit on integer digits
+                    raise self.build.syntax_error("integer literal too long", m.start()) from None
+            elif name:
+                out.append((name if name in words else "name", name, m.start()))
+            else:
+                sym = aliases.get(sym, sym)
+                if sym not in symbols and sym not in words:
+                    raise self.build.syntax_error(f"unexpected character {sym!r}", m.start())
+                out.append((sym, sym, m.start()))
+        out.append(("end", None, len(text)))
+        return out
 
     def peek(self) -> str:
         return self.tokens[self.i][0]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsatop import bqf as B
+from nsatop import germs
 from nsatop.bqf import Atom, FSet
 
 
@@ -110,12 +111,95 @@ class TestParse:
         for text in ("not " * 3000 + "a = a", "(" * 3000 + "a = a", "{" * 3000 + "}" * 3000 + " = a"):
             with pytest.raises(B.NestingTooDeep):
                 B.parse(text)
+        # every opener: MAX_DEPTH levels parse, and the next raises at its own offset
+        depth = B.MAX_DEPTH
+        for text, position in (
+            (lambda d: "not " * d + "a = a", 4 * depth),
+            (lambda d: "(" * d + "a = a" + ")" * d, depth),
+            (lambda d: "(forall x in A)" * d + "x = a", 15 * depth),
+            (lambda d: "(∃ x ∈ A)" * d + "x = a", 9 * depth),
+            (lambda d: "<" * d + "a" + ", a>" * d + " = a", depth),
+            (lambda d: "{" * d + "}" * d + " = a", depth),
+            (lambda d: "a in " + "{a, " * d + "a" + "}" * d, 5 + 4 * depth),
+        ):
+            B.parse(text(depth))
+            with pytest.raises(B.NestingTooDeep) as err:
+                B.parse(text(depth + 1))
+            assert err.value.position == position, text(1)
 
     def test_corpus_roundtrip(self):
         assert len(CORPUS) == 50
         for text in CORPUS:
             ast = B.parse(text)
             assert B.parse(B.print_formula(ast)) == ast
+
+
+# the tokens and aliases of the bqf, term and germ-formula grammars, names of
+# each, numbers, and characters that start no token or only a bqf name
+_FUZZ_TOKENS = (
+    "forall exists in and or not <=> => < > = ( ) { } , ∀ ∃ ∈ ¬ ∧ ∨ ⇒ ⇔ ⟨ ⟩"
+    " + - * / ^ [ ] ; != <= >= · rf ep n x y e A 0 1 7 10 x2 ² ½ # _"
+).split()
+_FUZZ_SPACES = ("", " ", "  ", "\t", "\n", "\u00a0")
+# valid texts of each grammar, which the checker mutates token by token
+_FUZZ_SEEDS = tuple(
+    text.split()
+    for text in (
+        "( forall x in A ) ( exists y in B ) < x , y > in F",
+        "( a = b and not { a , { } } in C )",
+        "( ∀ x ∈ A ) ( x = a ⇔ ⟨ x , x ⟩ ∈ D )",
+        "not ( x + 1 ) <= 2 or y != 1 / 3",
+        "( x < x * x and - x >= 0 )",
+        "rf ( ( 2 * n + 1 ) / ( n + 3 ) )",
+        "ep ( [ 1 , - 1 / 2 ] ; [ 0 , 3 ] )",
+        "- 3 / 2",
+    )
+)
+
+
+def check_parsers_raise_typed_errors(n, seed):
+    """Run bqf.parse, germs.parse_qf and germs.parse_germ on `n` seeded texts
+    and fail on any exception other than the module's own base error.  Half
+    the texts are random tokens; half are valid texts of the three grammars
+    with up to three tokens deleted, replaced or inserted.  Returns, per
+    entry point, how many texts parsed and how many raised."""
+    entry_points = (
+        ("bqf.parse", B.parse, B.BqfError),
+        ("germs.parse_qf", germs.parse_qf, germs.GermError),
+        ("germs.parse_germ", germs.parse_germ, germs.GermError),
+    )
+    rng = random.Random(seed)
+    counts = {name: [0, 0] for name, _, _ in entry_points}
+    for i in range(n):
+        if i % 2:
+            tokens, spaces = rng.choices(_FUZZ_TOKENS, k=rng.randint(0, 12)), _FUZZ_SPACES
+        else:
+            # a valid text's tokens stay apart, so it stays valid where it is not edited
+            tokens, spaces = list(rng.choice(_FUZZ_SEEDS)), _FUZZ_SPACES[1:]
+            for _ in range(rng.randint(0, 3)):
+                at = rng.randrange(len(tokens) + 1)
+                edit = rng.randrange(3)
+                if edit < 2 and at < len(tokens):
+                    del tokens[at]
+                if edit > 0:
+                    tokens.insert(at, rng.choice(_FUZZ_TOKENS))
+        text = "".join(token + rng.choice(spaces) for token in tokens)
+        for name, parse, error in entry_points:
+            try:
+                parse(text)
+            except error:
+                counts[name][1] += 1
+            except Exception as exc:
+                raise AssertionError(f"{name}({text!r}) raised {type(exc).__name__}: {exc}") from exc
+            else:
+                counts[name][0] += 1
+    return counts
+
+
+def test_parsers_raise_typed_errors():
+    counts = check_parsers_raise_typed_errors(10000, seed=71)
+    # each entry point both parsed texts and refused them
+    assert all(parsed >= 300 and raised >= 300 for parsed, raised in counts.values()), counts
 
 
 # random AST generator for the round-trip property

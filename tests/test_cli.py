@@ -270,6 +270,8 @@ class TestBqf:
         ):
             code, got = run_json(capsys, "bqf", *argv)
             assert code == 2 and got["error"]["type"] == "NestingTooDeep"
+            # the formula's error is at its 101st 'not'; a JSON entity's has no position
+            assert got["error"].get("position") == (400 if argv[1] == deep_formula else None)
 
     def test_define(self, capsys):
         code, got = run_json(
@@ -463,7 +465,7 @@ class TestAudit:
     # an audit must be able to fail: a decider that disagrees with its oracle
     # on one space, and a hull audit that raises on one space, are each
     # listed under their check and make the run exit 1
-    def test_decider_disagreeing_on_one_space_fails(self, capsys, monkeypatch):
+    def test_decider_disagreeing_on_one_space_fails(self, capsys, monkeypatch, fresh_facts):
         t1, flipped = fintop.PROPERTY_CHECKS["t1"], []
 
         def flip_on_first_two_point_space(space):
@@ -484,7 +486,7 @@ class TestAudit:
         assert all(v["passed"] for k, v in asserted.items() if k != "monad_oracle_agreement")
         assert got["hulls"]["all_passed"] is True
 
-    def test_hull_audit_raising_on_one_space_fails(self, capsys, monkeypatch):
+    def test_hull_audit_raising_on_one_space_fails(self, capsys, monkeypatch, fresh_facts):
         ring, failed = hull.ring_correspondence, []
 
         def fail_on_first_two_point_space(sc, seed=0):

@@ -328,6 +328,14 @@ class TestParsing:
         for formula in ("(" * 3000 + "x < 1" + ")" * 3000, "not " * 3000 + "x < 1"):
             with pytest.raises(G.NestingTooDeep):
                 G.los_check_qf(formula, env)
+        # one level more than the accepted ones above raises at that opener
+        for formula, position in (
+            ("(" * (depth + 1) + "x < x*x" + ")" * (depth + 1), depth),
+            ("not " * (depth + 1) + "x < x*x", 4 * depth),
+        ):
+            with pytest.raises(G.NestingTooDeep) as err:
+                G.parse_qf(formula)
+            assert err.value.position == position, formula[:12]
 
     def test_nesting_error_points_at_the_first_opener_past_the_limit(self):
         assert G.MAX_DEPTH == H.MAX_DEPTH == 100  # one limit for both grammars

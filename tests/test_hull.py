@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nsatop import cli
 from nsatop import fintop as F
 from nsatop import hull as H
 
@@ -181,15 +182,19 @@ class TestStoneCechHewitt:
         assert sorted(fam.values()) == [(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]
         assert H.hewitt_finite(SIERP_PLUS).kind == "hewitt"
 
-    def test_audit_catches_merged_z_blocks(self, monkeypatch):
+    def test_audit_catches_merged_z_blocks(self, monkeypatch, fresh_facts):
         spaces = list(all_spaces(3))
         assert H.hull_theorem_audit(spaces)["asserted"]["stone_cech_equals_hewitt"]["passed"]
+        # a whole audit records its verdicts and caches in tables these spaces keep alive
+        kept = list(all_spaces(4))
+        assert cli.run_full_audit(4)["all_passed"]
         merged = []
         # the Stone-Cech hull reads z-blocks, the Hewitt hull only opens
         monkeypatch.setattr(H, "z_partition", _tampered_z_partition(_merge_first_two, merged))
-        report = H.hull_theorem_audit(spaces)
-        found = report["asserted"]["stone_cech_equals_hewitt"]["counterexamples"]
-        assert found and set(found) <= set(merged)
+        for audited in (spaces, kept):
+            report = H.hull_theorem_audit(audited)
+            found = report["asserted"]["stone_cech_equals_hewitt"]["counterexamples"]
+            assert found and set(found) <= set(merged)
 
 
 class TestHullLaws:

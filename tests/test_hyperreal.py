@@ -400,8 +400,9 @@ class TestParser:
     def test_nesting_limit(self):
         assert H_("(" * 50 + "1+e" + ")" * 50) == 1 + EPSILON
         assert H_("-" * 50 + "e") == EPSILON
-        for depth in (200, 10**4):
-            for text in ("(" * depth + "e" + ")" * depth, "-" * depth + "e"):
+        assert H_("+" * H.MAX_DEPTH + "e") == EPSILON  # '(' and '-' in the next test
+        for depth in (H.MAX_DEPTH + 1, 200, 10**4):
+            for text in ("(" * depth + "e" + ")" * depth, "-" * depth + "e", "+" * depth + "e"):
                 with pytest.raises(H.NestingTooDeep) as err:
                     H_(text)
                 assert isinstance(err.value, H.HyperrealError)
