@@ -911,7 +911,11 @@ def dot_specialization(space: FinSpace) -> str:
 
 
 def _star_space(space: FinSpace) -> FinSpace:
-    """The extension of the space under the star map; identical at finite scale."""
+    """The extension of the space under the star map; identical at finite scale.
+
+    It is the space rebuilt from its own labels, so the two star keys of
+    theorem_audit can catch one fault only: a label/mask round trip
+    (opens_as_labels, then mask) that does not give the opens back."""
     return FinSpace(space.points, [space.mask(o) for o in space.opens_as_labels()], _validated=True)
 
 

@@ -326,7 +326,7 @@ def _combination_draws(seed: int, blocks: int, count: int) -> tuple:
 
 def _random_combinations(zp: ZBlockPartition, seed: int, count: int = 3) -> Family:
     """Seeded rational combinations of the block indicators, plus a constant,
-    as integer numerators over 6 (see ring_correspondence)."""
+    kept as integer numerators over 6 (scaling keeps every zero set)."""
     return {
         f"g{t}": tuple([per_block[b] + shift for b in zp.block_of])
         for t, (per_block, shift) in enumerate(_combination_draws(seed, len(zp.blocks), count))
@@ -416,89 +416,57 @@ def zero_set_formulas(space: FinSpace, seed: int = 0) -> dict:
     return {"checked": checked, "failures": []}
 
 
-@lru_cache(maxsize=256)
-def _ring_draws(seed: int, k: int, blocks: int) -> tuple:
-    """(sample vectors per class, block values per surjectivity test)."""
-    rng = random.Random(seed)
-    # sample hull functions as value vectors per class: rationals p/q (q in 1..3) kept as
-    # the integers 6p/q; sums scale by 6 and products by 36, so every test answers as over Q
-    samples = [tuple(6 * rng.randint(-4, 4) // rng.randint(1, 3) for _ in range(k)) for _ in range(6)]
-    samples += [tuple([6 * (t == j) for t in range(k)]) for j in range(k)]
-    block_draws = tuple([tuple([rng.randint(-4, 4) for _ in range(blocks)]) for _ in range(6)])
-    return tuple(samples), block_draws
+def _continuous_dimension(space: FinSpace) -> int:
+    """dim_Q C(X), read from the monads alone: a function is continuous iff
+    f(i) = f(j) for every j in the monad of i, so the dimension is n minus the
+    rank of the rows e_i - e_j, found by fraction-free integer elimination."""
+    n = space.n
+    rows = [
+        [(t == i) - (t == j) for t in range(n)]
+        for i, m in enumerate(space._monad)
+        for j in range(n)
+        if j != i and m >> j & 1
+    ]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rank += 1
+        p = pivot[col]
+        rows = [[p * x - r[col] * y for x, y in zip(r, pivot)] for r in rows if r is not pivot]
+    return n - rank
 
 
-def ring_correspondence(hull: Hull, seed: int = 0) -> dict:
+def ring_correspondence(hull: Hull) -> dict:
     """Composition with the quotient map of the Stone-Cech hull is a ring
-    isomorphism at finite scale.
+    isomorphism at finite scale, checked exactly.
 
-    Continuous functions on the space are exactly the block-constant ones;
-    functions on the hull correspond to them one-to-one through the map, and
-    the correspondence preserves sums, products and constants.  For each hull
-    point the functions vanishing there form an ideal, and evaluations at
-    distinct points are distinct homomorphisms.
+    Composition gathers values by class, so it preserves sums, products and
+    constants whatever the map; what can fail is that it is a bijection onto
+    the continuous functions, which are the block-constant ones.  It is
+    one-to-one iff the map hits every hull point, and onto iff each point lies
+    in the z-block of its class's representative.  Evaluations at distinct
+    hull points differ iff their representatives lie in distinct z-blocks.
+    Last, on a route that reads no z-blocks: the maximal ideals of C(X) are
+    the hull points, so dim_Q C(X), from the monads, must be their number.
     """
-    zp = z_partition(hull.source)
-    checked = _ring_audit(seed, hull.classes, hull.class_of, zp.block_of, len(zp.blocks))
-    return {"checked": dict(checked), "failures": []}
-
-
-# The ring audit reads only these values of a hull and its z-blocks, and hulls share them (the
-# 389 of a 4-point pass have 23 keys at a seed), so each key is audited once.  A failure is
-# not kept: every call with its key raises it again.
-@lru_cache(maxsize=256)
-def _ring_audit(seed: int, classes: tuple, class_of: tuple, block_of: tuple, blocks: int) -> dict:
-    k, n = len(classes), len(class_of)
-    reps = [(m & -m).bit_length() - 1 for m in classes]  # Hull.reps
-    samples, block_draws = _ring_draws(seed, k, blocks)
-    checked = {"bijection": 0, "homomorphism": 0, "ideals": 0, "distinct_evaluations": 0}
-
-    def compose(vec):
-        return tuple([vec[c] for c in class_of])
-
-    composed = [compose(a) for a in samples]
-    # injectivity: distinct vectors compose to distinct functions (q is onto); "a == b iff
-    # compose(a) == compose(b)" for every pair of samples is these three counts being equal
-    if not len(set(samples)) == len(set(composed)) == len(set(zip(samples, composed))):
+    space, k = hull.source, len(hull.classes)
+    block_of = z_partition(space).block_of
+    if set(hull.class_of) != set(range(k)):
         raise AuditFailure("composition with the quotient map is not injective")
-    checked["bijection"] += len(samples) ** 2
-    # surjectivity: every block-constant function on the source arises as a composition
-    for per_block in block_draws:
-        table = tuple([per_block[b] for b in block_of])
-        if compose([table[i] for i in reps]) != table:
+    for i, c in enumerate(hull.class_of):
+        if block_of[i] != block_of[hull.reps[c]]:
             raise AuditFailure("a continuous function fails to factor through the hull")
-        checked["bijection"] += 1
-    # ring operations
-    for a, fa in zip(samples[:4], composed):
-        for b, fb in zip(samples[:4], composed):
-            plus = tuple([x + y for x, y in zip(a, b)])
-            times = tuple([x * y for x, y in zip(a, b)])
-            if compose(plus) != tuple([x + y for x, y in zip(fa, fb)]):
-                raise AuditFailure("composition does not preserve sums")
-            if compose(times) != tuple([x * y for x, y in zip(fa, fb)]):
-                raise AuditFailure("composition does not preserve products")
-            checked["homomorphism"] += 1
-    if compose((7,) * k) != (7,) * n:
-        raise AuditFailure("composition does not preserve constants")
-
-    # maximal ideal audit per hull point: the samples vanishing there, with the zero vector, are
-    # closed under sums iff each is 0 there (add the zero vector), and then so is each product
-    zero_vec = (0,) * k
-    for pidx in range(k):
-        vanishing = [vec for vec in samples if vec[pidx] == 0]
-        vanishing.append(zero_vec)
-        if any(a[pidx] for a in vanishing):
-            raise AuditFailure("vanishing functions are not closed under sums")
-        checked["ideals"] += 1
-    # evaluations at two hull points differ iff some continuous function on the
-    # space tells their representatives apart, that is iff the representatives
-    # lie in distinct z-blocks
+    checked = {"bijection": k + space.n, "distinct_evaluations": 0, "dimension": 1}
     for p1 in range(k):
         for p2 in range(p1 + 1, k):
-            if block_of[reps[p1]] == block_of[reps[p2]]:
+            if block_of[hull.reps[p1]] == block_of[hull.reps[p2]]:
                 raise AuditFailure("evaluations at distinct hull points coincide")
             checked["distinct_evaluations"] += 1
-    return checked
+    if _continuous_dimension(space) != k:
+        raise AuditFailure("dim C(X) differs from the number of hull points")
+    return {"checked": checked, "failures": []}
 
 
 def hull_theorem_audit(spaces: Iterable[FinSpace], seed: int = 0) -> dict:
@@ -527,7 +495,7 @@ def hull_theorem_audit(spaces: Iterable[FinSpace], seed: int = 0) -> dict:
             "hull_laws": hull_laws,
             "t0_reflection_laws": lambda: t0_reflection_report(t0_reflection(space)),
             "zero_set_formulas": lambda: zero_set_formulas(space, seed=seed),
-            "ring_correspondence": lambda: ring_correspondence(sc, seed=seed),
+            "ring_correspondence": lambda: ring_correspondence(sc),
         }
         for name, audit in audits.items():
             try:

@@ -190,7 +190,7 @@ class Hyperreal:
 
     @staticmethod
     def from_rational(q: Scalar) -> "Hyperreal":
-        return Hyperreal(Poly.const(q))
+        return _from_coprime(Poly.const(q), Poly.ONE, 1)  # q/1 is already coprime
 
     @staticmethod
     def epsilon() -> "Hyperreal":
@@ -364,9 +364,9 @@ class Hyperreal:
         return Fraction(self.num.valuation - self.den.valuation, self.ram)
 
     def classify(self) -> Classification:
-        o = self.order()
-        if o is None:
+        if self.num.is_zero():
             return Classification.ZERO
+        o = self.num.val - self.den.val  # the order's sign, as ram > 0
         if o > 0:
             return Classification.INFINITESIMAL
         if o == 0:

@@ -4,8 +4,9 @@ from nsatop import fintop, hull
 
 
 def clear_recorded_facts():
-    """Forget every fact table and every cached audit result, so spaces built
-    from now on decide and audit afresh; spaces alive keep their own tables."""
+    """Forget every fact table and every lru_cache of fintop and hull, so
+    spaces built from now on decide and audit afresh; spaces alive keep their
+    own tables."""
     fintop._FACT_TABLES.clear()
     for module in (fintop, hull):
         for value in vars(module).values():

@@ -489,11 +489,11 @@ class TestAudit:
     def test_hull_audit_raising_on_one_space_fails(self, capsys, monkeypatch, fresh_facts):
         ring, failed = hull.ring_correspondence, []
 
-        def fail_on_first_two_point_space(sc, seed=0):
+        def fail_on_first_two_point_space(sc):
             if sc.source.n == 2 and not failed:
                 failed.append(sc.source.describe())
                 raise fintop.AuditFailure("ring correspondence broken")
-            return ring(sc, seed=seed)
+            return ring(sc)
 
         monkeypatch.setattr(hull, "ring_correspondence", fail_on_first_two_point_space)
         code, got = run_json(capsys, "audit", "--max-points", "2")

@@ -419,6 +419,14 @@ class TestTheoremAudit:
         star = F._star_space(FAN3)
         assert star == FAN3
 
+    def test_star_keys_catch_a_broken_label_round_trip(self, monkeypatch):
+        # the one fault the star keys can see: labels that do not give back the opens
+        opens_as_labels = F.FinSpace.opens_as_labels
+        monkeypatch.setattr(F.FinSpace, "opens_as_labels", lambda s: opens_as_labels(s)[:-1])
+        asserted = F.theorem_audit(all_spaces(3))["asserted"]
+        for key in ("star_space_normal_iff_normal", "star_space_regular_iff_all_opens_clopen"):
+            assert len(asserted[key]["counterexamples"]) == 34, key
+
 
 def _components(s):
     """Classes of the equivalence generated by "j lies in the monad of i",

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -154,6 +155,24 @@ def _move_last_point(block_of):
     return block_of[:-1] + ((block_of[-1] + 1) % (max(block_of) + 1),)
 
 
+def check_merged_z_blocks(spaces):
+    """Audit the spaces with the first two z-blocks of each merged.  The
+    Stone-Cech hull reads z-blocks and the Hewitt hull only opens, and the ring
+    audit's dimension reads only monads, so stone_cech_equals_hewitt and
+    ring_correspondence must both name exactly the spaces the merge changes.
+    Returns how many it changes."""
+    merged = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(H, "z_partition", _tampered_z_partition(_merge_first_two, merged))
+        asserted = H.hull_theorem_audit(spaces)["asserted"]
+    changed = list(dict.fromkeys(merged))
+    assert asserted["stone_cech_equals_hewitt"]["counterexamples"] == changed
+    assert asserted["ring_correspondence"]["counterexamples"] == [
+        f"{desc}: dim C(X) differs from the number of hull points" for desc in changed
+    ]
+    return len(changed)
+
+
 class TestStoneCechHewitt:
     def test_discrete_space_is_its_own_hull(self):
         hull = H.stone_cech_finite(DISC3)
@@ -182,19 +201,14 @@ class TestStoneCechHewitt:
         assert sorted(fam.values()) == [(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]
         assert H.hewitt_finite(SIERP_PLUS).kind == "hewitt"
 
-    def test_audit_catches_merged_z_blocks(self, monkeypatch, fresh_facts):
+    def test_audit_catches_merged_z_blocks(self, fresh_facts):
         spaces = list(all_spaces(3))
         assert H.hull_theorem_audit(spaces)["asserted"]["stone_cech_equals_hewitt"]["passed"]
         # a whole audit records its verdicts and caches in tables these spaces keep alive
         kept = list(all_spaces(4))
         assert cli.run_full_audit(4)["all_passed"]
-        merged = []
-        # the Stone-Cech hull reads z-blocks, the Hewitt hull only opens
-        monkeypatch.setattr(H, "z_partition", _tampered_z_partition(_merge_first_two, merged))
-        for audited in (spaces, kept):
-            report = H.hull_theorem_audit(audited)
-            found = report["asserted"]["stone_cech_equals_hewitt"]["counterexamples"]
-            assert found and set(found) <= set(merged)
+        assert check_merged_z_blocks(spaces) == 11
+        assert check_merged_z_blocks(kept) == 133
 
 
 class TestHullLaws:
@@ -280,96 +294,93 @@ class TestRingCorrespondence:
         assert H.ring_correspondence(H.stone_cech_finite(SIERP))["failures"] == []
 
 
-def _fraction_ring_correspondence(hull, seed=0):
-    """ring_correspondence over the same draws kept as Fraction(p, q): the
-    reference its integer numerators over 6 must agree with."""
-    space = hull.source
-    zp = F.z_partition(space)
-    k = len(hull.classes)
-    rng = random.Random(seed)
-    checked = {"bijection": 0, "homomorphism": 0, "ideals": 0, "distinct_evaluations": 0}
-    samples = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)) for _ in range(6)]
-    samples += [tuple([int(t == j) for t in range(k)]) for j in range(k)]
+def _rank(rows, width):
+    """Rank over Q, by Gaussian elimination on Fractions."""
+    rows, rank = [[Fraction(x) for x in r] for r in rows], 0
+    for col in range(width):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is not None:
+            rank += 1
+            rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] for r in rows if r is not pivot]
+    return rank
+
+
+def _basis_ring_correspondence(hull):
+    """ring_correspondence read off bases, its reference: the k unit vectors
+    on the hull compose to k independent functions, each block indicator is
+    the composition of its lift, the lifted indicators tell every two hull
+    points apart, and the solutions of f(i) = f(j), j in the monad of i, form
+    a space of dimension k."""
+    space, k = hull.source, len(hull.classes)
+    zp = H.z_partition(space)
 
     def compose(vec):
         return tuple([vec[c] for c in hull.class_of])
 
-    composed = [compose(a) for a in samples]
-    for a, fa in zip(samples, composed):
-        for b, fb in zip(samples, composed):
-            if (a == b) != (fa == fb):
-                raise F.AuditFailure("composition with the quotient map is not injective")
-            checked["bijection"] += 1
-    for _ in range(6):
-        per_block = [rng.randint(-4, 4) for _ in zp.blocks]
-        table = tuple([per_block[b] for b in zp.block_of])
-        if compose(hull.lift(table)) != table:
-            raise F.AuditFailure("a continuous function fails to factor through the hull")
-        checked["bijection"] += 1
-    for a, fa in zip(samples[:4], composed):
-        for b, fb in zip(samples[:4], composed):
-            plus = tuple([x + y for x, y in zip(a, b)])
-            times = tuple([x * y for x, y in zip(a, b)])
-            if compose(plus) != tuple([x + y for x, y in zip(fa, fb)]):
-                raise F.AuditFailure("composition does not preserve sums")
-            if compose(times) != tuple([x * y for x, y in zip(fa, fb)]):
-                raise F.AuditFailure("composition does not preserve products")
-            checked["homomorphism"] += 1
-    if compose((7,) * k) != (7,) * space.n:
-        raise F.AuditFailure("composition does not preserve constants")
-    zero_vec = (0,) * k
-    for pidx in range(k):
-        vanishing = [vec for vec in samples if vec[pidx] == 0]
-        vanishing.append(zero_vec)
-        for a in vanishing:
-            for b in vanishing:
-                s = tuple([x + y for x, y in zip(a, b)])
-                if s[pidx] != 0:
-                    raise F.AuditFailure("vanishing functions are not closed under sums")
-            for h in samples:
-                prod = tuple([x * y for x, y in zip(a, h)])
-                if prod[pidx] != 0:
-                    raise F.AuditFailure("vanishing set does not absorb products")
-        checked["ideals"] += 1
+    if _rank([compose([int(t == j) for t in range(k)]) for j in range(k)], space.n) != k:
+        raise F.AuditFailure("composition with the quotient map is not injective")
+    indicators = [zp.indicator(b) for b in range(len(zp.blocks))]
+    lifted = [hull.lift(f) for f in indicators]
+    if any(compose(g) != f for f, g in zip(indicators, lifted)):
+        raise F.AuditFailure("a continuous function fails to factor through the hull")
     for p1 in range(k):
         for p2 in range(p1 + 1, k):
-            if zp.block_of[hull.reps[p1]] == zp.block_of[hull.reps[p2]]:
+            if all(g[p1] == g[p2] for g in lifted):
                 raise F.AuditFailure("evaluations at distinct hull points coincide")
-            checked["distinct_evaluations"] += 1
-    return {"checked": checked, "failures": []}
+    constraints = [
+        [(t == i) - (t == j) for t in range(space.n)]
+        for i in range(space.n)
+        for j in range(space.n)
+        if space.monad_mask(i) >> j & 1
+    ]
+    if space.n - _rank(constraints, space.n) != k:
+        raise F.AuditFailure("dim C(X) differs from the number of hull points")
+    return {"failures": []}
 
 
-def _outcome(audit, hull, seed):
+def _outcome(audit, hull):
     try:
-        return audit(hull, seed=seed)
+        return "passed" if audit(hull)["failures"] == [] else "failures"
     except F.AuditFailure as exc:
         return str(exc)
 
 
-def _redrawn_hulls():
-    """(hull, seed): for each space on at most 4 points and seeds 0-4, the real
-    Stone-Cech hull and a tampered one whose class map is redrawn at random
-    within range(k), so classes merge or go empty."""
-    rng = random.Random(0)
+def _class_map_hulls():
+    """For each space on at most 4 points, a hull on its Stone-Cech classes
+    under every map of its points into them."""
     for s in all_spaces(4):
         sc = H.stone_cech_finite(s)
-        k = len(sc.classes)
-        for seed in range(5):
-            class_of = tuple(rng.randrange(k) for _ in range(s.n))
-            yield sc, seed
-            yield H.Hull(s, sc.classes, sc.quotient, class_of, sc.kind, sc.family), seed
+        for class_of in itertools.product(range(len(sc.classes)), repeat=s.n):
+            yield H.Hull(s, sc.classes, sc.quotient, class_of, sc.kind, sc.family)
+
+
+class TestRingReference:
+    def test_ring_audit_matches_the_basis_reference(self, monkeypatch):
+        hulls = list(_class_map_hulls())
+        assert len(hulls) == 3721
+        # real z-blocks, then the same hulls with a point moved to another
+        # block, then hulls on merged blocks, which leave the dimension unmatched
+        outcomes = set()
+        for tamper in (None, _move_last_point, _merge_first_two):
+            if tamper is not None:
+                monkeypatch.setattr(H, "z_partition", _tampered_z_partition(tamper, []))
+            if tamper is _merge_first_two:
+                hulls = list(_class_map_hulls())
+            for hull in hulls:
+                got = _outcome(H.ring_correspondence, hull)
+                assert got == _outcome(_basis_ring_correspondence, hull), hull.class_of
+                outcomes.add(got)
+        # the verdict passes, and each of the four checks is the first to fail somewhere
+        assert len(outcomes) == 5, outcomes
+
+    def test_dimension_is_the_z_block_count(self):
+        spaces = list(all_spaces(5))
+        assert len(spaces) == 7331
+        for s in spaces:
+            assert H._continuous_dimension(s) == len(F.z_partition(s).blocks), s.describe()
 
 
 class TestIntegerSamples:
-    def test_ring_audit_matches_fraction_reference(self):
-        outcomes = set()
-        for hull, seed in _redrawn_hulls():
-            got = _outcome(H.ring_correspondence, hull, seed)
-            assert got == _outcome(_fraction_ring_correspondence, hull, seed)
-            outcomes.add(got if isinstance(got, str) else "passed")
-        # both verdicts occur, and more than one kind of failure
-        assert "passed" in outcomes and len(outcomes) >= 3
-
     def test_combinations_are_rational_draws_times_six(self):
         # the same draws as Fraction(p, q) per block plus an integer shift
         for s in all_spaces(3):
@@ -384,48 +395,6 @@ class TestIntegerSamples:
                 got = H._random_combinations(zp, seed)
                 assert got == expected
                 assert all(type(v) is int for table in got.values() for v in table)
-
-
-def _uncached_ring_correspondence(hull, seed=0):
-    """The body ring_correspondence keeps per key, run afresh on the hull's values."""
-    zp = H.z_partition(hull.source)
-    checked = H._ring_audit.__wrapped__(seed, hull.classes, hull.class_of, zp.block_of, len(zp.blocks))
-    return {"checked": checked, "failures": []}
-
-
-class TestRingMemo:
-    """A kept ring audit equals the body run afresh, whichever hull filled its key first."""
-
-    def test_kept_results_equal_the_body(self, monkeypatch):
-        cases = list(_redrawn_hulls())
-        assert len(cases) == 3890
-        for s in all_spaces(4):  # the classes of the Stone-Cech hull, reordered
-            sc = H.stone_cech_finite(s)
-            cases.append((H.Hull(s, sc.classes[::-1], sc.quotient, sc.class_of, sc.kind, {}), 0))
-        outcomes = set()
-        for hull, seed in cases:
-            got = _outcome(H.ring_correspondence, hull, seed)
-            assert got == _outcome(_uncached_ring_correspondence, hull, seed)
-            outcomes.add(got if isinstance(got, str) else "passed")
-        assert "passed" in outcomes and len(outcomes) >= 3
-
-        # keys with the classes and class maps read above, and tampered z-blocks: merged
-        # ones (one block fewer), and ones with a point moved (mostly as many blocks)
-        for tamper in (_merge_first_two, _move_last_point):
-            changed = []
-            monkeypatch.setattr(H, "z_partition", _tampered_z_partition(tamper, changed))
-            for hull, seed in cases[::2]:
-                got = _outcome(H.ring_correspondence, hull, seed)
-                assert got == _outcome(_uncached_ring_correspondence, hull, seed)
-            assert changed
-
-    def test_reports_are_fresh(self):
-        sc = H.stone_cech_finite(SIERP_PLUS)
-        report = H.ring_correspondence(sc)
-        expected = {"checked": dict(report["checked"]), "failures": []}
-        report["checked"]["bijection"] = -1
-        report["failures"].append("changed by the caller")
-        assert H.ring_correspondence(sc) == expected
 
 
 def _old_combinations(zp, seed, count=3):
@@ -457,35 +426,21 @@ def _old_subfamily(space, seed):
     return fam
 
 
-def _old_ring_draws(seed, k, blocks):
-    rng = random.Random(seed)
-    samples = [tuple(6 * rng.randint(-4, 4) // rng.randint(1, 3) for _ in range(k)) for _ in range(6)]
-    samples += [tuple([6 * (t == j) for t in range(k)]) for j in range(k)]
-    block_draws = [[rng.randint(-4, 4) for _ in range(blocks)] for _ in range(6)]
-    return samples, block_draws
-
-
 class TestDrawsPerShape:
     """The draws kept per (seed, shape) equal fresh draws in the old call order."""
 
-    def test_families_and_ring_draws_equal_fresh_draws(self):
+    def test_families_equal_fresh_draws(self):
         spaces = list(all_spaces(4))
         assert len(spaces) == 389
         for seed in range(5):
             for other in (None, seed + 100):
                 for s in spaces:
                     zp = F.z_partition(s)
-                    k = len(H.stone_cech_finite(s).classes)
                     if other is not None:  # draws for another seed first
                         H._random_combinations(zp, other)
                         H.generator_subfamily(s, other)
-                        H._ring_draws(other, k, len(zp.blocks))
                     assert H._random_combinations(zp, seed) == _old_combinations(zp, seed)
                     assert H.generator_subfamily(s, seed) == _old_subfamily(s, seed)
-                    samples, block_draws = H._ring_draws(seed, k, len(zp.blocks))
-                    assert (list(samples), [list(d) for d in block_draws]) == _old_ring_draws(
-                        seed, k, len(zp.blocks)
-                    )
 
 
 class TestQuotientMaps:

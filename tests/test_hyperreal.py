@@ -248,6 +248,24 @@ class TestClassification:
         assert H_("e^(1/2)").order() == Fraction(1, 2)
         assert H_("1/e").order() == -1
 
+    def test_classes_follow_the_sign_of_the_order(self):
+        rng = random.Random(33)
+        by_sign = [Classification.INFINITE, Classification.APPRECIABLE, Classification.INFINITESIMAL]
+        for _ in range(2000):
+            a = rand_hyperreal(rng, rams=RAMS)
+            o = a.order()
+            want = Classification.ZERO if o is None else by_sign[(o > 0) - (o < 0) + 1]
+            assert a.classify() is want, a
+
+
+class TestFromRational:
+    def test_equals_the_general_constructor(self):
+        rng = random.Random(34)
+        for q in [0, 1, -7, Fraction(3, 4)] + [rand_fraction(rng, 10**6, 99) for _ in range(500)]:
+            got, want = Hyperreal.from_rational(q), Hyperreal(Poly.const(q))
+            _assert_canonical(got)
+            assert (got.num, got.den, got.ram) == (want.num, want.den, want.ram), q
+
 
 class TestStandardPart:
     def test_appreciable(self):
