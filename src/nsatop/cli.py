@@ -306,7 +306,7 @@ def run_full_audit(max_points: int, seed: int = 0) -> dict:
     robinson_failures = []
     for space in spaces:
         try:
-            fintop.compactness_identities(space, seed=seed)
+            fintop.compactness_identities(space)
         except fintop.AuditFailure as exc:
             compact_failures.append(f"{space.describe()}: {exc}")
         for m in space.subsets():

@@ -308,7 +308,7 @@ def test_criterion_12_hull_suite(spaces_up_to_4):
                 if table[i] != sc.lifted[name][sc.class_index(p)]:
                     failures.append((space.describe(), f"{name} does not factor"))
         try:
-            HL.zero_set_formulas(space, seed=SEED)
+            HL.zero_set_formulas(sc)
         except F.AuditFailure as exc:
             failures.append((space.describe(), str(exc)))
     assert failures == []

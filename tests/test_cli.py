@@ -363,6 +363,29 @@ class TestTopo:
         assert code == 0
         assert got["checks"]["weakly_hausdorff_iff_reflection_hausdorff"] is True
 
+    # reports key points and hull classes by their printed labels, so labels
+    # that print alike are refused with a message naming them
+    def test_labels_printing_alike_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "alike.json"
+        path.write_text(json.dumps({"points": [1, "1"], "opens": [[], [1], [1, "1"]]}))
+        code, got = run_json(capsys, "topo", "reflect", str(path))
+        assert code == 2
+        assert got["error"] == {
+            "type": "SpaceError",
+            "message": "point labels 1 and '1' both print as '1'",
+        }
+
+    def test_class_labels_printing_alike_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "joined.json"
+        opens = [[], ["a", "b"], ["a|b"], ["a|b", "a", "b"]]
+        path.write_text(json.dumps({"points": ["a|b", "a", "b"], "opens": opens}))
+        code, got = run_json(capsys, "topo", "hull", str(path))
+        assert code == 2
+        assert got["error"] == {
+            "type": "SpaceError",
+            "message": "hull classes [['a|b'], ['a', 'b']] are both labelled 'a|b'",
+        }
+
     def test_dot(self, capsys, fan3):
         code, out = run(capsys, "topo", "dot", fan3)
         assert code == 0

@@ -294,6 +294,10 @@ class TestCompactness:
         report = F.compactness_identities(IND2)
         assert report["checked_subsets"] == 4
 
+    def test_every_subset_past_five_points(self):
+        chain6 = F.FinSpace(tuple("abcdef"), [(1 << k) - 1 for k in range(7)])
+        assert F.compactness_identities(chain6) == {"checked_subsets": 64, "failures": []}
+
 
 class TestEnumeration:
     def test_counts(self):

@@ -259,15 +259,31 @@ class TestHullLaws:
 
 class TestZeroSetFormulas:
     def test_examples(self):
-        report = H.zero_set_formulas(space(["a", "b"], [[], ["a"], ["b"], ["a", "b"]]))
+        disc2 = space(["a", "b"], [[], ["a"], ["b"], ["a", "b"]])
+        report = H.zero_set_formulas(H.stone_cech_finite(disc2))
         assert report["failures"] == []
-        counts = report["checked"]
-        assert counts["lifted_zero_sets"] >= 2
-        assert counts["intersection_images"] >= 16
+        assert report["checked"] == {"lifted_zero_sets": 2, "closure_images": 4, "intersection_images": 16}
 
     def test_over_enumeration(self):
-        for s in all_spaces(3):
-            assert H.zero_set_formulas(s)["failures"] == []
+        spaces = list(all_spaces(4))
+        assert len(spaces) == 389
+        for s in spaces:
+            k = len(F.z_partition(s).blocks)
+            report = H.zero_set_formulas(H.stone_cech_finite(s))
+            assert report["checked"] == {
+                "lifted_zero_sets": k,
+                "closure_images": 2**k,
+                "intersection_images": 4**k,
+            }, s.describe()
+
+    def test_seven_blocks_are_checked_exhaustively(self):
+        disc7 = F.FinSpace(tuple("abcdefg"), range(1 << 7))
+        report = H.zero_set_formulas(H.stone_cech_finite(disc7))
+        assert report["checked"] == {
+            "lifted_zero_sets": 7,
+            "closure_images": 128,
+            "intersection_images": 16384,
+        }
 
 
 class TestRingCorrespondence:
@@ -380,33 +396,6 @@ class TestRingReference:
             assert H._continuous_dimension(s) == len(F.z_partition(s).blocks), s.describe()
 
 
-class TestIntegerSamples:
-    def test_combinations_are_rational_draws_times_six(self):
-        # the same draws as Fraction(p, q) per block plus an integer shift
-        for s in all_spaces(3):
-            zp = F.z_partition(s)
-            for seed in range(3):
-                rng = random.Random(seed)
-                expected = {}
-                for t in range(3):
-                    per_block = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in zp.blocks]
-                    shift = rng.randint(-1, 1)
-                    expected[f"g{t}"] = tuple([6 * (per_block[b] + shift) for b in zp.block_of])
-                got = H._random_combinations(zp, seed)
-                assert got == expected
-                assert all(type(v) is int for table in got.values() for v in table)
-
-
-def _old_combinations(zp, seed, count=3):
-    rng = random.Random(seed)
-    fams = {}
-    for t in range(count):
-        per_block = [6 * rng.randint(-3, 3) // rng.randint(1, 3) for _ in zp.blocks]
-        shift = 6 * rng.randint(-1, 1)
-        fams[f"g{t}"] = tuple([per_block[b] + shift for b in zp.block_of])
-    return fams
-
-
 def _old_subfamily(space, seed):
     zp = F.z_partition(space)
     rng = random.Random(seed)
@@ -435,11 +424,8 @@ class TestDrawsPerShape:
         for seed in range(5):
             for other in (None, seed + 100):
                 for s in spaces:
-                    zp = F.z_partition(s)
                     if other is not None:  # draws for another seed first
-                        H._random_combinations(zp, other)
                         H.generator_subfamily(s, other)
-                    assert H._random_combinations(zp, seed) == _old_combinations(zp, seed)
                     assert H.generator_subfamily(s, seed) == _old_subfamily(s, seed)
 
 
@@ -454,7 +440,7 @@ class TestQuotientMaps:
 
         monkeypatch.setattr(H, "_build_quotient", recording)
         assert H.hull_theorem_audit(all_spaces(4))["all_passed"]
-        assert len(hulls) == 389 * 7
+        assert len(hulls) == 389 * 6
         for hull in hulls:
             n, k = hull.source.n, len(hull.classes)
             for mask in range(1 << n):
