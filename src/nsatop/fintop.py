@@ -332,7 +332,12 @@ def validate(points: Sequence, opens: Iterable) -> FinSpace:
                 except (KeyError, TypeError):
                     raise SpaceError(f"unknown point {label!r} in an open set") from None
             masks.append(m)
-    return FinSpace(pts, masks)
+    space = FinSpace(pts, masks)
+    printed = {}  # reports key points by their printed labels, so those must differ
+    for p in pts:
+        if printed.setdefault(str(p), p) != p:
+            raise SpaceError(f"point labels {printed[str(p)]!r} and {p!r} both print as {str(p)!r}")
+    return space
 
 
 def space_from_json(obj: dict) -> FinSpace:
@@ -342,12 +347,7 @@ def space_from_json(obj: dict) -> FinSpace:
     lists = isinstance(points, list) and isinstance(opens, list)
     if not lists or not all(isinstance(o, (list, int)) for o in opens):
         raise SpaceError("space JSON needs a list of point labels and a list of label lists")
-    space = validate(points, opens)
-    printed = {}  # reports key points by their printed labels, so those must differ
-    for p in space.points:
-        if printed.setdefault(str(p), p) != p:
-            raise SpaceError(f"point labels {printed[str(p)]!r} and {p!r} both print as {str(p)!r}")
-    return space
+    return validate(points, opens)
 
 
 # -- property verdicts -----------------------------------------------------------

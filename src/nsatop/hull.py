@@ -84,9 +84,6 @@ class Hull:
         """Values per class of a function (values per point) constant on classes."""
         return tuple([table[i] for i in self.reps])
 
-    def class_index(self, point) -> int:
-        return self.class_of[self.source._index[point]]
-
     def q_image_mask(self, source_mask: int) -> int:
         out = 0
         for c, m in enumerate(self.classes):

@@ -27,19 +27,6 @@ def _exact(c) -> Union[int, Fraction]:
     return c.numerator if c.denominator == 1 else c
 
 
-def _power(base, n: int, one):
-    """base**n for n >= 0 by the right-to-left binary method; the base is not
-    squared past the top bit."""
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
-
-
 def _new(ints: tuple, den: int, val: int) -> "Poly":
     """Poly from a canonical (ints, den, val) triple, unchecked."""
     p = object.__new__(Poly)
@@ -235,9 +222,33 @@ class Poly:
         return _from_ints([k * c.numerator for k in self.ints], self.den * c.denominator, self.val)
 
     def __pow__(self, n: int) -> "Poly":
+        """self**n by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, §4.7).
+
+        With a = ints, d = len(a) - 1 and q = a**n: q[0] = a[0]**n, and
+        m*a[0]*q[m] is the sum over 1 <= j <= min(m, d) of
+        ((n+1)*j - m)*a[j]*q[m-j], so each step is an exact integer division
+        and no product is formed.  a[0] and a[d] are nonzero, and
+        content(a**n) = content(a)**n is coprime to den**n, so the result is
+        canonical as built.
+        """
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(self, n, Poly.ONE)
+        if not n:
+            return Poly.ONE
+        a = self.ints
+        if not a or n == 1:
+            return self
+        a0 = a[0]
+        terms = [(j, c) for j, c in enumerate(a) if j and c]
+        q = [a0**n]
+        for m in range(1, (len(a) - 1) * n + 1):
+            s = 0
+            for j, c in terms:
+                if j > m:
+                    break
+                s += ((n + 1) * j - m) * c * q[m - j]
+            q.append(s // (m * a0))
+        return _new(tuple(q), self.den**n, self.val * n)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder by integer pseudo-division.
@@ -406,27 +417,28 @@ class Poly:
         """Human form with ascending exponents; exponents divided by ram."""
         if self.is_zero():
             return "0"
+        den = self.den
         parts = []
         for i, c in enumerate(self.ints, self.val):
             if not c:
                 continue
-            c = Fraction(c, self.den)
-            e = Fraction(i, ram)
-            if e == 0:
-                body = _frac_str(c)
+            g = math.gcd(c, den)
+            if not i:
+                body = _ratio_str(c // g, den // g)
             else:
-                if e == 1:
+                if i == ram:
                     pw = var
-                elif e.denominator == 1:
-                    pw = f"{var}^{e.numerator}"
+                elif not i % ram:
+                    pw = f"{var}^{i // ram}"
                 else:
-                    pw = f"{var}^({e.numerator}/{e.denominator})"
-                if c == 1:
+                    h = math.gcd(i, ram)
+                    pw = f"{var}^({i // h}/{ram // h})"
+                if c == den:
                     body = pw
-                elif c == -1:
+                elif c == -den:
                     body = f"-{pw}"
                 else:
-                    body = f"{_frac_str(c)}*{pw}"
+                    body = f"{_ratio_str(c // g, den // g)}*{pw}"
             parts.append(body)
         out = parts[0]
         for p in parts[1:]:
@@ -435,8 +447,13 @@ class Poly:
 
 
 def _frac_str(c: Fraction) -> str:
+    return _ratio_str(c.numerator, c.denominator)
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den, in lowest terms with den > 0, as "num" or "num/den"."""
     try:
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise NumberTooLarge("an exact value has too many digits to print") from None
 

@@ -304,8 +304,8 @@ def test_criterion_12_hull_suite(spaces_up_to_4):
             failures.append((space.describe(), "quotient not discrete Hausdorff"))
         family = HL.canonical_family(space)
         for name, table in family.items():
-            for i, p in enumerate(space.points):
-                if table[i] != sc.lifted[name][sc.class_index(p)]:
+            for i in range(space.n):
+                if table[i] != sc.lifted[name][sc.class_of[i]]:
                     failures.append((space.describe(), f"{name} does not factor"))
         try:
             HL.zero_set_formulas(sc)

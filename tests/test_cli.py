@@ -399,7 +399,12 @@ class TestDigitLimit:
     BIG = "7" * 5000
 
     def test_hyper_answer_too_long_to_print_exits_2(self, capsys):
-        for argv in (("eval", "10^5000"), ("st", "10^5000"), ("root", "10^10000", "2")):
+        for argv in (
+            ("eval", "10^5000"),
+            ("st", "10^5000"),
+            ("root", "10^10000", "2"),
+            ("eval", "(1+e)^20000"),
+        ):
             code, got = run_json(capsys, "hyper", *argv)
             assert code == 2 and got["error"]["type"] == "NumberTooLarge", argv
 

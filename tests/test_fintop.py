@@ -55,6 +55,13 @@ class TestValidate:
         with pytest.raises(F.SpaceError):
             space(["a"], [[], ["z"], ["a"]])
 
+    def test_labels_that_print_alike(self):
+        # reports key points by their printed labels, so the library route
+        # refuses what the JSON route refuses
+        for points in ([1, "1"], [(1, 2), "(1, 2)"]):
+            with pytest.raises(F.SpaceError, match="both print as"):
+                space(points, [[], points])
+
     def test_json_roundtrip(self):
         assert F.space_from_json(FAN3.to_json()) == FAN3
 

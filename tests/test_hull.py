@@ -114,8 +114,8 @@ class TestBuildHull:
         fam = {"f": (0, 0, 1), "g": (2, 2, 2)}
         hull = H.build_hull(DISC3, fam)
         for name, table in fam.items():
-            for i, p in enumerate(DISC3.points):
-                assert Fraction(table[i]) == hull.lifted[name][hull.class_index(p)]
+            for i in range(DISC3.n):
+                assert Fraction(table[i]) == hull.lifted[name][hull.class_of[i]]
 
     def test_discontinuous_family_rejected(self):
         with pytest.raises(H.DiscontinuousFamilyMember):

@@ -7,7 +7,7 @@ import pytest
 from nsatop.hyperreal import EPSILON, Hyperreal
 from nsatop.poly import Poly, integer_nth_root, rational_nth_root
 
-from helpers import rand_poly
+from helpers import rand_fraction, rand_poly
 
 
 def test_zero_and_degree():
@@ -240,20 +240,91 @@ def test_stored_valuation_against_dense_oracle():
         assert a.eval(x) == sum(c * x**i for i, c in enumerate(da))
 
 
-def test_power_builds_no_product_past_the_result(monkeypatch):
-    # binary powering must not square the base once more after the top bit
-    degrees = []
+def _power_by_products(p, n):
+    """p**n as n products: the reference for Miller's recurrence."""
+    out = Poly.ONE
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def test_power_against_repeated_products():
+    rng = random.Random(24)
+    big = 1 << 200
+    bases = [Poly(), Poly.ONE, Poly.X, Poly.monomial(3, Fraction(-5, 7)), Poly((0, 0, -2, 1))]
+    for _ in range(60):
+        size = rng.choice((3, 5, big))
+        coeffs = [
+            Fraction(rng.randint(-size, size), rng.choice((1, 1, 2, 9, big + 1)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        base = Poly([0] * rng.randint(0, 4) + coeffs)
+        bases.append(base.stretch(rng.randint(1, 6)))
+    for base in bases:
+        for n in (0, 1, 2, 3, 7, 40 if len(base.ints) < 8 else 11):
+            got = base**n
+            assert_canonical(got)
+            assert got == _power_by_products(base, n), (base, n)
+    with pytest.raises(ValueError):
+        Poly.X ** -1
+
+
+def test_power_makes_no_product(monkeypatch):
+    base = 1 + EPSILON
+    calls = []
     mul = Poly.__mul__
 
     def recording_mul(self, other):
-        product = mul(self, other)
-        degrees.append(product.degree)
-        return product
+        calls.append(other)
+        return mul(self, other)
 
     monkeypatch.setattr(Poly, "__mul__", recording_mul)
-    result = (1 + EPSILON) ** 2000
+    result = base**2000
     assert result.num.degree == 2000
-    assert max(degrees) <= 2000
-    degrees.clear()
     assert Poly((1, 1)) ** 100 == Poly([math.comb(100, i) for i in range(101)])
-    assert max(degrees) <= 100
+    assert calls == []
+
+
+def _to_str_by_fractions(p, var, ram):
+    """Poly.to_str as written on Fractions: the oracle for the integer route."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for i, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        e = Fraction(i, ram)
+        frac = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        if e == 0:
+            body = frac
+        else:
+            if e == 1:
+                pw = var
+            elif e.denominator == 1:
+                pw = f"{var}^{e.numerator}"
+            else:
+                pw = f"{var}^({e.numerator}/{e.denominator})"
+            if c == 1:
+                body = pw
+            elif c == -1:
+                body = f"-{pw}"
+            else:
+                body = f"{frac}*{pw}"
+        parts.append(body)
+    out = parts[0]
+    for part in parts[1:]:
+        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return out
+
+
+def test_to_str_against_fraction_oracle():
+    rng = random.Random(25)
+    polys = [Poly(), Poly.ONE, Poly.X, Poly((-1, 0, -1)), Poly((Fraction(1, 2), Fraction(-1, 2), 0, 1))]
+    for _ in range(150):
+        span, max_den = rng.choice((1, 6, 1 << 70)), rng.choice((1, 4, 12))
+        coeffs = [rand_fraction(rng, span, max_den) for _ in range(rng.randint(1, 7))]
+        polys.append(Poly([0] * rng.randint(0, 7) + coeffs))
+    for p in polys:
+        for var in ("e", "n"):
+            for ram in range(1, 7):
+                assert p.to_str(var, ram) == _to_str_by_fractions(p, var, ram), (p, var, ram)
