@@ -15,19 +15,15 @@ from typing import Iterable, Optional, Union
 
 # MAX_DEPTH, the shared parser's nesting limit, bounds formulas and entities
 # here too; evaluation, printing and hashing recurse once per level
-from .hyperreal import MAX_DEPTH, _TermParser
+from .hyperreal import MAX_DEPTH, PositionedError, _TermParser
 
 
 class BqfError(Exception):
     pass
 
 
-class FormulaSyntaxError(BqfError):
-    """Bad formula text; `position` is the character offset of the culprit."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+class FormulaSyntaxError(PositionedError, BqfError):
+    """Bad formula text."""
 
 
 class UnboundedQuantifier(BqfError):
@@ -42,14 +38,10 @@ class QuantifierOverAtom(BqfError):
     pass
 
 
-class NestingTooDeep(BqfError):
+class NestingTooDeep(PositionedError, BqfError):
     """A formula or an entity nested deeper than MAX_DEPTH levels; `position`
     is the character offset of the formula's first opener past the limit,
     or None for an entity."""
-
-    def __init__(self, message: str, position: Optional[int] = None):
-        super().__init__(message if position is None else f"{message} (at position {position})")
-        self.position = position
 
 
 class AuditFailure(BqfError):

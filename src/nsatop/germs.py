@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 # MAX_DEPTH, the nesting limit of the shared term parser, is the germ parsers' limit too
-from .hyperreal import MAX_DEPTH, Classification, Hyperreal, _TermParser  # noqa: F401
+from .hyperreal import MAX_DEPTH, Classification, Hyperreal, PositionedError, _TermParser  # noqa: F401
 from .poly import Poly, _exact
 
 
@@ -47,13 +47,8 @@ class VanishingDivisor(GermError, ZeroDivisionError):
     polynomial, or a divisor that vanishes at the one index asked for."""
 
 
-class GermSyntaxError(GermError):
-    """Bad germ or formula text; `position` is the character offset of the
-    culprit, or None when no single character is to blame."""
-
-    def __init__(self, message: str, position: Optional[int] = None):
-        super().__init__(message if position is None else f"{message} (at position {position})")
-        self.position = position
+class GermSyntaxError(PositionedError, GermError):
+    """Bad germ or formula text."""
 
 
 class NestingTooDeep(GermSyntaxError):
@@ -219,9 +214,8 @@ def _cauchy_bound(p: Poly) -> int:
     """Integer beyond every real root of p (at least 1)."""
     if p.degree <= 0:
         return 1
-    lead = abs(p.leading)
-    biggest = max(abs(c) for c in p.coeffs)
-    return 1 + math.ceil(biggest / lead)
+    # den cancels: max|c/den| / |lead/den| = max|c| / |lead| on the numerators
+    return 1 + -(-max(map(abs, p.ints)) // abs(p.ints[-1]))
 
 
 # -- class alignment -----------------------------------------------------------
@@ -347,11 +341,8 @@ def _eventual_sign(a: RationalGerm) -> int:
     """Sign of a(n) for all large n: 0 exactly when a is the zero germ."""
     if a.num.is_zero():
         return 0
-    s = 1 if a.num.leading > 0 else -1
-    # canonical denominators are monic, but stay safe
-    if a.den.leading < 0:
-        s = -s
-    return s
+    # RationalGerm makes den monic, so the leading numerator decides
+    return 1 if a.num.ints[-1] > 0 else -1
 
 
 def ae_compare(a: Germ, b: Germ) -> tuple[AeVerdict, AeVerdict]:

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .poly import Poly, _frac_str
+from .poly import Poly, _frac_str, _new
 
 
 class HyperrealError(Exception):
@@ -51,12 +51,18 @@ class EmptyInterval(HyperrealError):
     pass
 
 
-class ExprSyntaxError(HyperrealError):
-    """Bad textual expression; carries the offending position."""
+class PositionedError:
+    """Mixin for an error in parsed text: `position` is the character offset
+    of the culprit, named in the message, or None when no single character
+    is to blame."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: Optional[int] = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
+
+
+class ExprSyntaxError(PositionedError, HyperrealError):
+    """Bad textual expression; carries the offending position."""
 
 
 class NestingTooDeep(ExprSyntaxError):
@@ -446,9 +452,10 @@ def infinitesimally_close(a: Hyperreal, b: Hyperreal) -> bool:
 def nth_root(a: Hyperreal, n: int) -> Hyperreal:
     """Exact n-th root, enlarging the ramification as needed.
 
-    The pure power of e is absorbed by ramification; the remaining unit part
-    must be an exact n-th power of a rational function (extra ramification
-    cannot help there).  Raises NotRepresentable when no root exists,
+    num and den are rooted above their valuations by Poly.nth_root (Miller's
+    recurrence, exact by Gauss's lemma, checked by powering back); stretched
+    by n they sit at their old valuations on ramification ram*n, which
+    absorbs the power of e.  Raises NotRepresentable when no root exists,
     NegativeEvenRoot for even roots of negative elements, and BadRootDegree
     for n < 1.
     """
@@ -461,23 +468,15 @@ def nth_root(a: Hyperreal, n: int) -> Hyperreal:
         return ZERO
     if s < 0 and n % 2 == 0:
         raise NegativeEvenRoot("even root of a negative element")
-
-    vn, vd = a.num.valuation, a.den.valuation
-    unit_num = a.num.shift_down(vn)
-    unit_den = a.den.shift_down(vd)
     if s < 0:
-        # odd n: take the root of -a and negate
-        root = nth_root(-a, n)
-        return -root
-    rn = unit_num.nth_root(n)
-    rd = unit_den.nth_root(n)
-    if rn is None or rd is None:
-        raise NotRepresentable(f"{a} has no {n}-th root in the ramified field")
-    # rebase to ramification ram*n, where the e-power valuation difference
-    # vn - vd becomes an exact exponent again
-    num = Poly.monomial(vn) * rn.stretch(n)
-    den = Poly.monomial(vd) * rd.stretch(n)
-    return _from_coprime(num, den, a.ram * n)
+        return -nth_root(-a, n)  # odd n; a failure names -a
+    roots = []
+    for p in (a.num, a.den):
+        r = _new(p.ints, p.den, 0).nth_root(n)
+        if r is None:
+            raise NotRepresentable(f"{a} has no {n}-th root in the ramified field")
+        roots.append(_new(r.stretch(n).ints, r.den, p.val))
+    return _from_coprime(*roots, a.ram * n)
 
 
 _INTERVAL_KINDS = {

@@ -222,14 +222,10 @@ class Poly:
         return _from_ints([k * c.numerator for k in self.ints], self.den * c.denominator, self.val)
 
     def __pow__(self, n: int) -> "Poly":
-        """self**n by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, §4.7).
+        """self**n by Miller's recurrence on the integer numerators.
 
-        With a = ints, d = len(a) - 1 and q = a**n: q[0] = a[0]**n, and
-        m*a[0]*q[m] is the sum over 1 <= j <= min(m, d) of
-        ((n+1)*j - m)*a[j]*q[m-j], so each step is an exact integer division
-        and no product is formed.  a[0] and a[d] are nonzero, and
-        content(a**n) = content(a)**n is coprime to den**n, so the result is
-        canonical as built.
+        a[0] and a[-1] are nonzero, and content(a**n) = content(a)**n is
+        coprime to den**n, so the result is canonical as built.
         """
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -238,16 +234,7 @@ class Poly:
         a = self.ints
         if not a or n == 1:
             return self
-        a0 = a[0]
-        terms = [(j, c) for j, c in enumerate(a) if j and c]
-        q = [a0**n]
-        for m in range(1, (len(a) - 1) * n + 1):
-            s = 0
-            for j, c in terms:
-                if j > m:
-                    break
-                s += ((n + 1) * j - m) * c * q[m - j]
-            q.append(s // (m * a0))
+        q = _series_power(a, a[0] ** n, n, 1, (len(a) - 1) * n + 1)
         return _new(tuple(q), self.den**n, self.val * n)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -382,34 +369,26 @@ class Poly:
     def nth_root(self, n: int) -> Optional["Poly"]:
         """Exact n-th root, or None when no such polynomial exists.
 
-        Works from the lowest coefficient upward: the candidate is the unique
-        truncated power-series root, verified exactly by powering back.
-        For even n the root with positive lowest coefficient is returned.
+        By Gauss's lemma a root of ints/den is an integer polynomial over the
+        integer n-th root of den, so Miller's recurrence at exponent 1/n runs
+        on exact divisions, and an inexact one means no root.  The series is
+        checked by powering it back once.  For even n the root with positive
+        lowest coefficient is returned.
         """
-        if n == 1 or self.is_zero():
+        a = self.ints
+        if n == 1 or not a:
             return self
-        v = self.valuation
-        if v % n:
+        if self.val % n or (len(a) - 1) % n or (a[0] < 0 and not n % 2):
             return None
-        if (self.degree - v) % n:
+        q0 = integer_nth_root(abs(a[0]), n)
+        d = integer_nth_root(self.den, n)
+        if q0 is None or d is None:
             return None
-        body = self.shift_down(v)
-        c0 = rational_nth_root(body.coeff(0), n)
-        if c0 is None:
+        q = _series_power(a, q0 if a[0] > 0 else -q0, 1, n, (len(a) - 1) // n + 1)
+        if q is None:
             return None
-        deg = body.degree // n
-        root = [Fraction(0)] * (deg + 1)
-        root[0] = c0
-        lead_inv = 1 / (n * c0 ** (n - 1))
-        partial = Poly((c0,))
-        for k in range(1, deg + 1):
-            have = (partial ** n).coeff(k)
-            root[k] = (body.coeff(k) - have) * lead_inv
-            partial = Poly(root[: k + 1])
-        candidate = Poly(root)
-        if (candidate ** n) != body:
-            return None
-        return Poly.monomial(v // n) * candidate
+        root = _new(tuple(q), d, self.val // n)
+        return root if root**n == self else None
 
     # -- formatting -------------------------------------------------------------
 
@@ -458,6 +437,27 @@ def _ratio_str(num: int, den: int) -> str:
         raise NumberTooLarge("an exact value has too many digits to print") from None
 
 
+def _series_power(a, q0: int, p: int, r: int, count: int) -> Optional[list]:
+    """First count integer coefficients q of a**(p/r) from q[0] = q0, by
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, §4.7) over the nonzero
+    a[j]: r*m*a[0]*q[m] = sum over 1 <= j <= m of ((p+r)*j - r*m)*a[j]*q[m-j].
+    None when a division leaves a remainder (never for p/r = n)."""
+    a0 = a[0]
+    terms = [(j, c) for j, c in enumerate(a) if j and c]
+    q = [q0]
+    for m in range(1, count):
+        s = 0
+        for j, c in terms:
+            if j > m:
+                break
+            s += ((p + r) * j - r * m) * c * q[m - j]
+        qm, rem = divmod(s, r * m * a0)
+        if rem:
+            return None
+        q.append(qm)
+    return q
+
+
 def _int_prem(u, v) -> list:
     """Content-free pseudo-remainder of trimmed integer coefficient lists."""
     u = list(u)
@@ -483,6 +483,8 @@ def integer_nth_root(m: int, n: int) -> Optional[int]:
         raise ValueError("negative radicand")
     if m in (0, 1) or n == 1:
         return m
+    if n >= m.bit_length():
+        return None  # 2**n > m, and 1**n == 1 != m
     x = 1 << ((m.bit_length() + n - 1) // n)
     while True:
         y = ((n - 1) * x + m // x ** (n - 1)) // n

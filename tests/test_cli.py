@@ -105,6 +105,15 @@ class TestHyper:
         code, got = run_json(capsys, "hyper", "root", "1+e", "2")
         assert code == 1 and got["root_exists"] is False
 
+    def test_root_degree_past_bit_length_is_quick(self, capsys):
+        # 2**n > 4 for n >= 3, so no root is sought and no power is formed
+        start = time.perf_counter()
+        code, got = run_json(capsys, "hyper", "root", "4", "1000000000000")
+        assert code == 1 and got["root_exists"] is False
+        code, got = run_json(capsys, "hyper", "eval", "4^(1/1000000000000)")
+        assert code == 2 and got["error"]["type"] == "NotRepresentable"
+        assert time.perf_counter() - start < 1.0
+
 
 class TestGerm:
     def test_compare_lt(self, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nsatop import hyperreal
 from nsatop.hyperreal import EPSILON, Hyperreal
 from nsatop.poly import Poly, integer_nth_root, rational_nth_root
 
@@ -117,6 +118,8 @@ def test_integer_nth_root():
     assert integer_nth_root(64, 3) == 4
     assert integer_nth_root(63, 3) is None
     assert integer_nth_root(10**30, 2) == 10**15
+    # a degree past the radicand's bit length is refused before any power
+    assert integer_nth_root(4, 10**12) is None
 
 
 def test_rational_nth_root():
@@ -144,6 +147,108 @@ def test_poly_nth_root_rejects_non_powers():
     assert Poly((1, 1)).nth_root(2) is None  # 1 + x
     assert Poly((0, 1)).nth_root(2) is None  # x alone has odd valuation
     assert Poly((2,)).nth_root(2) is None  # sqrt(2) is irrational
+
+
+def _nth_root_by_fractions(p, n):
+    """Poly.nth_root as written on Fractions, one partial root per step,
+    powered by repeated products: the reference for the integer route."""
+    if n == 1 or p.is_zero():
+        return p
+    v = p.valuation
+    if v % n or (p.degree - v) % n:
+        return None
+    body = p.shift_down(v)
+    c0 = rational_nth_root(body.coeff(0), n)
+    if c0 is None:
+        return None
+    deg = body.degree // n
+    root = [Fraction(0)] * (deg + 1)
+    root[0] = c0
+    lead_inv = 1 / (n * c0 ** (n - 1))
+    partial = Poly((c0,))
+    for k in range(1, deg + 1):
+        have = _power_by_products(partial, n).coeff(k)
+        root[k] = (body.coeff(k) - have) * lead_inv
+        partial = Poly(root[: k + 1])
+    candidate = Poly(root)
+    if _power_by_products(candidate, n) != body:
+        return None
+    return Poly.monomial(v // n) * candidate
+
+
+def check_nth_roots(count, seed):
+    """Poly.nth_root against the Fraction reference on count seeded cases.
+
+    Half are n-th powers: valuations 0-3, rational coefficients (some of 70
+    bits), n from 1 to 6, a negative lowest coefficient for odd n.  The rest
+    are altered: one term moved, den times a non-power, negated (no root
+    for even n), or a valuation or degree off by one.  Returns
+    (roots found, None answers); both sides must agree on every case.
+    """
+    rng = random.Random(seed)
+    found = refused = 0
+    for i in range(count):
+        n = rng.randint(1, 6)
+        span, max_den = rng.choice(((3, 2), (9, 8), (1 << 70, 5)))
+        coeffs = [rand_fraction(rng, span, max_den) for _ in range(rng.randint(1, 4))]
+        coeffs[0] = coeffs[0] or Fraction(1)
+        if n % 2 == 0:
+            coeffs[0] = abs(coeffs[0])
+        p = _power_by_products(Poly([0] * rng.randint(0, 3) + coeffs), n)
+        if i % 2:
+            spoil = rng.randrange(5)
+            if spoil == 0:
+                k = rng.randint(p.val, p.degree)
+                p = p + Poly.monomial(k, rand_fraction(rng) or Fraction(1, 3))
+            elif spoil == 1:
+                p = p.scale(Fraction(rng.choice((1, 5)), rng.choice((2, 3, 12))))
+            elif spoil == 2:
+                p = -p
+            elif spoil == 3:
+                p = p * Poly.X
+            else:
+                p = p + Poly.monomial(p.degree + 1, rand_fraction(rng) or Fraction(1))
+        got, want = p.nth_root(n), _nth_root_by_fractions(p, n)
+        assert got == want, (p, n, got, want)
+        if got is None:
+            refused += 1
+        else:
+            assert_canonical(got)
+            found += 1
+    return found, refused
+
+
+def test_nth_root_against_fraction_reference():
+    found, refused = check_nth_roots(2000, seed=26)
+    assert found > 1000 and refused > 500
+
+
+def test_root_powers_once(monkeypatch):
+    pows, muls = [], []
+    power, mul = Poly.__pow__, Poly.__mul__
+
+    def recording_pow(self, n):
+        pows.append(n)
+        return power(self, n)
+
+    def recording_mul(self, other):
+        muls.append(other)
+        return mul(self, other)
+
+    cube = _power_by_products(Poly((0, 0, Fraction(-2, 3), 1, 5, Fraction(1, 7))), 3)
+    den = Poly((1, 0, Fraction(1, 4)))
+    a = Hyperreal(cube, _power_by_products(den, 3), 2)
+    want = Hyperreal(cube.nth_root(3), den, 2)
+    monkeypatch.setattr(Poly, "__pow__", recording_pow)
+    monkeypatch.setattr(Poly, "__mul__", recording_mul)
+    for p, n in ((cube, 3), (cube + Poly.X**9, 3), (cube.scale(2), 3), (Poly((4, 4, 1)), 2)):
+        pows.clear()
+        p.nth_root(n)
+        assert len(pows) <= 1, (p, n, pows)
+    assert muls == []
+    assert hyperreal.nth_root(a, 3) == want
+    assert hyperreal.nth_root(-a, 3) == -want
+    assert muls == []
 
 
 # -- the stored valuation against a dense list of Fractions -------------------------
