@@ -34,8 +34,10 @@ constant germ such as -3/2.  Constants, bare or in ep lists, are
 Verdicts serialize as true-ae / false-ae / ultrafilter-dependent.
 
 Space JSON: {"points": ["a","b"], "opens": [[], ["a"], ["a","b"]]}.
-Family JSON: {"f": {"a": "0", "b": "1/2"}}; `topo hull` takes at most one of a
-family file, --stone-cech and --t0-reflect.
+Family JSON: {"f": {"a": "0", "b": "1/2"}}; `topo hull` takes a family file
+or --stone-cech (the default), not both.
+Global flags: --format json|table (`topo dot` prints DOT under either) and
+--seed S, which seeds the generator subfamilies of `audit`.
 """
 
 from __future__ import annotations
@@ -105,10 +107,7 @@ def _hyper_report(x: hyperreal.Hyperreal) -> dict:
 
 
 def cmd_hyper(args, fmt: str) -> int:
-    try:
-        x = hyperreal.parse_hyperreal(args.expr)
-    except hyperreal.HyperrealError as exc:
-        return _raised(exc, fmt)
+    x = hyperreal.parse_hyperreal(args.expr)
     if args.action == "eval":
         _emit(_hyper_report(x), fmt)
         return 0
@@ -127,8 +126,6 @@ def cmd_hyper(args, fmt: str) -> int:
             fmt,
         )
         return 1
-    except hyperreal.HyperrealError as exc:
-        return _raised(exc, fmt)
     _emit({"root_exists": True, "root": str(r), "degree": args.degree}, fmt)
     return 0
 
@@ -137,43 +134,40 @@ def cmd_hyper(args, fmt: str) -> int:
 
 
 def cmd_germ(args, fmt: str) -> int:
-    try:
-        if args.action == "compare":
-            a = germs.parse_germ(args.lhs)
-            b = germs.parse_germ(args.rhs)
-            verdict = germs.ae_equal(a, b) if args.relation == "eq" else germs.ae_less(a, b)
-            _emit(
-                {"lhs": repr(a), "rhs": repr(b), "relation": args.relation, "verdict": verdict.value},
-                fmt,
-            )
-            return 0 if verdict is germs.AeVerdict.TRUE_AE else 1
-        if args.action == "classify":
-            g = germs.parse_germ(args.germ)
-            result = germs.classify_germ(g)
-            report = {"germ": repr(g)}
-            if isinstance(result, germs.ResidueClassification):
-                report["classification"] = "per-residue-class"
-                report["residues"] = {
-                    str(r): c.value for r, c in enumerate(result.classes)
-                }
-            else:
-                report["classification"] = result.value
-                if isinstance(g, germs.RationalGerm) or len(g.period) == 1:
-                    report["st"] = str(germs.to_hyperreal(g).st())
-            _emit(report, fmt)
-            return 0
-        # los
-        assignment = {}
-        for binding in args.bind or []:
-            name, _, text = binding.partition("=")
-            if not _:
-                raise germs.GermSyntaxError(f"binding {binding!r} is not name=germ")
-            assignment[name.strip()] = germs.parse_germ(text.strip())
-        verdict = germs.los_check_qf(args.formula, assignment)
-        _emit({"formula": args.formula, "verdict": verdict.value}, fmt)
+    if args.action == "compare":
+        a = germs.parse_germ(args.lhs)
+        b = germs.parse_germ(args.rhs)
+        verdict = germs.ae_equal(a, b) if args.relation == "eq" else germs.ae_less(a, b)
+        _emit(
+            {"lhs": repr(a), "rhs": repr(b), "relation": args.relation, "verdict": verdict.value},
+            fmt,
+        )
         return 0 if verdict is germs.AeVerdict.TRUE_AE else 1
-    except germs.GermError as exc:
-        return _raised(exc, fmt)
+    if args.action == "classify":
+        g = germs.parse_germ(args.germ)
+        result = germs.classify_germ(g)
+        report = {"germ": repr(g)}
+        if isinstance(result, germs.ResidueClassification):
+            report["classification"] = "per-residue-class"
+            report["residues"] = {
+                str(r): c.value for r, c in enumerate(result.classes)
+            }
+        else:
+            report["classification"] = result.value
+            if isinstance(g, germs.RationalGerm) or len(g.period) == 1:
+                report["st"] = str(germs.to_hyperreal(g).st())
+        _emit(report, fmt)
+        return 0
+    # los
+    assignment = {}
+    for binding in args.bind or []:
+        name, _, text = binding.partition("=")
+        if not _:
+            raise germs.GermSyntaxError(f"binding {binding!r} is not name=germ")
+        assignment[name.strip()] = germs.parse_germ(text.strip())
+    verdict = germs.los_check_qf(args.formula, assignment)
+    _emit({"formula": args.formula, "verdict": verdict.value}, fmt)
+    return 0 if verdict is germs.AeVerdict.TRUE_AE else 1
 
 
 # -- bqf ---------------------------------------------------------------------------
@@ -206,36 +200,39 @@ def _parse_bindings(pairs) -> dict:
 
 
 def cmd_bqf(args, fmt: str) -> int:
-    try:
+    try:  # entity JSON of no entity's shape; a TypeError anywhere else is a bug
         bindings = _parse_bindings(args.bind)
-        formula = bqf.parse(args.formula)
-        if args.action == "eval":
-            transfer = bqf.check_transfer_finite(formula, bindings)
-            value = transfer["standard_truth"]
-            _emit(
-                {
-                    "formula": bqf.print_formula(formula),
-                    "value": value,
-                    "transfer_holds": transfer["transfer_holds"],
-                },
-                fmt,
-            )
-            return 0 if value else 1
-        bound = _entity(args.bound)
-        if not isinstance(bound, bqf.FSet):
-            return _error("QuantifierOverAtom", "comprehension bound must be a set", fmt)
-        result = bqf.define_set(bound, formula, bindings, var=args.var)
+    except TypeError as exc:
+        return _raised(exc, fmt)
+    formula = bqf.parse(args.formula)
+    if args.action == "eval":
+        transfer = bqf.check_transfer_finite(formula, bindings)
+        value = transfer["standard_truth"]
         _emit(
             {
                 "formula": bqf.print_formula(formula),
-                "bound": bqf.entity_to_json(bound),
-                "subset": bqf.entity_to_json(result),
+                "value": value,
+                "transfer_holds": transfer["transfer_holds"],
             },
             fmt,
         )
-        return 0
-    except (bqf.BqfError, json.JSONDecodeError, TypeError) as exc:
+        return 0 if value else 1
+    try:
+        bound = _entity(args.bound)
+    except TypeError as exc:
         return _raised(exc, fmt)
+    if not isinstance(bound, bqf.FSet):
+        raise bqf.QuantifierOverAtom("comprehension bound must be a set")
+    result = bqf.define_set(bound, formula, bindings, var=args.var)
+    _emit(
+        {
+            "formula": bqf.print_formula(formula),
+            "bound": bqf.entity_to_json(bound),
+            "subset": bqf.entity_to_json(result),
+        },
+        fmt,
+    )
+    return 0
 
 
 # -- topo --------------------------------------------------------------------------
@@ -247,12 +244,13 @@ def _load_json(path: str):
             return json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise fintop.SpaceError(f"{path}: JSON nested too deeply to decode") from None
+        except UnicodeDecodeError:
+            raise fintop.SpaceError(f"{path}: not UTF-8 text") from None
 
 
 def cmd_topo(args, fmt: str) -> int:
-    inputs = (args.family, args.stone_cech, args.t0_reflect) if args.action == "hull" else ()
-    if sum(map(bool, inputs)) > 1:
-        message = "topo hull takes at most one of a family file, --stone-cech and --t0-reflect"
+    if args.action == "hull" and args.family and args.stone_cech:
+        message = "topo hull takes a family file or --stone-cech, not both"
         return _error("ConflictingInputs", message, fmt)
     try:
         space = fintop.space_from_json(_load_json(args.space))
@@ -270,7 +268,7 @@ def cmd_topo(args, fmt: str) -> int:
         if args.action == "dot":
             print(fintop.dot_specialization(space))
             return 0
-        if args.action == "reflect" or args.t0_reflect:
+        if args.action == "reflect":
             built = hull.t0_reflection(space)
             report = hull.t0_reflection_report(built)
         else:
@@ -291,8 +289,6 @@ def cmd_topo(args, fmt: str) -> int:
     except fintop.AuditFailure as exc:
         _emit({"error": {"type": "AuditFailure", "message": str(exc), "witness": exc.witness}}, fmt)
         return 1
-    except (OSError, json.JSONDecodeError, fintop.SpaceError) as exc:
-        return _raised(exc, fmt)
 
 
 # -- audit -------------------------------------------------------------------------
@@ -342,13 +338,9 @@ def run_full_audit(max_points: int, seed: int = 0) -> dict:
 
 def cmd_audit(args, fmt: str) -> int:
     if args.max_points > fintop.EXHAUSTIVE_LIMIT:
-        return _error(
-            "TooLarge",
-            f"exhaustive audit is capped at {fintop.EXHAUSTIVE_LIMIT} points",
-            fmt,
-        )
+        raise fintop.TooLarge(f"exhaustive audit is capped at {fintop.EXHAUSTIVE_LIMIT} points")
     if args.max_points < 1:
-        return _error("TooLarge", "need at least one point", fmt)
+        raise fintop.TooLarge("need at least one point")
     report = run_full_audit(args.max_points, seed=args.seed)
     _emit(report, fmt)
     return 0 if report["all_passed"] else 1
@@ -383,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="infinitesimal arithmetic, germs, bounded-quantifier formulas, "
         "and monad-based finite topology",
     )
-    parser.add_argument("--format", choices=("json", "table", "dot"), default="json")
+    parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -426,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("family", nargs="?", default=None)
     p.add_argument("--stone-cech", action="store_true", help="use the canonical family")
-    p.add_argument("--t0-reflect", action="store_true", help="build the T0 reflection instead")
     p = topo_sub.add_parser("reflect", help="T0 reflection")
     p.add_argument("space")
     p = topo_sub.add_parser("dot", help="specialization preorder as DOT")
@@ -434,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="run every audit over all small spaces")
     audit.add_argument("--max-points", type=int, default=3)
-    audit.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     _PARSER = parser
     return parser
 
@@ -455,16 +445,17 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    fmt = args.format
-    if fmt == "dot" and not (args.command == "topo" and args.action == "dot"):
-        return _error("BadFormat", "dot output only applies to 'topo dot'", "json")
     command = {"hyper": cmd_hyper, "germ": cmd_germ, "bqf": cmd_bqf, "topo": cmd_topo}
     try:
-        return command.get(args.command, cmd_audit)(args, fmt)
-    except NumberTooLarge as exc:
-        # an integer read from JSON, or an exact answer, past the digit limit;
-        # every report is built before it is printed, so nothing is half out
-        return _raised(exc, fmt)
+        return command.get(args.command, cmd_audit)(args, args.format)
+    except BrokenPipeError:
+        raise  # the reader is gone; `main` exits 141
+    except (hyperreal.HyperrealError, germs.GermError, bqf.BqfError, fintop.SpaceError,
+            NumberTooLarge, json.JSONDecodeError, OSError) as exc:
+        # the typed errors of every module, a number past the digit limit and
+        # unreadable input; every report is built before it is printed, so
+        # nothing is half out
+        return _raised(exc, args.format)
 
 
 if __name__ == "__main__":

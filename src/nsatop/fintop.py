@@ -337,7 +337,14 @@ def validate(points: Sequence, opens: Iterable) -> FinSpace:
     for p in pts:
         if printed.setdefault(str(p), p) != p:
             raise SpaceError(f"point labels {printed[str(p)]!r} and {p!r} both print as {str(p)!r}")
+        if _unprintable(str(p)):
+            raise SpaceError(f"point label {p!r} has no UTF-8 encoding to print")
     return space
+
+
+def _unprintable(text: str) -> bool:
+    """Whether text holds a surrogate code point, which UTF-8 cannot encode."""
+    return not text.isascii() and any("\ud800" <= c <= "\udfff" for c in text)
 
 
 def space_from_json(obj: dict) -> FinSpace:
@@ -891,16 +898,15 @@ def dot_specialization(space: FinSpace) -> str:
             ):
                 continue
             hasse.append((a, b))
-    lines = ["digraph specialization {"]
-    for p in space.points:
-        lines.append(f'  "{p}";')
+    ids = ['"' + str(p).replace("\\", "\\\\").replace('"', '\\"') + '"' for p in space.points]
+    lines = ["digraph specialization {", *(f"  {i};" for i in ids)]
     for cls in classes:
         if len(cls) > 1:
             ring = cls + [cls[0]]
             for u, v in zip(ring, ring[1:]):
-                lines.append(f'  "{space.points[u]}" -> "{space.points[v]}";')
+                lines.append(f"  {ids[u]} -> {ids[v]};")
     for a, b in sorted(hasse):
-        lines.append(f'  "{space.points[classes[a][0]]}" -> "{space.points[classes[b][0]]}";')
+        lines.append(f"  {ids[classes[a][0]]} -> {ids[classes[b][0]]};")
     lines.append("}")
     return "\n".join(lines)
 

@@ -25,6 +25,7 @@ from .fintop import (
     _discontinuity,
     _holds,
     _partition_by,
+    _unprintable,
     z_partition,
 )
 from .poly import _frac_str
@@ -52,6 +53,8 @@ def validate_family(space: FinSpace, family: dict) -> Family:
         raise SpaceError("a family maps names to point->value tables")
     out = {}
     for name in sorted(family):
+        if _unprintable(str(name)):
+            raise SpaceError(f"family member name {name!r} has no UTF-8 encoding to print")
         values = family[name]
         table = []
         for p in space.points:

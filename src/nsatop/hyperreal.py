@@ -468,13 +468,11 @@ def nth_root(a: Hyperreal, n: int) -> Hyperreal:
         return ZERO
     if s < 0 and n % 2 == 0:
         raise NegativeEvenRoot("even root of a negative element")
-    if s < 0:
-        return -nth_root(-a, n)  # odd n; a failure names -a
     roots = []
     for p in (a.num, a.den):
         r = _new(p.ints, p.den, 0).nth_root(n)
         if r is None:
-            raise NotRepresentable(f"{a} has no {n}-th root in the ramified field")
+            raise NotRepresentable(f"{a} has no root of degree {n} in the ramified field")
         roots.append(_new(r.stretch(n).ints, r.den, p.val))
     return _from_coprime(*roots, a.ram * n)
 

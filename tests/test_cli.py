@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nsatop import cli, fintop, hull
+from nsatop import bqf, cli, fintop, germs, hull, hyperreal, poly
 from nsatop.cli import main
 from test_golden import CASES, fixture_paths  # noqa: F401 (a fixture)
 
@@ -104,6 +104,13 @@ class TestHyper:
     def test_unrepresentable_root_exits_1(self, capsys):
         code, got = run_json(capsys, "hyper", "root", "1+e", "2")
         assert code == 1 and got["root_exists"] is False
+
+    def test_missing_odd_root_of_negative_names_it(self, capsys):
+        code, got = run_json(capsys, "hyper", "root", "--", "-2", "3")
+        assert code == 1 and got["root_exists"] is False
+        assert got["witness"]["message"] == "-2 has no root of degree 3 in the ramified field"
+        code, got = run_json(capsys, "hyper", "root", "--", "-8*e^3", "3")
+        assert code == 0 and got["root"] == "-2*e"
 
     def test_root_degree_past_bit_length_is_quick(self, capsys):
         # 2**n > 4 for n >= 3, so no root is sought and no power is formed
@@ -255,6 +262,11 @@ class TestBqf:
         code, got = run_json(capsys, "bqf", "eval", "(forall x)(x = x)")
         assert code == 2 and got["error"]["type"] == "UnboundedQuantifier"
 
+    def test_binding_of_no_entity_shape_exits_2(self, capsys):
+        code, got = run_json(capsys, "bqf", "eval", "x = x", "--bind", "x=1")
+        assert code == 2
+        assert got["error"] == {"type": "TypeError", "message": "cannot decode entity from 1"}
+
     def test_unbound_name_exits_2(self, capsys):
         cases = (
             ("eval", "(exists x in A) y = x", "--bind", "A=[]"),
@@ -324,9 +336,17 @@ class TestTopo:
     def test_deep_json_exits_2(self, capsys, sierp, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 10**5 + "]" * 10**5)
-        for argv in (("check", str(deep)), ("hull", sierp, str(deep))):
-            code, got = run_json(capsys, "topo", *argv)
-            assert code == 2 and got["error"]["type"] == "SpaceError", argv
+        utf16 = tmp_path / "utf16.json"  # a byte-order mark that is not UTF-8
+        utf16.write_bytes(b"\xff\xfe" + '{"points": [], "opens": [[]]}'.encode("utf-16-le"))
+        for bad in (str(deep), str(utf16)):
+            for argv in (("check", bad), ("hull", sierp, bad)):
+                code, got = run_json(capsys, "topo", *argv)
+                assert code == 2 and got["error"]["type"] == "SpaceError", argv
+                assert got["error"]["message"].startswith(bad), argv
+
+    def test_missing_space_file_exits_2(self, capsys, tmp_path):
+        code, got = run_json(capsys, "topo", "check", str(tmp_path / "absent.json"))
+        assert code == 2 and got["error"]["type"] == "FileNotFoundError"
 
     def test_hull_stone_cech(self, capsys, fan3):
         code, got = run_json(capsys, "topo", "hull", fan3, "--stone-cech")
@@ -359,13 +379,11 @@ class TestTopo:
     def test_hull_takes_one_input(self, capsys, disc3, tmp_path):
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps({"f": {"a": "0", "b": "0", "c": "1"}}))
-        for extra in (
-            [str(fam), "--stone-cech"],
-            [str(fam), "--t0-reflect"],
-            ["--stone-cech", "--t0-reflect"],
-        ):
-            code, got = run_json(capsys, "topo", "hull", disc3, *extra)
-            assert code == 2 and got["error"]["type"] == "ConflictingInputs", extra
+        code, got = run_json(capsys, "topo", "hull", disc3, str(fam), "--stone-cech")
+        assert code == 2 and got["error"] == {
+            "type": "ConflictingInputs",
+            "message": "topo hull takes a family file or --stone-cech, not both",
+        }
 
     def test_reflect(self, capsys, sierp):
         code, got = run_json(capsys, "topo", "reflect", sierp)
@@ -383,6 +401,22 @@ class TestTopo:
             "type": "SpaceError",
             "message": "point labels 1 and '1' both print as '1'",
         }
+
+    # a lone surrogate has no UTF-8 encoding, so print would fail on it
+    def test_unprintable_label_or_member_name_exits_2(self, capsys, sierp, tmp_path):
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps({"points": ["\ud800"], "opens": [[], ["\ud800"]]}))
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"\ud800": {"a": "0", "b": "0"}}))
+        for argv, message in (
+            (("topo", "dot", str(path)), "point label '\\ud800' has no UTF-8 encoding to print"),
+            (("topo", "hull", str(path)), "point label '\\ud800' has no UTF-8 encoding to print"),
+            (("topo", "hull", sierp, str(fam)), "family member name '\\ud800' has no UTF-8 encoding to print"),
+        ):
+            code, out = run(capsys, "--format", "table", *argv)
+            assert (code, out) == (2, f"error.message: {message}\nerror.type: SpaceError\n"), argv
+            code, got = run_json(capsys, *argv)
+            assert code == 2 and got["error"] == {"type": "SpaceError", "message": message}, argv
 
     def test_class_labels_printing_alike_exit_2(self, capsys, tmp_path):
         path = tmp_path / "joined.json"
@@ -441,6 +475,11 @@ class TestUsage:
             ("hyper", "root", "e", "two"),
             ("germ", "compare", "1", "2", "gt"),
             (),
+            # spellings that repeat another: `topo dot` prints DOT under any
+            # format, `topo reflect` builds the T0 reflection and --seed is global
+            ("--format", "dot", "topo", "dot", sierp),
+            ("topo", "hull", sierp, "--t0-reflect"),
+            ("audit", "--max-points", "1", "--seed", "3"),
         ):
             code, got = run_json(capsys, *argv)
             assert code == 2 and got["error"]["type"] == "UsageError", argv
@@ -451,6 +490,39 @@ class TestUsage:
             main(["topo", "hull", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: nsatop topo hull")
+
+
+class TestErrorBoundary:
+    """`_dispatch` maps the typed errors of every module to exit 2 in one place."""
+
+    def raise_from_audit(self, monkeypatch, exc):
+        def cmd_audit(args, fmt):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_audit", cmd_audit)
+
+    def test_every_library_error_exits_2(self, capsys, monkeypatch):
+        # the three a command reports otherwise (NotRepresentable in `hyper
+        # root`, DiscontinuousFamilyMember and AuditFailure in `topo`) are
+        # among them, so raised anywhere else they exit 2 as well
+        errors = [
+            obj
+            for mod in (poly, hyperreal, germs, bqf, fintop, hull)
+            for obj in vars(mod).values()
+            if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == mod.__name__
+        ]
+        assert len(errors) > 30
+        for cls in errors:
+            self.raise_from_audit(monkeypatch, cls.__new__(cls, "raised"))
+            code, got = run_json(capsys, "audit")
+            assert code == 2 and got["error"] == {"type": cls.__name__, "message": "raised"}, cls
+
+    def test_other_errors_are_not_typed(self, monkeypatch):
+        # outside `bqf`'s entity JSON a TypeError is a bug and must show as one
+        for exc in (TypeError("bug"), ValueError("bug"), KeyError("bug")):
+            self.raise_from_audit(monkeypatch, exc)
+            with pytest.raises(type(exc)):
+                main(["audit"])
 
 
 class TestParserReuse:
@@ -574,9 +646,9 @@ class TestDeterminism:
         _, first = run(capsys, "topo", "check", fan3)
         _, second = run(capsys, "topo", "check", fan3)
         assert first == second
-        _, a1 = run(capsys, "audit", "--max-points", "2", "--seed", "7")
-        _, a2 = run(capsys, "audit", "--max-points", "2", "--seed", "7")
-        assert a1 == a2
+        a1 = run(capsys, "--seed", "7", "audit", "--max-points", "2")
+        a2 = run(capsys, "--seed", "7", "audit", "--max-points", "2")
+        assert a1 == a2 and a1[0] == 0 and json.loads(a1[1])["seed"] == 7
 
     def test_table_format(self, capsys):
         code, out = run(capsys, "--format", "table", "hyper", "eval", "e")

@@ -413,6 +413,12 @@ class TestDot:
         assert '"a" -> "b";' in text and '"b" -> "c";' in text
         assert '"a" -> "c";' not in text
 
+    def test_ids_escape_quote_and_backslash(self):
+        chain = space(['"q', "b\\"], [[], ['"q'], ['"q', "b\\"]])
+        text = F.dot_specialization(chain)
+        assert '  "\\"q";' in text and '  "b\\\\";' in text
+        assert '"\\"q" -> "b\\\\";' in text
+
 
 class TestTheoremAudit:
     def test_audit_passes_up_to_three_points(self):
