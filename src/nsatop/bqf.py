@@ -38,6 +38,10 @@ class QuantifierOverAtom(BqfError):
     pass
 
 
+class NotAnEntity(BqfError):
+    """Entity JSON that is neither a string nor a list."""
+
+
 class NestingTooDeep(PositionedError, BqfError):
     """A formula or an entity nested deeper than MAX_DEPTH levels; `position`
     is the character offset of the formula's first opener past the limit,
@@ -124,14 +128,19 @@ def entity_from_json(obj, _depth: int = 0) -> Entity:
         if _depth == MAX_DEPTH:
             raise NestingTooDeep(f"entity nested deeper than {MAX_DEPTH} levels")
         return FSet([entity_from_json(x, _depth + 1) for x in obj])
-    raise TypeError(f"cannot decode entity from {obj!r}")
+    raise NotAnEntity(f"cannot decode entity from {obj!r}")
 
 
-def star(e: Entity) -> Entity:
-    """Extension map at finite scale: identity on atoms, elementwise on sets."""
+def star(e: Entity, _memo: Optional[dict] = None) -> Entity:
+    """Extension map at finite scale: identity on atoms, elementwise on sets.
+    `_memo` maps each set starred to its image; one dict per caller stars each set once."""
     if isinstance(e, Atom):
         return e
-    return _fset(map(star, e))
+    if _memo is None:
+        _memo = {}
+    if e not in _memo:
+        _memo[e] = _fset([star(m, _memo) for m in e])
+    return _memo[e]
 
 
 # -- formula syntax ------------------------------------------------------------------
@@ -390,11 +399,12 @@ def evaluate(f: Formula, bindings: dict) -> bool:
 
 
 class _Pairs(dict):
-    """(first, second) -> the ordered pair, built on first use."""
+    """(first, second) -> make_pair(first, second), and first -> {first}, built
+    on first use; the pairs that start with one entity share its singleton."""
 
     def __missing__(self, key):
-        pair = self[key] = make_pair(*key)
-        return pair
+        value = self[key] = _fset((self[key[0]], _fset(key)) if type(key) is tuple else (key,))
+        return value
 
 
 def _compile_term(t: Term):
@@ -570,14 +580,14 @@ def check_transfer_finite(formula: Union[str, Formula], bindings: dict) -> dict:
     if isinstance(formula, str):
         formula = parse(formula)
     standard = evaluate(formula, bindings)
-    starred_bindings = {k: star(v) for k, v in bindings.items()}
+    memo = {}  # every starring below reads and extends it
+    starred_bindings = {k: star(v, memo) for k, v in bindings.items()}
     starred = evaluate(formula, starred_bindings)
+    text = print_formula(formula)
     if standard != starred:
-        raise AuditFailure(
-            "transfer identity failed", instance={"formula": print_formula(formula)}
-        )
+        raise AuditFailure("transfer identity failed", instance={"formula": text})
     report = {
-        "formula": print_formula(formula),
+        "formula": text,
         "standard_truth": standard,
         "starred_truth": starred,
         "transfer_holds": True,
@@ -585,13 +595,11 @@ def check_transfer_finite(formula: Union[str, Formula], bindings: dict) -> dict:
         "product_checks": 0,
     }
     values = sorted(bindings.items())
-    sets = [(k, v) for k, v in values if isinstance(v, FSet)]
-    for i, (ka, a) in enumerate(sets):
-        sa = starred_bindings[ka]
-        for kb, b in sets[i:]:
-            sb = starred_bindings[kb]
+    sets = [(k, v, starred_bindings[k]) for k, v in values if isinstance(v, FSet)]
+    for i, (ka, a, sa) in enumerate(sets):
+        for kb, b, sb in sets[i:]:
             for opname, op in _BOOLEAN_OPS:
-                if star(FSet(op(a, b))) != FSet(op(sa, sb)):
+                if star(_fset(op(a, b)), memo) != op(sa, sb):
                     raise AuditFailure(
                         f"star does not preserve {opname}",
                         instance={"lhs": ka, "rhs": kb},
@@ -599,7 +607,7 @@ def check_transfer_finite(formula: Union[str, Formula], bindings: dict) -> dict:
                 report["boolean_checks"] += 1
     for i, (ka, a) in enumerate(values):
         for kb, b in values[i:]:
-            if star(make_pair(a, b)) != make_pair(starred_bindings[ka], starred_bindings[kb]):
+            if star(make_pair(a, b), memo) != make_pair(starred_bindings[ka], starred_bindings[kb]):
                 raise AuditFailure(
                     "star does not preserve ordered pairs", instance={"lhs": ka, "rhs": kb}
                 )

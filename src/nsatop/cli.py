@@ -200,29 +200,21 @@ def _parse_bindings(pairs) -> dict:
 
 
 def cmd_bqf(args, fmt: str) -> int:
-    try:  # entity JSON of no entity's shape; a TypeError anywhere else is a bug
-        bindings = _parse_bindings(args.bind)
-    except TypeError as exc:
-        return _raised(exc, fmt)
+    bindings = _parse_bindings(args.bind)
     formula = bqf.parse(args.formula)
     if args.action == "eval":
         transfer = bqf.check_transfer_finite(formula, bindings)
         value = transfer["standard_truth"]
         _emit(
             {
-                "formula": bqf.print_formula(formula),
+                "formula": transfer["formula"],
                 "value": value,
                 "transfer_holds": transfer["transfer_holds"],
             },
             fmt,
         )
         return 0 if value else 1
-    try:
-        bound = _entity(args.bound)
-    except TypeError as exc:
-        return _raised(exc, fmt)
-    if not isinstance(bound, bqf.FSet):
-        raise bqf.QuantifierOverAtom("comprehension bound must be a set")
+    bound = _entity(args.bound)
     result = bqf.define_set(bound, formula, bindings, var=args.var)
     _emit(
         {

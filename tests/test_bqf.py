@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import operator
 import random
 
 import pytest
@@ -450,43 +451,50 @@ def _as_entity(e):
     return Atom(e) if isinstance(e, str) else FSet(map(_as_entity, e))
 
 
+def random_cases(n, seed):
+    """`n` seeded (formula, env) pairs: a formula of depth at most 4 over the
+    names a, b, A, B, x and y, and env binding each name to a str or to a
+    plain nested frozenset of str of depth at most 2."""
+    rng = random.Random(seed)
+    names = ["a", "b", "A", "B", "x", "y"]
+    atoms = ["a", "b", "c"]
+
+    def plain(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(atoms)
+        return frozenset(plain(depth - 1) for _ in range(rng.randint(0, 3)))
+
+    def term(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.7:
+            return B.Name(rng.choice(names))
+        if roll < 0.85:
+            return B.PairTerm(term(depth - 1), term(depth - 1))
+        return B.SetTerm([term(depth - 1) for _ in range(rng.randint(0, 2))])
+
+    def formula(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.25:
+            return (B.Eq if rng.random() < 0.5 else B.Member)(term(1), term(1))
+        if roll < 0.35:
+            return B.Not(formula(depth - 1))
+        if roll < 0.6:
+            op = rng.choice(["and", "or", "=>", "<=>"])
+            return B.BinOp(op, formula(depth - 1), formula(depth - 1))
+        kind = rng.choice(["forall", "exists"])
+        return B.Quant(kind, rng.choice(["x", "y"]), term(1), formula(depth - 1))
+
+    for _ in range(n):
+        f = formula(4)
+        yield f, {name: plain(2) for name in names}
+
+
 class TestAgainstModel:
     # caught mutant: a quantifier that raises QuantifierOverAtom when its bound
     # is an atom, so whether it is reached depends on hash order
     def test_evaluate_define_set_and_transfer_match_plain_frozenset_model(self):
-        rng = random.Random(2024)
-        names = ["a", "b", "A", "B", "x", "y"]
-        atoms = ["a", "b", "c"]
-
-        def plain(depth):
-            if depth == 0 or rng.random() < 0.3:
-                return rng.choice(atoms)
-            return frozenset(plain(depth - 1) for _ in range(rng.randint(0, 3)))
-
-        def term(depth):
-            roll = rng.random()
-            if depth == 0 or roll < 0.7:
-                return B.Name(rng.choice(names))
-            if roll < 0.85:
-                return B.PairTerm(term(depth - 1), term(depth - 1))
-            return B.SetTerm([term(depth - 1) for _ in range(rng.randint(0, 2))])
-
-        def formula(depth):
-            roll = rng.random()
-            if depth == 0 or roll < 0.25:
-                return (B.Eq if rng.random() < 0.5 else B.Member)(term(1), term(1))
-            if roll < 0.35:
-                return B.Not(formula(depth - 1))
-            if roll < 0.6:
-                op = rng.choice(["and", "or", "=>", "<=>"])
-                return B.BinOp(op, formula(depth - 1), formula(depth - 1))
-            kind = rng.choice(["forall", "exists"])
-            return B.Quant(kind, rng.choice(["x", "y"]), term(1), formula(depth - 1))
-
         verdicts, atom_bounds = [], []
-        for _ in range(2000):
-            f = formula(4)
-            env = {name: plain(2) for name in names}
+        for f, env in random_cases(2000, seed=2024):
             want = _model(f, env, atom_bounds)
             entities = {k: _as_entity(v) for k, v in env.items()}
             assert B.evaluate(f, entities) is want, B.print_formula(f)
@@ -498,6 +506,79 @@ class TestAgainstModel:
         # both verdicts, and many quantifiers whose bound is an atom
         assert 200 < sum(verdicts) < 1800
         assert sum(atom_bounds) > 500
+
+
+def _reference_star(e):
+    """The star map with no memo: each call builds its image afresh."""
+    if isinstance(e, Atom):
+        return e
+    return B._fset(map(_reference_star, e))
+
+
+_REFERENCE_OPS = (("union", operator.or_), ("intersection", operator.and_), ("difference", operator.sub))
+
+
+def _reference_transfer(formula, bindings):
+    """`check_transfer_finite` as it was before starring went through one memo
+    per check: every audit stars its operands afresh with `_reference_star`."""
+    if isinstance(formula, str):
+        formula = B.parse(formula)
+    standard = B.evaluate(formula, bindings)
+    starred_bindings = {k: _reference_star(v) for k, v in bindings.items()}
+    starred = B.evaluate(formula, starred_bindings)
+    if standard != starred:
+        raise B.AuditFailure(
+            "transfer identity failed", instance={"formula": B.print_formula(formula)}
+        )
+    report = {
+        "formula": B.print_formula(formula),
+        "standard_truth": standard,
+        "starred_truth": starred,
+        "transfer_holds": True,
+        "boolean_checks": 0,
+        "product_checks": 0,
+    }
+    values = sorted(bindings.items())
+    sets = [(k, v) for k, v in values if isinstance(v, FSet)]
+    for i, (ka, a) in enumerate(sets):
+        sa = starred_bindings[ka]
+        for kb, b in sets[i:]:
+            sb = starred_bindings[kb]
+            for opname, op in _REFERENCE_OPS:
+                if _reference_star(FSet(op(a, b))) != FSet(op(sa, sb)):
+                    raise B.AuditFailure(
+                        f"star does not preserve {opname}",
+                        instance={"lhs": ka, "rhs": kb},
+                    )
+                report["boolean_checks"] += 1
+    for i, (ka, a) in enumerate(values):
+        for kb, b in values[i:]:
+            if _reference_star(B.make_pair(a, b)) != B.make_pair(starred_bindings[ka], starred_bindings[kb]):
+                raise B.AuditFailure(
+                    "star does not preserve ordered pairs", instance={"lhs": ka, "rhs": kb}
+                )
+            report["product_checks"] += 1
+    return report
+
+
+def check_transfer_against_reference(n, seed):
+    """Fail unless `check_transfer_finite` and `_reference_transfer` give equal
+    reports on the `n` cases of `random_cases(n, seed)`.  Returns the number
+    of Boolean and of pair checks the reports count in all."""
+    counts = [0, 0]
+    for f, env in random_cases(n, seed):
+        entities = {k: _as_entity(v) for k, v in env.items()}
+        got, want = B.check_transfer_finite(f, entities), _reference_transfer(f, entities)
+        assert got == want, B.print_formula(f)
+        counts[0] += got["boolean_checks"]
+        counts[1] += got["product_checks"]
+    return tuple(counts)
+
+
+def test_transfer_matches_reference_without_memo():
+    boolean_checks, product_checks = check_transfer_against_reference(2000, seed=2024)
+    # six bindings give 21 pair checks; sets among them add Boolean ones
+    assert product_checks == 21 * 2000 and boolean_checks > 2000
 
 
 def _live_fsets() -> int:
@@ -525,6 +606,15 @@ class TestPairsPerCall:
         assert got == FSet([p, q])
         del got
         assert _live_fsets() == before
+
+    # caught mutant: each pair building a singleton of its own
+    def test_pairs_that_start_alike_share_a_singleton(self, monkeypatch):
+        square = FSet(B.make_pair(x, y) for x in (a, b, c) for y in (a, b, c))
+        built, fset = [], B._fset
+        monkeypatch.setattr(B, "_fset", lambda members: built.append(members) or fset(members))
+        assert B.evaluate("(forall x in A)(forall y in A) <x, y> in F", {"A": ABC, "F": square})
+        # three singletons, then {x, y} and the pair for each of the nine pairs
+        assert len(built) == 3 + 2 * 9
 
 
 class TestEntities:
@@ -613,6 +703,11 @@ class TestEntities:
         assert B.type_level(B.entity_from_json(deep)) == B.MAX_DEPTH
         with pytest.raises(B.NestingTooDeep):
             B.entity_from_json([deep])
+
+    def test_json_of_no_entity_shape(self):
+        for obj in (1, None, True, 2.5, {"a": "b"}, ["a", 1], [["a"], [None]]):
+            with pytest.raises(B.NotAnEntity, match="cannot decode entity from"):
+                B.entity_from_json(obj)
 
     def test_json_roundtrip(self):
         for e in (a, B.EMPTY, AB, B.make_pair(a, b), FSet([AB, FSet([c])])):
@@ -719,3 +814,79 @@ class TestTransfer:
         report = B.check_transfer_finite("a = a", {"a": a, "A": A, "B": AB})
         assert report["boolean_checks"] == 9
         assert report["product_checks"] == 6
+
+
+def _memoised_mutant(change):
+    """A wrong `star`: `change` applied to every image, recursing through
+    `bqf.star` and memoised in the caller's dict as `star` is."""
+
+    def star(e, _memo=None):
+        _memo = {} if _memo is None else _memo
+        if e not in _memo:
+            _memo[e] = change(e if isinstance(e, Atom) else FSet(B.star(m, _memo) for m in e))
+        return _memo[e]
+
+    return star
+
+
+def _drop_least(e):
+    return FSet(sorted(e, key=B.entity_key)[1:]) if isinstance(e, FSet) and len(e) >= 2 else e
+
+
+def _a_to_b(e):
+    return b if e == a else e
+
+
+FUNCTION_GRAPH = (
+    "(((forall z in F)(exists x in A)(exists y in B) z = <x, y>"
+    " and (forall x in A)(exists y in B) <x, y> in F)"
+    " and (forall x in A)(forall y in B)(forall w in B)"
+    "((<x, y> in F and <x, w> in F) => y = w))"
+)
+
+
+class TestStarMemo:
+    """One transfer check stars each distinct set once, and its audits read
+    those images."""
+
+    # the formula holds on both sides whatever star does, so only the
+    # Boolean and pair audits, which read the memo, can catch the mutants
+    @pytest.mark.parametrize(
+        "change, bindings",
+        [(_drop_least, {"a": a, "A": AB}), (_a_to_b, {"A": A, "B": FSet([b])})],
+        ids=["drops_a_member", "maps_a_to_b"],
+    )
+    def test_wrong_star_fails_the_audit(self, monkeypatch, change, bindings):
+        assert B.check_transfer_finite("A = A", bindings)["transfer_holds"]
+        monkeypatch.setattr(B, "star", _memoised_mutant(change))
+        with pytest.raises(B.AuditFailure, match="star does not preserve"):
+            B.check_transfer_finite("A = A", bindings)
+
+    # caught mutants: star with no memo, or a fresh memo per starring, builds
+    # a new image on every call
+    def test_each_set_is_starred_once(self, monkeypatch):
+        real, sets, images = B.star, set(), []
+
+        def spy(e, _memo=None):
+            image = real(e, _memo)
+            if isinstance(e, FSet):
+                sets.add(e)
+                images.append(image)  # kept alive, so ids stay distinct
+            return image
+
+        monkeypatch.setattr(B, "star", spy)
+        points = [Atom(f"p{i}") for i in range(6)]
+        graph = FSet(B.make_pair(x, points[(i + 1) % 6]) for i, x in enumerate(points))
+        bindings = {"F": graph, "A": FSet(points), "B": FSet(points[:4])}
+        report = B.check_transfer_finite(FUNCTION_GRAPH, bindings)
+        assert report["standard_truth"] is False and report["boolean_checks"] == 18
+        assert len(set(map(id, images))) <= len(sets) < len(images)
+
+    # caught mutant: one memo shared by every check, which answers correctly
+    # but keeps every image it built alive
+    def test_nothing_is_kept_between_checks(self):
+        p, q = Atom("p"), Atom("q")
+        bindings = {"P": FSet([B.make_pair(p, q)]), "Q": FSet([p, q])}
+        before = _live_fsets()
+        assert B.check_transfer_finite("(exists x in Q) x = x", bindings)["transfer_holds"]
+        assert _live_fsets() == before

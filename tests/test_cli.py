@@ -265,7 +265,14 @@ class TestBqf:
     def test_binding_of_no_entity_shape_exits_2(self, capsys):
         code, got = run_json(capsys, "bqf", "eval", "x = x", "--bind", "x=1")
         assert code == 2
-        assert got["error"] == {"type": "TypeError", "message": "cannot decode entity from 1"}
+        assert got["error"] == {"type": "NotAnEntity", "message": "cannot decode entity from 1"}
+
+    def test_atom_bound_exits_2(self, capsys):
+        code, got = run_json(capsys, "bqf", "define", "x = x", "--bound", '"a"')
+        assert code == 2
+        assert got["error"] == {
+            "type": "QuantifierOverAtom", "message": "comprehension bound must be a finite set",
+        }
 
     def test_unbound_name_exits_2(self, capsys):
         cases = (
@@ -518,7 +525,7 @@ class TestErrorBoundary:
             assert code == 2 and got["error"] == {"type": cls.__name__, "message": "raised"}, cls
 
     def test_other_errors_are_not_typed(self, monkeypatch):
-        # outside `bqf`'s entity JSON a TypeError is a bug and must show as one
+        # a TypeError is a bug and must show as one
         for exc in (TypeError("bug"), ValueError("bug"), KeyError("bug")):
             self.raise_from_audit(monkeypatch, exc)
             with pytest.raises(type(exc)):
