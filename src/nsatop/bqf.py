@@ -2,7 +2,7 @@
 
 Entities are atoms or finite sets of entities; ordered pairs are encoded as
 {{x},{x,y}}.  Every quantifier must be bounded by a term, and quantifiers
-enumerate the members of the bounding set, so evaluation is classical and
+range over the members of the bounding set, so evaluation is classical and
 total.  The star map at finite scale is the structural identity, which makes
 transfer an identity that can be checked, not assumed.
 """
@@ -113,6 +113,15 @@ def _fset(members) -> FSet:
 def make_pair(a: Entity, b: Entity) -> FSet:
     """Ordered pair as the two-element coding {{a},{a,b}}."""
     return _fset((_fset((a,)), _fset((a, b))))
+
+
+def _components(e: Entity) -> Optional[tuple]:
+    """(a, b) when e is the ordered pair {{a},{a,b}}, else None."""
+    if isinstance(e, FSet) and 0 < len(e) < 3 and all(isinstance(m, FSet) for m in e):
+        small, large = min(e, key=len), max(e, key=len)
+        if len(small) == 1 and len(large) == len(e) and small <= large:
+            return (*small, *(large - small or small))
+    return None
 
 
 def entity_to_json(e: Entity):
@@ -371,6 +380,8 @@ def _free(node) -> set[str]:
 # Each call compiles its formula into nested closures (env, pairs) -> value (SICP
 # 4.1.7).  They evaluate in the tree's order: the left side first, and a
 # quantifier's bound before its members, which are taken in frozenset order.
+# An `exists` pinned by an equation (`_pinned`) is solved by the one-point rule
+# instead: the body is evaluated at the one candidate the equation allows.
 
 
 def _check_bindings(f: Formula, bindings: dict, var: Optional[str] = None) -> None:
@@ -385,17 +396,17 @@ def _check_bindings(f: Formula, bindings: dict, var: Optional[str] = None) -> No
         raise UnboundConstant(f"no entity bound to {', '.join(map(repr, missing))}")
 
 
-def evaluate(f: Formula, bindings: dict) -> bool:
-    """Classical truth value; quantifiers enumerate the bounding set's members.
+def evaluate(f: Formula, bindings: dict, _pairs: Optional[_Pairs] = None) -> bool:
+    """Classical truth value; quantifiers range over the bounding set's members.
 
     Every free name must be bound to an entity; this is checked before
     evaluation, since connectives short-circuit and might otherwise never
-    reach one.
+    reach one.  `_pairs`, a pair table to read and extend, shares pairs between calls.
     """
     if isinstance(f, str):
         f = parse(f)
     _check_bindings(f, bindings)
-    return _compile(f)(dict(bindings), _Pairs())
+    return _compile(f)(dict(bindings), _Pairs() if _pairs is None else _pairs)
 
 
 class _Pairs(dict):
@@ -494,8 +505,36 @@ def _fixed(f: Formula, operand: Optional[Formula]) -> tuple:
     return tuple(_connect(f.op, lhs, rhs) for lhs in _fixed(f.lhs, operand))
 
 
+def _pinned(f: Quant) -> Optional[tuple]:
+    """(known side, i) when f is an exists whose body is an equation, directly
+    or under nested exists whose bounds do not mention f.var, with one side
+    free of the block's variables and the other f.var (i None) or a pair with
+    f.var as component i.  At most one value of f.var then solves it."""
+    block, body, var = {f.var}, f.body, Name(f.var)
+    while isinstance(body, Quant) and body.kind == "exists" and body.var != f.var and f.var not in _free(body.bound):
+        block.add(body.var)
+        body = body.body
+    if f.kind == "exists" and isinstance(body, Eq):
+        for known, other in ((body.lhs, body.rhs), (body.rhs, body.lhs)):
+            spots = [other] if other == var else [other.first, other.second] if isinstance(other, PairTerm) else []
+            if var in spots and block.isdisjoint(_free(known)):
+                return known, None if other == var else spots.index(var)
+    return None
+
+
 def _compile_quant(f: Quant):
     bound, var, forall = _compile_term(f.bound), f.var, f.kind == "forall"
+    pinned = _pinned(f)
+    if pinned:  # the body evaluated once, at the one candidate, if it is a member
+        known, component, body = _compile_term(pinned[0]), pinned[1], _compile(f.body)
+
+        def solved(env, pairs):
+            members, value = bound(env, pairs), known(env, pairs)
+            if component is not None:  # for no pair, None: a member of no set
+                value = (_components(value) or (None, None))[component]
+            return not isinstance(members, Atom) and value in members and body({**env, var: value}, pairs)
+
+        return solved
     operand = _invariant_operand(f.body, var)
     test = None if operand is None else _compile(operand)
     bodies = _fixed(f.body, operand)
@@ -579,10 +618,11 @@ def check_transfer_finite(formula: Union[str, Formula], bindings: dict) -> dict:
     """
     if isinstance(formula, str):
         formula = parse(formula)
-    standard = evaluate(formula, bindings)
+    pairs = _Pairs()  # both sides read and extend it: star keeps every pair equal
+    standard = evaluate(formula, bindings, _pairs=pairs)
     memo = {}  # every starring below reads and extends it
     starred_bindings = {k: star(v, memo) for k, v in bindings.items()}
-    starred = evaluate(formula, starred_bindings)
+    starred = evaluate(formula, starred_bindings, _pairs=pairs)
     text = print_formula(formula)
     if standard != starred:
         raise AuditFailure("transfer identity failed", instance={"formula": text})

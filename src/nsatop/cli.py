@@ -48,7 +48,7 @@ import os
 import sys
 
 from . import bqf, fintop, germs, hull, hyperreal
-from .poly import NumberTooLarge, _frac_str
+from .poly import NumberTooLarge, Poly, _frac_str
 
 
 def _emit(obj, fmt: str) -> None:
@@ -89,21 +89,34 @@ def _raised(exc: Exception, fmt: str) -> int:
 
 
 def _hyper_report(x: hyperreal.Hyperreal) -> dict:
+    canonical, st = str(x), x.st()
     report = {
-        "canonical": str(x),
+        "canonical": canonical,
         "ramification": x.ram,
         "classification": x.classify().value,
-        "st": str(x.st()),
+        "st": str(st),
     }
     order = x.order()
     report["order"] = None if order is None else _frac_str(order)
     if x.is_finite():
-        real, infinitesimal = x.decompose()
         report["decomposition"] = {
-            "real_part": _frac_str(real),
-            "infinitesimal_part": str(infinitesimal),
+            "real_part": _frac_str(st.value),
+            "infinitesimal_part": _infinitesimal_part(x, st.value, canonical),
         }
     return report
+
+
+def _infinitesimal_part(x: hyperreal.Hyperreal, real, canonical: str) -> str:
+    """str(x - real) for finite x.  A polynomial's is its canonical terms after
+    the constant, so they are not formatted again (no term holds a space)."""
+    if not real:
+        return canonical
+    if x.den != Poly.ONE:
+        return str(x - real)
+    terms = canonical.split(" ", 2)  # [constant] or [constant, sign, the rest]
+    if len(terms) == 1:
+        return "0"
+    return terms[2] if terms[1] == "+" else f"-{terms[2]}"
 
 
 def cmd_hyper(args, fmt: str) -> int:

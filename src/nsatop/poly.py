@@ -443,18 +443,17 @@ def _series_power(a, q0: int, p: int, r: int, count: int) -> Optional[list]:
     a[j]: r*m*a[0]*q[m] = sum over 1 <= j <= m of ((p+r)*j - r*m)*a[j]*q[m-j].
     None when a division leaves a remainder (never for p/r = n)."""
     a0 = a[0]
-    terms = [(j, c) for j, c in enumerate(a) if j and c]
+    terms = [(j, (p + r) * j, c) for j, c in enumerate(a) if j and c]
     q = [q0]
     for m in range(1, count):
-        s = 0
-        for j, c in terms:
+        s, rm = 0, r * m
+        for j, pj, c in terms:
             if j > m:
                 break
-            s += ((p + r) * j - r * m) * c * q[m - j]
-        qm, rem = divmod(s, r * m * a0)
-        if rem:
+            s += (pj - rm) * c * q[m - j]
+        q.append(s // (rm * a0))
+        if r > 1 and q[-1] * rm * a0 != s:  # an integer power divides exactly
             return None
-        q.append(qm)
     return q
 
 

@@ -520,7 +520,8 @@ _REFERENCE_OPS = (("union", operator.or_), ("intersection", operator.and_), ("di
 
 def _reference_transfer(formula, bindings):
     """`check_transfer_finite` as it was before starring went through one memo
-    per check: every audit stars its operands afresh with `_reference_star`."""
+    per check: every audit stars its operands afresh with `_reference_star`,
+    and each side is evaluated with a pair table of its own."""
     if isinstance(formula, str):
         formula = B.parse(formula)
     standard = B.evaluate(formula, bindings)
@@ -581,6 +582,102 @@ def test_transfer_matches_reference_without_memo():
     assert product_checks == 21 * 2000 and boolean_checks > 2000
 
 
+# exists quantifiers that the equation in their body pins to one candidate,
+# solved by the one-point rule, and look-alikes that must keep the member loop
+PINNED = [
+    "(exists x in A) x = y",
+    "(exists x in A) y = x",
+    "(exists x in A) z = <x, y>",
+    "(exists x in A) <y, x> = z",
+    "(exists y in A) z = <y, y>",
+    "(exists x in A)(exists y in B) z = <x, y>",
+]
+UNPINNED = [
+    "(forall x in A) z = <x, y>",  # forall
+    "(exists x in A) x = x",  # no side free of x
+    "(exists x in A) <x, y> = <y, x>",  # both sides mention x
+    "(exists x in A) z in <x, y>",  # not an equation
+    "(exists x in A)(exists x in B) z = <x, y>",  # the inner x shadows x
+    "(exists x in A)(exists y in x) z = <x, y>",  # an inner bound mentions x
+    "(exists x in A)(forall y in B) z = <x, y>",  # a forall in the block
+]
+
+
+def _ranks(atoms):
+    """Every entity of rank at most 1 on `atoms`, and every one of rank at most 2."""
+    low = [Atom(n) for n in atoms]
+    low += [FSet(s) for k in range(len(low) + 1) for s in itertools.combinations(low, k)]
+    sets = (FSet(s) for k in range(len(low) + 1) for s in itertools.combinations(low, k))
+    return low, [*low[: len(atoms)], *sets]
+
+
+def check_pinned_existentials(atoms):
+    """Fail unless the formulas of PINNED, and none of UNPINNED, are
+    solved, and `evaluate` agrees with `_model` on each of them, with both
+    verdicts: z and y range over every entity of rank at most 2 on `atoms`
+    (non-pairs such as {{a}, {b}}, {{a, b}} and three-member sets among
+    them; y over those of rank at most 1 where it is a pair's component), and
+    the bounds A and B over the atoms, the sets of atoms (the empty set among
+    them) and the set of all of these.  Then fail unless `_components`
+    decodes exactly the pairs of entities of rank at most 1.  Returns the
+    number of cases and of true verdicts."""
+    assert not any(B._pinned(B.parse(text)) for text in UNPINNED)
+    low, every = _ranks(atoms)
+    bounds = [*low, FSet(low)]
+    cases = verdicts = 0
+    for text in PINNED:
+        f = B.parse(text)
+        assert B._pinned(f), text
+        names = B._free(f)
+        ys = low if "z" in names else every
+        seen = set()
+        for env in itertools.product(
+            *([(n, v) for v in values] for n, values in
+              (("A", bounds), ("B", bounds), ("y", ys), ("z", every)) if n in names)
+        ):
+            env = dict(env)
+            got = B.evaluate(f, env)
+            assert got is _model(f, env, []), (text, env)
+            seen.add(got)
+            cases, verdicts = cases + 1, verdicts + got
+        assert seen == {True, False}, text
+    decoded = {B.make_pair(x, y): (x, y) for x in low for y in low}
+    for e in [*every, *decoded]:
+        assert B._components(e) == decoded.get(e), f"_components({e!r})"
+    return cases, verdicts
+
+
+def test_pinned_existentials():
+    assert check_pinned_existentials(["a", "b"]) == (10164, 86)
+
+
+_real_components = B._components
+
+
+def _swapped_components(e):
+    pair = _real_components(e)
+    return pair and pair[::-1]
+
+
+def _accepts_two_singletons(e):
+    if isinstance(e, FSet) and len(e) == 2 and all(isinstance(m, FSet) and len(m) == 1 for m in e):
+        return tuple(next(iter(m)) for m in sorted(e, key=B.entity_key))
+    return _real_components(e)
+
+
+# the body is evaluated at the candidate, so a decoder that accepts a
+# non-pair changes no verdict; only the decoding check can catch it
+@pytest.mark.parametrize(
+    "mutant, caught_by",
+    [(_swapped_components, r"z = <x, y>"), (_accepts_two_singletons, r"_components")],
+    ids=["swapped", "accepts_two_singletons"],
+)
+def test_wrong_decoder_fails_the_check(monkeypatch, mutant, caught_by):
+    monkeypatch.setattr(B, "_components", mutant)
+    with pytest.raises(AssertionError, match=caught_by):
+        check_pinned_existentials(["a", "b"])
+
+
 def _live_fsets() -> int:
     gc.collect()
     return sum(type(o) is FSet for o in gc.get_objects())
@@ -615,6 +712,25 @@ class TestPairsPerCall:
         assert B.evaluate("(forall x in A)(forall y in A) <x, y> in F", {"A": ABC, "F": square})
         # three singletons, then {x, y} and the pair for each of the nine pairs
         assert len(built) == 3 + 2 * 9
+
+    # caught mutant: each side of a transfer check building its pairs in a
+    # table of its own
+    def test_transfer_check_builds_each_pair_once(self, monkeypatch):
+        built = []
+
+        class Counted(B._Pairs):
+            def __missing__(self, key):
+                built.append(key)
+                return super().__missing__(key)
+
+        monkeypatch.setattr(B, "_Pairs", Counted)
+        square = FSet(B.make_pair(x, y) for x in (a, b, c) for y in (a, b, c))
+        law, env = "(forall x in A)(forall y in A) <x, y> in F", {"A": ABC, "F": square}
+        assert B.evaluate(law, env)
+        assert len(built) == 3 + 9  # three singletons and nine pairs
+        built.clear()
+        assert B.check_transfer_finite(law, env)["starred_truth"]
+        assert len(built) == 3 + 9
 
 
 class TestEntities:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -53,6 +54,41 @@ class TestHyper:
         assert got["classification"] == "appreciable"
         assert got["st"] == "2"
         assert got["decomposition"]["real_part"] == "2"
+
+    # caught mutant: the infinitesimal part printed afresh, which formats
+    # every term but the constant a second time
+    @pytest.mark.parametrize("expr", ["(-7/3+5/4*e)^140", "2 - e^(1/2) + e", "e + e^2", "5"])
+    def test_each_term_is_formatted_once(self, capsys, monkeypatch, expr):
+        formatted, to_str = [], poly.Poly.to_str
+        monkeypatch.setattr(
+            poly.Poly, "to_str", lambda p, *args: formatted.extend(filter(None, p.ints)) or to_str(p, *args)
+        )
+        code, got = run_json(capsys, "hyper", "eval", expr)
+        assert code == 0 and "decomposition" in got
+        assert len(formatted) == got["canonical"].count(" ") // 2 + 1  # terms are joined by " + " or " - "
+
+    # the report reads a polynomial's infinitesimal part off its canonical
+    # terms; on seeded elements it must print as x - st(x) does
+    def test_infinitesimal_part_prints_as_the_difference(self):
+        rng = random.Random(28)
+        powers = ["", "*e", "*e^2", "*e^(1/2)", "*e^(3/2)", "*e^(1/3)", "*e^-1"]
+
+        def poly_text():
+            return " + ".join(f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}{rng.choice(powers)}" for _ in range(rng.randint(1, 4)))
+
+        finite = 0
+        for _ in range(400):
+            text = poly_text() if rng.random() < 0.7 else f"({poly_text()})/({poly_text()})"
+            try:
+                x = hyperreal.parse_hyperreal(text)
+            except hyperreal.HyperrealError:  # a zero denominator
+                continue
+            if x.is_finite():
+                real, infinitesimal = x.decompose()
+                got = cli._hyper_report(x)["decomposition"]
+                assert got == {"real_part": poly._frac_str(real), "infinitesimal_part": str(infinitesimal)}, text
+                finite += 1
+        assert finite > 200
 
     def test_eval_infinite(self, capsys):
         code, got = run_json(capsys, "hyper", "eval", "1/e")
