@@ -117,9 +117,12 @@ def make_pair(a: Entity, b: Entity) -> FSet:
 
 def _components(e: Entity) -> Optional[tuple]:
     """(a, b) when e is the ordered pair {{a},{a,b}}, else None."""
-    if isinstance(e, FSet) and 0 < len(e) < 3 and all(isinstance(m, FSet) for m in e):
-        small, large = min(e, key=len), max(e, key=len)
-        if len(small) == 1 and len(large) == len(e) and small <= large:
+    if isinstance(e, FSet) and 0 < len(e) < 3:
+        small, large = (*e, *e)[:2]  # both members, or the one member twice
+        if len(small) > len(large):
+            small, large = large, small
+        if (isinstance(small, FSet) and isinstance(large, FSet)
+                and len(small) == 1 and len(large) == len(e) and small <= large):
             return (*small, *(large - small or small))
     return None
 
@@ -380,8 +383,8 @@ def _free(node) -> set[str]:
 # Each call compiles its formula into nested closures (env, pairs) -> value (SICP
 # 4.1.7).  They evaluate in the tree's order: the left side first, and a
 # quantifier's bound before its members, which are taken in frozenset order.
-# An `exists` pinned by an equation (`_pinned`) is solved by the one-point rule
-# instead: the body is evaluated at the one candidate the equation allows.
+# A quantifier whose body has a conjunct that pins its variable visits only
+# the members that conjunct allows (`_candidates`).
 
 
 def _check_bindings(f: Formula, bindings: dict, var: Optional[str] = None) -> None:
@@ -396,26 +399,47 @@ def _check_bindings(f: Formula, bindings: dict, var: Optional[str] = None) -> No
         raise UnboundConstant(f"no entity bound to {', '.join(map(repr, missing))}")
 
 
-def evaluate(f: Formula, bindings: dict, _pairs: Optional[_Pairs] = None) -> bool:
+def evaluate(f: Formula, bindings: dict, _pairs: Optional[_Pairs] = None, _holds=None) -> bool:
     """Classical truth value; quantifiers range over the bounding set's members.
 
     Every free name must be bound to an entity; this is checked before
     evaluation, since connectives short-circuit and might otherwise never
-    reach one.  `_pairs`, a pair table to read and extend, shares pairs between calls.
+    reach one.  `_pairs`, a pair table to read and extend, shares pairs
+    between calls, and `_holds`, f compiled, shares its compilation.
     """
     if isinstance(f, str):
         f = parse(f)
     _check_bindings(f, bindings)
-    return _compile(f)(dict(bindings), _Pairs() if _pairs is None else _pairs)
+    holds = _compile(f) if _holds is None else _holds
+    return holds(dict(bindings), _Pairs() if _pairs is None else _pairs)
 
 
 class _Pairs(dict):
     """(first, second) -> make_pair(first, second), and first -> {first}, built
-    on first use; the pairs that start with one entity share its singleton."""
+    on first use; the pairs that start with one entity share its singleton.
+    `index(k, i)` reads k's pairs by their other component, built once per
+    set object: keyed by identity, since an equal key (the other side's set
+    in a transfer check) would be compared member by member at each lookup."""
+
+    def __init__(self):
+        super().__init__()
+        self.indexes = {}
 
     def __missing__(self, key):
         value = self[key] = _fset((self[key[0]], _fset(key)) if type(key) is tuple else (key,))
         return value
+
+    def index(self, k: FSet, i: int) -> dict:
+        """other component -> the components i of the pairs in k."""
+        entry = self.indexes.get((id(k), i))
+        if entry is None:  # k is kept with its index, so its id is not reused
+            index = {}
+            for e in k:
+                parts = _components(e)
+                if parts:
+                    index.setdefault(parts[1 - i], []).append(parts[i])
+            entry = self.indexes[id(k), i] = (k, index)
+        return entry[1]
 
 
 def _compile_term(t: Term):
@@ -505,36 +529,72 @@ def _fixed(f: Formula, operand: Optional[Formula]) -> tuple:
     return tuple(_connect(f.op, lhs, rhs) for lhs in _fixed(f.lhs, operand))
 
 
-def _pinned(f: Quant) -> Optional[tuple]:
-    """(known side, i) when f is an exists whose body is an equation, directly
-    or under nested exists whose bounds do not mention f.var, with one side
-    free of the block's variables and the other f.var (i None) or a pair with
-    f.var as component i.  At most one value of f.var then solves it."""
+def _conjuncts(f: Formula):
+    """The operands of a tree of 'and's, left to right; f itself if it is no 'and'."""
+    if isinstance(f, BinOp) and f.op == "and":
+        yield from _conjuncts(f.lhs)
+        yield from _conjuncts(f.rhs)
+    else:
+        yield f
+
+
+def _candidates(f: Quant):
+    """None, or (env, pairs) -> the values of f.var that a conjunct of its
+    body allows.  That is, for an exists over a conjunction, or a forall over
+    an implication whose antecedent is a conjunction (a lone atom is a
+    conjunction of one), directly or under nested quantifiers of the same
+    kind whose bounds do not mention f.var, the first conjunct `v = t`,
+    `t = <..., v, ...>`, `v in K` or `<..., v, ...> in K` with t, K and the
+    pair's other component free of the block's variables.  Every other value
+    makes the body false (exists) or true (forall)."""
     block, body, var = {f.var}, f.body, Name(f.var)
-    while isinstance(body, Quant) and body.kind == "exists" and body.var != f.var and f.var not in _free(body.bound):
+    while isinstance(body, Quant) and body.kind == f.kind and body.var != f.var and f.var not in _free(body.bound):
         block.add(body.var)
         body = body.body
-    if f.kind == "exists" and isinstance(body, Eq):
-        for known, other in ((body.lhs, body.rhs), (body.rhs, body.lhs)):
-            spots = [other] if other == var else [other.first, other.second] if isinstance(other, PairTerm) else []
-            if var in spots and block.isdisjoint(_free(known)):
-                return known, None if other == var else spots.index(var)
+    if f.kind == "forall":
+        if not (isinstance(body, BinOp) and body.op == "=>"):
+            return None
+        body = body.lhs
+    for conjunct in _conjuncts(body):
+        equation = isinstance(conjunct, Eq)
+        if equation:
+            sides = ((conjunct.lhs, conjunct.rhs), (conjunct.rhs, conjunct.lhs))
+        elif isinstance(conjunct, Member):
+            sides = ((conjunct.rhs, conjunct.lhs),)
+        else:
+            continue
+        for known, other in sides:
+            if other == var:
+                i = rest = None
+            elif isinstance(other, PairTerm) and var in (other.first, other.second):
+                i = 0 if other.first == var else 1
+                rest = (other.second, other.first)[i]
+            else:
+                continue
+            if not block.isdisjoint(_free(known)):
+                continue
+            if not equation and rest is not None and not block.isdisjoint(_free(rest)):
+                continue  # a pair in K keyed by a block variable
+            value = _compile_term(known)
+            if i is None:
+                if equation:
+                    return lambda env, pairs: (value(env, pairs),)
+                return lambda env, pairs: () if isinstance(k := value(env, pairs), Atom) else k
+            if equation:
+                def decoded(env, pairs):
+                    parts = _components(value(env, pairs))
+                    return parts[i:i + 1] if parts else ()
+
+                return decoded
+            rest = _compile_term(rest)
+            return lambda env, pairs: () if isinstance(k := value(env, pairs), Atom) else (
+                pairs.index(k, i).get(rest(env, pairs), ()))
     return None
 
 
 def _compile_quant(f: Quant):
     bound, var, forall = _compile_term(f.bound), f.var, f.kind == "forall"
-    pinned = _pinned(f)
-    if pinned:  # the body evaluated once, at the one candidate, if it is a member
-        known, component, body = _compile_term(pinned[0]), pinned[1], _compile(f.body)
-
-        def solved(env, pairs):
-            members, value = bound(env, pairs), known(env, pairs)
-            if component is not None:  # for no pair, None: a member of no set
-                value = (_components(value) or (None, None))[component]
-            return not isinstance(members, Atom) and value in members and body({**env, var: value}, pairs)
-
-        return solved
+    candidates = _candidates(f)
     operand = _invariant_operand(f.body, var)
     test = None if operand is None else _compile(operand)
     bodies = _fixed(f.body, operand)
@@ -547,6 +607,8 @@ def _compile_quant(f: Quant):
         body = bodies[test(env, pairs)] if test else bodies[0]
         if isinstance(body, bool):
             return body
+        if candidates:  # the others settle the body as false (exists) or true (forall)
+            members = [v for v in candidates(env, pairs) if v in members]
         env = dict(env)  # members are bound in a copy, so an outer binding of var stands
         for member in members:
             env[var] = member
@@ -618,11 +680,12 @@ def check_transfer_finite(formula: Union[str, Formula], bindings: dict) -> dict:
     """
     if isinstance(formula, str):
         formula = parse(formula)
-    pairs = _Pairs()  # both sides read and extend it: star keeps every pair equal
-    standard = evaluate(formula, bindings, _pairs=pairs)
+    # both sides read one compilation and one pair table: star keeps every pair equal
+    holds, pairs = _compile(formula), _Pairs()
+    standard = evaluate(formula, bindings, _pairs=pairs, _holds=holds)
     memo = {}  # every starring below reads and extends it
     starred_bindings = {k: star(v, memo) for k, v in bindings.items()}
-    starred = evaluate(formula, starred_bindings, _pairs=pairs)
+    starred = evaluate(formula, starred_bindings, _pairs=pairs, _holds=holds)
     text = print_formula(formula)
     if standard != starred:
         raise AuditFailure("transfer identity failed", instance={"formula": text})

@@ -414,12 +414,13 @@ def _separated_by_disjoint_opens(space: FinSpace, a: int, b: int) -> bool:
 
 
 def _point_closed_pairs(space: FinSpace):
-    """(i, F) for every closed set F that misses point i."""
+    """(i, k) for every point i and closed set F = space.closed_sets()[k]
+    that misses it."""
     closed = space.closed_sets()
     for i in range(space.n):
-        for f in closed:
+        for k, f in enumerate(closed):
             if not f >> i & 1:
-                yield i, f
+                yield i, k
 
 
 def is_t0(space: FinSpace) -> PropertyVerdict:
@@ -489,10 +490,11 @@ def is_weakly_hausdorff(space: FinSpace) -> PropertyVerdict:
 
 def is_regular(space: FinSpace) -> PropertyVerdict:
     holds, witness = True, None
-    for i, f in _point_closed_pairs(space):
-        if space._monad[i] & space.monad_set_mask(f):
+    closed, mu = space.closed_sets(), space._fact("closed_monads", _closed_monads)
+    for i, k in _point_closed_pairs(space):
+        if space._monad[i] & mu[k]:
             holds = False
-            witness = witness or [str(space.points[i]), space.sorted_labels(f)]
+            witness = witness or [str(space.points[i]), space.sorted_labels(closed[k])]
     point_form = True
     for i in range(space.n):
         for j in range(space.n):
@@ -500,37 +502,42 @@ def is_regular(space: FinSpace) -> PropertyVerdict:
                 if space._monad[i] & space._monad[j]:
                     point_form = False
     oracle = all(
-        _separated_by_disjoint_opens(space, 1 << i, f)
-        for i, f in _point_closed_pairs(space)
-        if f
+        _separated_by_disjoint_opens(space, 1 << i, closed[k])
+        for i, k in _point_closed_pairs(space)
+        if closed[k]
     )
     return PropertyVerdict("regular", holds, oracle, {"point_form": point_form}, witness)
 
 
-def _disjoint_closed_pairs(space: FinSpace):
+def _closed_monads(space: FinSpace) -> tuple[int, ...]:
+    """The monad of each closed set, aligned with space.closed_sets()."""
+    return tuple([space.monad_set_mask(f) for f in space.closed_sets()])
+
+
+def _disjoint_closed_pairs(space: FinSpace) -> tuple[tuple[int, int], ...]:
+    """(k, l) for every k <= l whose closed sets closed_sets()[k] and [l] are
+    disjoint, in order."""
     closed = space.closed_sets()
-    for a in closed:
-        for b in closed:
-            if a <= b and not a & b:
-                yield a, b
+    return tuple([(k, l) for k, a in enumerate(closed) for l in range(k, len(closed)) if not a & closed[l]])
 
 
 def _classically_normal(space: FinSpace) -> bool:
     """Disjoint nonempty closed sets have disjoint open neighbourhoods."""
+    closed = space.closed_sets()
     return all(
-        _separated_by_disjoint_opens(space, a, b)
-        for a, b in _disjoint_closed_pairs(space)
-        if a and b
+        _separated_by_disjoint_opens(space, closed[k], closed[l])
+        for k, l in space._fact("disjoint_closed", _disjoint_closed_pairs)
+        if closed[k] and closed[l]
     )
 
 
 def is_normal(space: FinSpace) -> PropertyVerdict:
     holds, witness = True, None
-    mu = {a: space.monad_set_mask(a) for a in space.closed_sets()}
-    for a, b in _disjoint_closed_pairs(space):
-        if mu[a] & mu[b]:
+    closed, mu = space.closed_sets(), space._fact("closed_monads", _closed_monads)
+    for k, l in space._fact("disjoint_closed", _disjoint_closed_pairs):
+        if mu[k] & mu[l]:
             holds = False
-            witness = witness or [space.sorted_labels(a), space.sorted_labels(b)]
+            witness = witness or [space.sorted_labels(closed[k]), space.sorted_labels(closed[l])]
     oracle = space._fact("classically_normal", _classically_normal)  # shared with is_z_normal
     return PropertyVerdict("normal", holds, oracle, {}, witness)
 
@@ -582,6 +589,12 @@ def z_partition(space: FinSpace) -> ZBlockPartition:
     return ZBlockPartition(space)
 
 
+def _closed_mu_z(space: FinSpace) -> tuple[int, ...]:
+    """The z-monad of each closed set, aligned with space.closed_sets()."""
+    mu_z = z_partition(space).mu_z_set
+    return tuple([mu_z(f) for f in space.closed_sets()])
+
+
 def _block_indicators(space: FinSpace, zp: ZBlockPartition) -> list[tuple[tuple, bool]]:
     """Each block's 0/1 indicator, with whether it is continuous."""
     return [
@@ -611,8 +624,10 @@ def is_completely_regular(space: FinSpace) -> PropertyVerdict:
     indicators = _block_indicators(space, zp)
     holds, witness = True, None
     oracle = True
-    for i, f in _point_closed_pairs(space):
-        if zp.block_mask(i) & zp.mu_z_set(f):
+    closed, mu_z = space.closed_sets(), space._fact("closed_mu_z", _closed_mu_z)
+    for i, k in _point_closed_pairs(space):
+        f = closed[k]
+        if zp.block_mask(i) & mu_z[k]:
             holds = False
             witness = witness or [str(space.points[i]), space.sorted_labels(f)]
         if f:
@@ -629,12 +644,12 @@ def is_completely_regular(space: FinSpace) -> PropertyVerdict:
 
 def is_z_normal(space: FinSpace) -> PropertyVerdict:
     """Normality phrased through zero-set monads; its oracle is plain normality."""
-    zp = z_partition(space)
     holds, witness = True, None
-    for a, b in _disjoint_closed_pairs(space):
-        if zp.mu_z_set(a) & zp.mu_z_set(b):
+    closed, mu_z = space.closed_sets(), space._fact("closed_mu_z", _closed_mu_z)
+    for k, l in space._fact("disjoint_closed", _disjoint_closed_pairs):
+        if mu_z[k] & mu_z[l]:
             holds = False
-            witness = witness or [space.sorted_labels(a), space.sorted_labels(b)]
+            witness = witness or [space.sorted_labels(closed[k]), space.sorted_labels(closed[l])]
     oracle = space._fact("classically_normal", _classically_normal)  # shared with is_normal
     return PropertyVerdict("z_normal", holds, oracle, {}, witness)
 

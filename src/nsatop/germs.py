@@ -271,11 +271,12 @@ def _window(germs) -> tuple[int, int]:
     return pre, length
 
 
-def _tail(g: PeriodicGerm, pre: int, length: int) -> tuple:
+def _tail(g: PeriodicGerm, pre: int, length: int, per=None):
     """Values of g at indices pre+1 ... pre+length, where pre is at least g's
     preperiod length and length a multiple of its period: the stored period,
-    rotated to start at index pre+1 and repeated."""
-    per = g.period
+    rotated to start at index pre+1 and repeated.  With per, a list aligned
+    with g.period, its entries at those indices instead."""
+    per = g.period if per is None else per
     shift = (pre - len(g.preperiod)) % len(per)
     return (per[shift:] + per[:shift]) * (length // len(per))
 
@@ -742,8 +743,17 @@ def los_check_qf(formula, assignment: dict) -> AeVerdict:
         truth = _formula_eventual_truth(node, env)
         return AeVerdict.TRUE_AE if truth else AeVerdict.FALSE_AE
     pre, length = _window(env.values())
-    tails = {name: _tail(g, pre, length) for name, g in env.items()}
-    return _verdict_from_flags(_flags_over(node, tails, range(length)))
+    # the verdict reads which flags occur, not where, and a position's flag is
+    # a function of its row of values: so one position per distinct row
+    codes, values = [], []
+    for g in env.values():
+        code = {}
+        per = [code.setdefault(v, len(code)) for v in g.period]
+        codes.append(_tail(g, pre, length, per))
+        values.append(list(code))
+    rows = list(dict.fromkeys(zip(*codes)))
+    tails = {name: [vals[row[k]] for row in rows] for k, (name, vals) in enumerate(zip(env, values))}
+    return _verdict_from_flags(_flags_over(node, tails, range(len(rows))))
 
 
 @_chain_limited

@@ -11,6 +11,7 @@ is approximate, and a str or a float is refused rather than parsed.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -234,6 +235,8 @@ class Poly:
         a = self.ints
         if not a or n == 1:
             return self
+        if _unprintable_power(a, self.den, n):
+            raise NumberTooLarge("an exact value has too many digits to print")
         q = _series_power(a, a[0] ** n, n, 1, (len(a) - 1) * n + 1)
         return _new(tuple(q), self.den**n, self.val * n)
 
@@ -435,6 +438,19 @@ def _ratio_str(num: int, den: int) -> str:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise NumberTooLarge("an exact value has too many digits to print") from None
+
+
+def _unprintable_power(a, den: int, n: int) -> bool:
+    """Whether the first or last coefficient of (a/den)**n, printed in lowest
+    terms as (c/g)**n / (den/g)**n with g = gcd(c, den), needs more digits
+    than the interpreter converts (sys.get_int_max_str_digits, when set).
+    |x**n| >= 2**bits has more than bits*0.30102 digits (log10(2) > 0.30102)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return False
+    ends = [x // math.gcd(c, den) for c in (a[0], a[-1]) for x in (c, den)]
+    bits = n * (max(map(abs, ends)).bit_length() - 1)
+    return bits * 30102 // 100000 >= limit
 
 
 def _series_power(a, q0: int, p: int, r: int, count: int) -> Optional[list]:

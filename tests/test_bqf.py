@@ -582,24 +582,35 @@ def test_transfer_matches_reference_without_memo():
     assert product_checks == 21 * 2000 and boolean_checks > 2000
 
 
-# exists quantifiers that the equation in their body pins to one candidate,
-# solved by the one-point rule, and look-alikes that must keep the member loop
+# quantifiers with a conjunct that pins their variable, which visit only the
+# members that conjunct allows, and look-alikes that must visit every member;
+# t is a pair component, s a pair or non-pair, K a set of pairs, non-pairs or
+# both (or an atom), and the bounds A and B are sets or atoms
 PINNED = [
-    "(exists x in A) x = y",
-    "(exists x in A) y = x",
-    "(exists x in A) z = <x, y>",
-    "(exists x in A) <y, x> = z",
-    "(exists y in A) z = <y, y>",
-    "(exists x in A)(exists y in B) z = <x, y>",
+    "(exists x in A) s = <t, x>",
+    "(exists x in A) s = <x, t>",
+    "(exists x in A) x = s",
+    "(exists x in A) s = x",
+    "(exists x in A) x in s",
+    "(exists x in A) <t, x> in K",
+    "(exists x in A) <x, t> in K",
+    "(exists x in A)(exists y in B) s = <x, y>",
+    "(exists x in A)((t in x or x = t) and <x, t> in K)",  # the pinning conjunct later
+    "(forall x in A)(<x, t> in K => x = t)",
+    "(forall x in A)((t in x and x in s) => x = t)",
+    "(forall x in A)(forall y in A)((<t, y> in K and <x, t> in K) => x = y)",
 ]
 UNPINNED = [
-    "(forall x in A) z = <x, y>",  # forall
+    "(exists x in A)(x in s or x = t)",  # the guard under an or
+    "(exists x in A)(exists y in B)(x in y and y = t)",  # K mentions a block variable
+    "(exists x in A)(exists y in A) <x, y> in K",  # the other component is in the block
+    "(forall x in A)(x in s and t in x)",  # a forall over a conjunction
+    "(exists x in A)(x in s => t in x)",  # an exists over an implication
     "(exists x in A) x = x",  # no side free of x
-    "(exists x in A) <x, y> = <y, x>",  # both sides mention x
-    "(exists x in A) z in <x, y>",  # not an equation
-    "(exists x in A)(exists x in B) z = <x, y>",  # the inner x shadows x
-    "(exists x in A)(exists y in x) z = <x, y>",  # an inner bound mentions x
-    "(exists x in A)(forall y in B) z = <x, y>",  # a forall in the block
+    "(exists x in A) <x, t> = <t, x>",  # both sides mention x
+    "(exists x in A)(exists x in A) s = <x, t>",  # the inner x shadows x
+    "(exists x in A)(exists y in x) s = <y, t>",  # an inner bound mentions x
+    "(exists x in A)(forall y in A) s = <x, y>",  # a forall in the block
 ]
 
 
@@ -611,32 +622,39 @@ def _ranks(atoms):
     return low, [*low[: len(atoms)], *sets]
 
 
-def check_pinned_existentials(atoms):
-    """Fail unless the formulas of PINNED, and none of UNPINNED, are
-    solved, and `evaluate` agrees with `_model` on each of them, with both
-    verdicts: z and y range over every entity of rank at most 2 on `atoms`
-    (non-pairs such as {{a}, {b}}, {{a, b}} and three-member sets among
-    them; y over those of rank at most 1 where it is a pair's component), and
-    the bounds A and B over the atoms, the sets of atoms (the empty set among
-    them) and the set of all of these.  Then fail unless `_components`
-    decodes exactly the pairs of entities of rank at most 1.  Returns the
-    number of cases and of true verdicts."""
-    assert not any(B._pinned(B.parse(text)) for text in UNPINNED)
+def check_pinned_quantifiers(atoms):
+    """Fail unless the formulas of PINNED, and none of UNPINNED, pin their
+    outer quantifier, and `evaluate` agrees with `_model` on all of them,
+    with both verdicts.  s ranges over every entity of rank at most 2 on
+    `atoms` (non-pairs such as {{a}, {b}}, {{a, b}} and three-member sets
+    among them), t over those of rank at most 1; K over the atoms and every
+    set of pairs of atoms, alone and with the non-pairs {{a}, {b}}, {{a, b}}
+    and the first atom added; the bounds A and B over the atoms, the sets of
+    atoms (the empty set among them) and the set of all entities of rank at
+    most 1.  Then fail unless `_components` decodes exactly the pairs of
+    entities of rank at most 1.  Returns the number of cases and of true
+    verdicts."""
     low, every = _ranks(atoms)
-    bounds = [*low, FSet(low)]
+    first, second = Atom(atoms[0]), Atom(atoms[1])
+    junk = [FSet([FSet([first]), FSet([second])]), FSet([FSet([first, second])]), first]
+    pairs = [B.make_pair(x, y) for x in low[: len(atoms)] for y in low[: len(atoms)]]
+    some = [FSet(s) for k in range(len(pairs) + 1) for s in itertools.combinations(pairs, k)]
+    values = {
+        "A": [*low[len(atoms):], *low[: len(atoms)], FSet(low)],
+        "s": every,
+        "t": low,
+        "K": [*low[: len(atoms)], *some, *(FSet([*s, *junk]) for s in some)],
+    }
+    values["B"] = values["A"]
     cases = verdicts = 0
-    for text in PINNED:
+    for text in PINNED + UNPINNED:
         f = B.parse(text)
-        assert B._pinned(f), text
-        names = B._free(f)
-        ys = low if "z" in names else every
-        seen = set()
-        for env in itertools.product(
-            *([(n, v) for v in values] for n, values in
-              (("A", bounds), ("B", bounds), ("y", ys), ("z", every)) if n in names)
-        ):
-            env = dict(env)
-            got = B.evaluate(f, env)
+        assert (B._candidates(f) is not None) is (text in PINNED), text
+        names = sorted(B._free(f))
+        seen, holds = set(), B._compile(f)
+        for env in itertools.product(*(values[n] for n in names)):
+            env = dict(zip(names, env))
+            got = B.evaluate(f, env, _holds=holds)
             assert got is _model(f, env, []), (text, env)
             seen.add(got)
             cases, verdicts = cases + 1, verdicts + got
@@ -648,7 +666,7 @@ def check_pinned_existentials(atoms):
 
 
 def test_pinned_existentials():
-    assert check_pinned_existentials(["a", "b"]) == (10164, 86)
+    assert check_pinned_quantifiers(["a", "b"]) == (34979, 9653)
 
 
 _real_components = B._components
@@ -669,13 +687,40 @@ def _accepts_two_singletons(e):
 # non-pair changes no verdict; only the decoding check can catch it
 @pytest.mark.parametrize(
     "mutant, caught_by",
-    [(_swapped_components, r"z = <x, y>"), (_accepts_two_singletons, r"_components")],
+    [(_swapped_components, r"s = <t, x>"), (_accepts_two_singletons, r"_components")],
     ids=["swapped", "accepts_two_singletons"],
 )
 def test_wrong_decoder_fails_the_check(monkeypatch, mutant, caught_by):
     monkeypatch.setattr(B, "_components", mutant)
     with pytest.raises(AssertionError, match=caught_by):
-        check_pinned_existentials(["a", "b"])
+        check_pinned_quantifiers(["a", "b"])
+
+
+_real_index = B._Pairs.index
+
+
+def _index_keeping_one(pairs, k, i):
+    return {other: found[:1] for other, found in _real_index(pairs, k, i).items()}
+
+
+def _index_by_own_component(pairs, k, i):
+    index = {}
+    for e in k:
+        parts = B._components(e)
+        if parts:
+            index.setdefault(parts[i], []).append(parts[1 - i])
+    return index
+
+
+@pytest.mark.parametrize(
+    "mutant, caught_by",
+    [(_index_keeping_one, r"in K"), (_index_by_own_component, r"in K")],
+    ids=["drops_a_candidate", "swaps_components"],
+)
+def test_wrong_pair_index_fails_the_check(monkeypatch, mutant, caught_by):
+    monkeypatch.setattr(B._Pairs, "index", mutant)
+    with pytest.raises(AssertionError, match=caught_by):
+        check_pinned_quantifiers(["a", "b"])
 
 
 def _live_fsets() -> int:

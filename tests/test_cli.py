@@ -490,6 +490,7 @@ class TestDigitLimit:
             ("st", "10^5000"),
             ("root", "10^10000", "2"),
             ("eval", "(1+e)^20000"),
+            ("eval", "10^-199999999999"),  # refused before 10 to that power is built
         ):
             code, got = run_json(capsys, "hyper", *argv)
             assert code == 2 and got["error"]["type"] == "NumberTooLarge", argv

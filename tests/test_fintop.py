@@ -511,6 +511,9 @@ class TestSpaceFacts:
             "zblocks": F._z_blocks,
             "disjoint": F._disjoint_unions,
             "classically_normal": F._classically_normal,
+            "closed_monads": F._closed_monads,
+            "closed_mu_z": F._closed_mu_z,
+            "disjoint_closed": F._disjoint_closed_pairs,
         }
         for name, decide in F.PROPERTY_CHECKS.items():
             computes[name] = lambda s, decide=decide: decide(s).holds
@@ -537,6 +540,34 @@ class TestSpaceFacts:
         live = {(s.n, s.opens) for s in gc.get_objects() if type(s) is F.FinSpace}
         assert set(F._FACT_TABLES.keys()) <= live
         assert sum(n == 4 for n, _ in F._FACT_TABLES.keys()) < 355
+
+    # caught mutant: is_regular computing monad_set_mask(F) for every point
+    # outside F, and is_z_normal computing mu_z_set per pair, as they did
+    def test_closed_set_monads_are_computed_once_per_space(self, monkeypatch):
+        counts = {}
+        monad_set_mask, mu_z_set = F.FinSpace.monad_set_mask, F.ZBlockPartition.mu_z_set
+
+        def counted(kind, compute):
+            def spy(owner, mask):
+                space = owner if kind == "monad" else owner.space
+                key = kind, space.n, space.opens, mask
+                counts[key] = counts.get(key, 0) + 1
+                return compute(owner, mask)
+
+            return spy
+
+        monkeypatch.setattr(F.FinSpace, "monad_set_mask", counted("monad", monad_set_mask))
+        monkeypatch.setattr(F.ZBlockPartition, "mu_z_set", counted("mu_z", mu_z_set))
+        deciders = (F.is_regular, F.is_normal, F.is_completely_regular, F.is_z_normal)
+        for s in all_spaces(4):
+            fresh = F.FinSpace(s.points, s.opens)
+            object.__setattr__(fresh, "_facts", F._Facts())  # no fact read by an earlier test
+            for decide in deciders:
+                decide(fresh)
+            for kind in ("monad", "mu_z"):
+                computed = {mask for k, n, opens, mask in counts if (k, n, opens) == (kind, s.n, s.opens)}
+                assert computed == set(s.closed_sets()), (kind, s.describe())
+        assert set(counts.values()) == {1}
 
     def test_each_decider_runs_once_per_enumerated_space(self, monkeypatch):
         enumerated, calls = {}, {}

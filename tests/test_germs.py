@@ -496,6 +496,72 @@ def test_los_matches_pointwise_truth_at_every_window_index():
     assert min(outcomes.values()) > 50, outcomes
 
 
+def _rand_plain_formula(rng, names, depth):
+    """A formula whose terms divide by no germ (1/2 is a constant's only division)."""
+    def term():
+        if rng.random() < 0.6:
+            return rng.choice([*names, str(rng.choice(_VALUES))])
+        return f"({rng.choice(names)} {rng.choice('+-*')} {rng.choice([*names, '1', '2'])})"
+
+    if depth == 0 or rng.random() < 0.4:
+        return f"{term()} {rng.choice(('=', '!=', '<', '<=', '>', '>='))} {term()}"
+    if rng.random() < 0.2:
+        return f"not ({_rand_plain_formula(rng, names, depth - 1)})"
+    op = rng.choice(("and", "or"))
+    return f"({_rand_plain_formula(rng, names, depth - 1)}) {op} ({_rand_plain_formula(rng, names, depth - 1)})"
+
+
+def _rand_los_case(rng):
+    """1-3 periodic germs and a formula over them; about half the formulas
+    start with an atom holding one division, which every index evaluates."""
+    names = ["x", "y", "z"][: rng.randint(1, 3)]
+    env = {name: _rand_tail_germ(rng) for name in names}
+    formula = _rand_plain_formula(rng, names, 2)
+    if rng.random() < 0.5:
+        u, v = rng.choice(names), rng.choice(names)
+        divisor = rng.choice((v, f"({v} - {rng.choice(_VALUES)})", f"({u} - {v})", f"({u} * {v})"))
+        atom = f"{rng.choice(names)} / {divisor} {rng.choice(('<', '>=', '='))} {rng.choice(_VALUES)}"
+        formula = rng.choice((atom, f"({atom}) {rng.choice(('and', 'or'))} ({formula})"))
+    return formula, env
+
+
+def check_periodic_los(n, seed):
+    """Fail unless `los_check_qf` on the `n` cases of `_rand_los_case` gives
+    the verdict read from `check_pointwise` at every index of the window, or,
+    where the division is zero at every index, AlmostEverywhereZeroDivisor,
+    and where at some, UltrafilterDependentZeroDivisor.  Returns the count of
+    each outcome."""
+    rng = random.Random(seed)
+    outcomes = dict.fromkeys(["true-ae", "false-ae", "ultrafilter-dependent", "zero at all", "zero at some"], 0)
+    for _ in range(n):
+        formula, env = _rand_los_case(rng)
+        pre = max(len(g.preperiod) for g in env.values())
+        lcm = math.lcm(*(len(g.period) for g in env.values()))
+        flags = []
+        for i in range(pre + 1, pre + lcm + 1):
+            try:
+                flags.append(G.check_pointwise(formula, env, i))
+            except G.VanishingDivisor:
+                flags.append(None)
+        if None in flags:
+            zero = "zero at all" if set(flags) == {None} else "zero at some"
+            error = G.AlmostEverywhereZeroDivisor if zero == "zero at all" else G.UltrafilterDependentZeroDivisor
+            with pytest.raises(error):
+                G.los_check_qf(formula, env)
+            outcomes[zero] += 1
+            continue
+        want = G._verdict_from_flags(flags)
+        assert G.los_check_qf(formula, env) is want, (formula, env)
+        outcomes[want.value] += 1
+    return outcomes
+
+
+def test_periodic_los_reads_one_row_per_distinct_row():
+    # caught mutant: a window that drops one of its distinct rows
+    outcomes = check_periodic_los(1000, seed=29)
+    assert min(outcomes.values()) > 50, outcomes
+
+
 def test_pointwise_arithmetic_matches_value_at():
     # caught mutant: a tail built from the stored period without rotating it
     # to the common preperiod

@@ -6,7 +6,7 @@ import pytest
 
 from nsatop import hyperreal
 from nsatop.hyperreal import EPSILON, Hyperreal
-from nsatop.poly import Poly, integer_nth_root, rational_nth_root
+from nsatop.poly import NumberTooLarge, Poly, _series_power, integer_nth_root, rational_nth_root
 
 from helpers import rand_fraction, rand_poly
 
@@ -388,6 +388,25 @@ def test_power_makes_no_product(monkeypatch):
     assert result.num.degree == 2000
     assert Poly((1, 1)) ** 100 == Poly([math.comb(100, i) for i in range(101)])
     assert calls == []
+
+
+# caught mutant: a recurrence that never tests the remainder, which runs on
+# past the first inexact division and returns a series for a non-root
+def test_series_power_refuses_a_non_root_at_the_first_inexact_division():
+    assert _series_power((1, 1), 1, 1, 2, 2000) is None  # sqrt(1 + x): 2*q[1] = 1
+    assert _series_power((1, 3, 3, 1), 1, 1, 3, 2000) == [1, 1] + [0] * 1998  # cbrt((1 + x)^3)
+    assert _series_power((4, 4, 2), 2, 1, 2, 2000) is None  # 4*q[2] = 1, after an exact q[1] = 1
+
+
+def test_power_too_long_to_print_is_refused_before_it_is_built():
+    # each would hold an integer of more digits than the interpreter prints;
+    # 10**199999999999 alone would take about 83 GB
+    for base, n in ((Poly.const(Fraction(1, 10)), 199999999999), (Poly((10, 1)), 10**12), (Poly((1, 0, -7)), 7200)):
+        with pytest.raises(NumberTooLarge, match="too many digits to print"):
+            base**n
+    # below the bound the power is built; printing decides at the limit
+    assert (Poly.const(10) ** 4299).ints == (10**4299,)
+    assert (Poly((1, 0, -7)) ** 5000).ints[-1] == 7**5000
 
 
 def _to_str_by_fractions(p, var, ram):
