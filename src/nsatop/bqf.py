@@ -538,6 +538,10 @@ def _conjuncts(f: Formula):
         yield f
 
 
+def _is_name(t: Term, name: str) -> bool:
+    return isinstance(t, Name) and t.name == name
+
+
 def _candidates(f: Quant):
     """None, or (env, pairs) -> the values of f.var that a conjunct of its
     body allows.  That is, for an exists over a conjunction, or a forall over
@@ -547,7 +551,7 @@ def _candidates(f: Quant):
     `t = <..., v, ...>`, `v in K` or `<..., v, ...> in K` with t, K and the
     pair's other component free of the block's variables.  Every other value
     makes the body false (exists) or true (forall)."""
-    block, body, var = {f.var}, f.body, Name(f.var)
+    block, body, var = {f.var}, f.body, f.var
     while isinstance(body, Quant) and body.kind == f.kind and body.var != f.var and f.var not in _free(body.bound):
         block.add(body.var)
         body = body.body
@@ -564,10 +568,10 @@ def _candidates(f: Quant):
         else:
             continue
         for known, other in sides:
-            if other == var:
+            if _is_name(other, var):
                 i = rest = None
-            elif isinstance(other, PairTerm) and var in (other.first, other.second):
-                i = 0 if other.first == var else 1
+            elif isinstance(other, PairTerm) and (_is_name(other.first, var) or _is_name(other.second, var)):
+                i = 0 if _is_name(other.first, var) else 1
                 rest = (other.second, other.first)[i]
             else:
                 continue

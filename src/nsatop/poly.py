@@ -235,10 +235,9 @@ class Poly:
         a = self.ints
         if not a or n == 1:
             return self
-        if _unprintable_power(a, self.den, n):
+        if _oversized_power(a, self.den, n):
             raise NumberTooLarge("an exact value has too many digits to print")
-        q = _series_power(a, a[0] ** n, n, 1, (len(a) - 1) * n + 1)
-        return _new(tuple(q), self.den**n, self.val * n)
+        return _power(self, n)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder by integer pseudo-division.
@@ -391,7 +390,8 @@ class Poly:
         if q is None:
             return None
         root = _new(tuple(q), d, self.val // n)
-        return root if root**n == self else None
+        # unbounded: a true root's power is no larger than self, which exists
+        return root if _power(root, n) == self else None
 
     # -- formatting -------------------------------------------------------------
 
@@ -440,17 +440,32 @@ def _ratio_str(num: int, den: int) -> str:
         raise NumberTooLarge("an exact value has too many digits to print") from None
 
 
-def _unprintable_power(a, den: int, n: int) -> bool:
-    """Whether the first or last coefficient of (a/den)**n, printed in lowest
-    terms as (c/g)**n / (den/g)**n with g = gcd(c, den), needs more digits
-    than the interpreter converts (sys.get_int_max_str_digits, when set).
+# A power is refused when its end coefficients would be this many times
+# longer than the interpreter prints: such a power bounds the work of one `^`
+# (10**(4*4300) takes under a millisecond) while a quotient of printable
+# length, as in (10*e)^5000/(10*e)^5000, still cancels to its answer.
+_POWER_DIGITS_PER_PRINTED = 4
+
+
+def _oversized_power(a, den: int, n: int) -> bool:
+    """Whether the first or last coefficient of (a/den)**n, in lowest terms
+    (c/g)**n / (den/g)**n with g = gcd(c, den), needs more than
+    _POWER_DIGITS_PER_PRINTED times the digits the interpreter converts
+    (sys.get_int_max_str_digits, when set).
     |x**n| >= 2**bits has more than bits*0.30102 digits (log10(2) > 0.30102)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return False
     ends = [x // math.gcd(c, den) for c in (a[0], a[-1]) for x in (c, den)]
     bits = n * (max(map(abs, ends)).bit_length() - 1)
-    return bits * 30102 // 100000 >= limit
+    return bits * 30102 // 100000 >= _POWER_DIGITS_PER_PRINTED * limit
+
+
+def _power(p: "Poly", n: int) -> "Poly":
+    """p**n for a nonzero p and n >= 2, with no bound on its size."""
+    a = p.ints
+    q = _series_power(a, a[0] ** n, n, 1, (len(a) - 1) * n + 1)
+    return _new(tuple(q), p.den**n, p.val * n)
 
 
 def _series_power(a, q0: int, p: int, r: int, count: int) -> Optional[list]:

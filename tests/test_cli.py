@@ -495,6 +495,19 @@ class TestDigitLimit:
             code, got = run_json(capsys, "hyper", *argv)
             assert code == 2 and got["error"]["type"] == "NumberTooLarge", argv
 
+    def test_power_that_a_later_step_shortens_still_answers(self, capsys):
+        # only a power past four times the printable length is refused
+        # unbuilt; shorter ones are built, and only the answer must print
+        ten_3000 = "1" + "0" * 3000
+        for argv, key, want in (
+            (("root", "10^3000*10^3000", "2"), "root", ten_3000),  # the root is checked by squaring it
+            (("root", "10^6000", "2"), "root", ten_3000),
+            (("eval", "(10*e)^5000/(10*e)^5000"), "canonical", "1"),
+            (("eval", "10^17000/10^16999"), "canonical", "10"),
+        ):
+            code, got = run_json(capsys, "hyper", *argv)
+            assert code == 0 and got[key] == want, argv
+
     def test_bqf_binding_integer_exits_2(self, capsys):
         code, got = run_json(capsys, "bqf", "eval", "x = x", "--bind", f"x={self.BIG}")
         assert code == 2 and got["error"]["type"] == "NumberTooLarge"

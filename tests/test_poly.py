@@ -398,15 +398,22 @@ def test_series_power_refuses_a_non_root_at_the_first_inexact_division():
     assert _series_power((4, 4, 2), 2, 1, 2, 2000) is None  # 4*q[2] = 1, after an exact q[1] = 1
 
 
-def test_power_too_long_to_print_is_refused_before_it_is_built():
-    # each would hold an integer of more digits than the interpreter prints;
-    # 10**199999999999 alone would take about 83 GB
-    for base, n in ((Poly.const(Fraction(1, 10)), 199999999999), (Poly((10, 1)), 10**12), (Poly((1, 0, -7)), 7200)):
+def test_power_far_too_long_to_print_is_refused_before_it_is_built():
+    # each would hold an integer of over four times the digits the interpreter
+    # prints; 10**199999999999 alone would take about 83 GB
+    for base, n in ((Poly.const(Fraction(1, 10)), 199999999999), (Poly((10, 1)), 10**12), (Poly((1, 0, -7)), 30000)):
         with pytest.raises(NumberTooLarge, match="too many digits to print"):
             base**n
-    # below the bound the power is built; printing decides at the limit
+    # below the bound the power is built, printable or not; printing decides
     assert (Poly.const(10) ** 4299).ints == (10**4299,)
-    assert (Poly((1, 0, -7)) ** 5000).ints[-1] == 7**5000
+    assert (Poly.const(10) ** 17000).ints == (10**17000,)
+    assert (Poly((1, 0, -7)) ** 7200).ints[-1] == 7**7200
+
+
+def test_root_is_checked_past_the_power_bound():
+    # a radicand built by products may exceed the bound on `**`; checking
+    # its root by powering it back must not be refused
+    assert (Poly((10**10000, 1)) * Poly((10**10000, 1))).nth_root(2) == Poly((10**10000, 1))
 
 
 def _to_str_by_fractions(p, var, ram):
