@@ -383,8 +383,9 @@ def _free(node) -> set[str]:
 # Each call compiles its formula into nested closures (env, pairs) -> value (SICP
 # 4.1.7).  They evaluate in the tree's order: the left side first, and a
 # quantifier's bound before its members, which are taken in frozenset order.
-# A quantifier whose body has a conjunct that pins its variable visits only
-# the members that conjunct allows (`_candidates`).
+# The compiler has one pruning rule: a quantifier whose body has a conjunct
+# that pins its variable visits only the members that conjunct allows
+# (`_candidates`), and its body is evaluated afresh at each member it visits.
 
 
 def _check_bindings(f: Formula, bindings: dict, var: Optional[str] = None) -> None:
@@ -456,20 +457,8 @@ def _compile_term(t: Term):
     return lambda env, pairs: FSet([item(env, pairs) for item in items])
 
 
-def _negate(body):
-    return (not body) if isinstance(body, bool) else lambda env, pairs: not body(env, pairs)
-
-
 def _connect(op: str, lhs, rhs):
-    """`(lhs op rhs)`; a bool lhs is a left side already known, folded away."""
-    if isinstance(lhs, bool):
-        if op == "and":
-            return rhs if lhs else False
-        if op == "or":
-            return True if lhs else rhs
-        if op == "=>":
-            return rhs if lhs else True
-        return rhs if lhs else _negate(rhs)
+    """`(lhs op rhs)`."""
     if op == "and":
         return lambda env, pairs: lhs(env, pairs) and rhs(env, pairs)
     if op == "or":
@@ -491,42 +480,12 @@ def _compile(f: Formula):
         return lambda env, pairs: not isinstance(s := rhs(env, pairs), Atom) and lhs(env, pairs) in s
     if isinstance(f, Quant):
         return _compile_quant(f)
-    if isinstance(f, (Not, BinOp)):
-        return _fixed(f, None)[0]
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _invariant_operand(body: Formula, var: str) -> Optional[Formula]:
-    """The highest node on the left spine of `body`, down through `not` and the
-    connectives, in which `var` is not free; None if there is none, or if the
-    body is a lone atom or quantifier.
-
-    The body evaluates it first at every member, and its value is the same at each."""
-    if not isinstance(body, (Not, BinOp)):
-        return None
-    spine = [body]
-    while isinstance(spine[-1], (Not, BinOp)):
-        spine.append(spine[-1].body if isinstance(spine[-1], Not) else spine[-1].lhs)
-    operand = None
-    for node in reversed(spine):
-        if not isinstance(node, Not) and var in _free(node.rhs if isinstance(node, BinOp) else node):
-            break
-        operand = node
-    return operand
-
-
-def _fixed(f: Formula, operand: Optional[Formula]) -> tuple:
-    """f compiled with `operand`, a node on its left spine, read as False and
-    as True; each right side is compiled once, for both.  With no operand,
-    (f compiled,): the connectives are compiled here."""
-    if f is operand:
-        return False, True
     if isinstance(f, Not):
-        return tuple(map(_negate, _fixed(f.body, operand)))
-    if not isinstance(f, BinOp):
-        return (_compile(f),)
-    rhs = _compile(f.rhs)
-    return tuple(_connect(f.op, lhs, rhs) for lhs in _fixed(f.lhs, operand))
+        body = _compile(f.body)
+        return lambda env, pairs: not body(env, pairs)
+    if isinstance(f, BinOp):
+        return _connect(f.op, _compile(f.lhs), _compile(f.rhs))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _conjuncts(f: Formula):
@@ -598,23 +557,16 @@ def _candidates(f: Quant):
 
 def _compile_quant(f: Quant):
     bound, var, forall = _compile_term(f.bound), f.var, f.kind == "forall"
-    candidates = _candidates(f)
-    operand = _invariant_operand(f.body, var)
-    test = None if operand is None else _compile(operand)
-    bodies = _fixed(f.body, operand)
+    candidates, body = _candidates(f), _compile(f.body)
 
     def quant(env, pairs):
         members = bound(env, pairs)
         if isinstance(members, Atom) or not members:  # an atom has no members
             return forall
-        # the hoisted operand is evaluated once, where the first member would reach it
-        body = bodies[test(env, pairs)] if test else bodies[0]
-        if isinstance(body, bool):
-            return body
         if candidates:  # the others settle the body as false (exists) or true (forall)
             members = [v for v in candidates(env, pairs) if v in members]
         env = dict(env)  # members are bound in a copy, so an outer binding of var stands
-        for member in members:
+        for member in members:  # the body is evaluated afresh at each
             env[var] = member
             if body(env, pairs) is not forall:
                 return not forall

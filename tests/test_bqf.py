@@ -315,11 +315,12 @@ _GRAPH_FIRST = (
 )
 _SINGLE_VALUED = "(forall x in A)(forall y in B)(forall w in B)((<x, y> in F and <x, w> in F) => y = w)"
 
-# A formula whose quantifier bodies start with an operand that does not mention
-# the bound variable, next to the same formula with that operand moved out by
-# hand.  Where the moved operand is evaluated, the rewrite first reads the
-# bound through a guard `(exists v in B) v = v`, so an empty bound, or an atom,
-# which has no members, still leaves the operand unevaluated.
+# Pairs of equivalent formulas, which must evaluate alike: a formula whose
+# quantifier bodies start with an operand that does not mention the bound
+# variable, next to the same formula with that operand moved out of the
+# quantifier by hand.  Where the moved operand is evaluated, the rewrite first
+# reads the bound through a guard `(exists v in B) v = v`, so an empty bound,
+# or an atom, which has no members, still leaves the operand unevaluated.
 HOISTED_PAIRS = [
     (_SINGLE_VALUED, "(forall x in A)(forall y in B)(not <x, y> in F or (forall w in B)(<x, w> in F => y = w))"),
     (
@@ -387,23 +388,8 @@ class TestHoisting:
                 seen.add(got if isinstance(got, bool) else got[0])
         assert seen == {True, False}
 
-    # caught mutant: a compiler that never hoists, which evaluates the
-    # operand once per member
-    def test_invariant_operand_is_evaluated_once(self, monkeypatch):
-        asked = []
-        contains = FSet.__contains__
-
-        def counted(self, item):
-            asked.append(item)
-            return contains(self, item)
-
-        monkeypatch.setattr(FSet, "__contains__", counted)
-        env = {"a": a, "A": AB, "B": ABC}
-        assert B.evaluate("(forall w in B)(a in A and w in B)", env) is True
-        assert asked == [a, *ABC]
-
-    # caught mutant: a hoisting body that compiles its right side once per
-    # truth value of the operand, which doubles the work at every level
+    # caught mutant: a compiler that compiles some node twice per level,
+    # which doubles the work at every level
     def test_compile_work_grows_linearly_with_nesting(self, monkeypatch):
         compiled = []
         compile_formula = B._compile
@@ -412,7 +398,7 @@ class TestHoisting:
         for k in range(12):
             text = f"(forall v{k} in A)(a in A and (v{k} = v{k} and {text}))"
         assert B.evaluate(text, {"a": a, "A": AB}) is True
-        assert len(compiled) == 1 + 4 * 12  # the root, and four nodes per level
+        assert len(compiled) == 1 + 5 * 12  # `a = a`, and five nodes per level
 
 
 def _model_members(e):
@@ -667,6 +653,27 @@ def check_pinned_quantifiers(atoms):
 
 def test_pinned_existentials():
     assert check_pinned_quantifiers(["a", "b"]) == (34979, 9653)
+
+
+# caught mutant: a quantifier that ignores its candidates and evaluates the
+# body at every member of its bound (27 times here)
+def test_body_is_evaluated_only_at_candidates(monkeypatch):
+    f = B.parse(_SINGLE_VALUED)
+    body, visited = f.body.body.body, []
+    compile_formula = B._compile
+
+    def compile_counted(g):
+        compiled = compile_formula(g)
+        if g is not body:
+            return compiled
+        return lambda env, pairs: visited.append((env["x"], env["y"], env["w"])) or compiled(env, pairs)
+
+    monkeypatch.setattr(B, "_compile", compile_counted)
+    # x = c is mapped to d, which is not in B, so no y is visited for it
+    graph = FSet([B.make_pair(a, b), B.make_pair(b, c), B.make_pair(c, d)])
+    assert B.evaluate(f, {"A": ABC, "B": ABC, "F": graph}) is True
+    # x has no candidates (its pairs in F are keyed by y and w), y and w the values F gives x
+    assert sorted(visited) == [(a, b, b), (b, c, c)]
 
 
 _real_components = B._components
