@@ -608,22 +608,6 @@ def define_set(
     return FSet(members)
 
 
-def is_function_graph(f: Entity, domain: Entity, codomain: Entity) -> bool:
-    """Decide whether f is the graph of a total function domain -> codomain.
-
-    Evaluates the three-conjunct characterization (f is a relation, the
-    domain is all of `domain`, values are unique) through the formula
-    evaluator rather than by direct set inspection.
-    """
-    phi = parse(
-        "(((forall z in F)(exists x in A)(exists y in B) z = <x, y>"
-        " and (forall x in A)(exists y in B) <x, y> in F)"
-        " and (forall x in A)(forall y in B)(forall w in B)"
-        "((<x, y> in F and <x, w> in F) => y = w))"
-    )
-    return evaluate(phi, {"F": f, "A": domain, "B": codomain})
-
-
 _BOOLEAN_OPS = (("union", operator.or_), ("intersection", operator.and_), ("difference", operator.sub))
 
 

@@ -37,7 +37,9 @@ Space JSON: {"points": ["a","b"], "opens": [[], ["a"], ["a","b"]]}.
 Family JSON: {"f": {"a": "0", "b": "1/2"}}; `topo hull` takes a family file
 or --stone-cech (the default), not both.
 Global flags: --format json|table (`topo dot` prints DOT under either) and
---seed S, which seeds the generator subfamilies of `audit`.
+--seed S, which is accepted and has no effect: every audit stage is
+exhaustive and none reads a seed.  The flag stays parseable because the
+benchmark's audit workload passes it on every pass.
 """
 
 from __future__ import annotations
@@ -299,10 +301,10 @@ def cmd_topo(args, fmt: str) -> int:
 # -- audit -------------------------------------------------------------------------
 
 
-def run_full_audit(max_points: int, seed: int = 0) -> dict:
+def run_full_audit(max_points: int) -> dict:
     spaces = [s for n in range(1, max_points + 1) for s in fintop.enumerate_topologies(n)]
     part3 = fintop.theorem_audit(spaces)
-    hulls = hull.hull_theorem_audit(spaces, seed=seed)
+    hulls = hull.hull_theorem_audit(spaces)
     compact_failures = []
     robinson_failures = []
     for space in spaces:
@@ -318,7 +320,6 @@ def run_full_audit(max_points: int, seed: int = 0) -> dict:
     counts = {str(n): sum(1 for s in spaces if s.n == n) for n in range(1, max_points + 1)}
     report = {
         "max_points": max_points,
-        "seed": seed,
         "topology_counts": counts,
         "spaces_checked": part3["spaces_checked"],
         "separation_and_order": part3,
@@ -346,7 +347,7 @@ def cmd_audit(args, fmt: str) -> int:
         raise fintop.TooLarge(f"exhaustive audit is capped at {fintop.EXHAUSTIVE_LIMIT} points")
     if args.max_points < 1:
         raise fintop.TooLarge("need at least one point")
-    report = run_full_audit(args.max_points, seed=args.seed)
+    report = run_full_audit(args.max_points)
     _emit(report, fmt)
     return 0 if report["all_passed"] else 1
 
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and monad-based finite topology",
     )
     parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
+    parser.add_argument("--seed", type=int, default=0, help="accepted and ignored: no audit stage samples")
     sub = parser.add_subparsers(dest="command", required=True)
 
     hyper = sub.add_parser("hyper", help="infinitesimal field expressions")

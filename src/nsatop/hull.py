@@ -13,9 +13,7 @@ results are not mistaken for the infinite theory.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 from .fintop import (
@@ -310,38 +308,6 @@ def t0_reflection_report(hull: Hull) -> dict:
     return report
 
 
-# The seeded draws depend only on the seed and the number of blocks, so they are
-# made once per such shape, and each space builds its family from them.
-@lru_cache(maxsize=256)
-def _subfamily_draws(seed: int, blocks: int) -> tuple:
-    """(kept indicators, (a, b) per sum and product, (scale, a) per scaling),
-    each a block index where it names an indicator."""
-    rng, index = random.Random(seed), range(blocks)
-    kept = tuple([t for t in index if rng.random() < 0.7])
-    pairs = tuple([(rng.choice(index), rng.choice(index)) for _ in range(rng.randint(0, 2))])
-    scales = []
-    for _ in range(rng.randint(0, 2)):
-        scales.append((6 * rng.randint(-3, 3) // rng.randint(1, 3), rng.choice(index)))
-    return kept, pairs, tuple(scales)
-
-
-def generator_subfamily(space: FinSpace, seed: int) -> Family:
-    """A seeded family of indicators, sums, products and rational scalings
-    (each scale p/q, q in 1..3, kept as the integer 6p/q; scaling a member by
-    a constant does not change which points it tells apart)."""
-    zp = z_partition(space)
-    indicators = [zp.indicator(k) for k in range(len(zp.blocks))]
-    kept, pairs, scales = _subfamily_draws(seed, len(indicators))
-    fam: Family = {f"ind{t}": indicators[t] for t in kept}
-    for t, (a, b) in enumerate(pairs):
-        a, b = indicators[a], indicators[b]
-        fam[f"sum{t}"] = tuple([x + y for x, y in zip(a, b)])
-        fam[f"prod{t}"] = tuple([x * y for x, y in zip(a, b)])
-    for t, (c, a) in enumerate(scales):
-        fam[f"scale{t}"] = tuple([c * x for x in indicators[a]])
-    return fam
-
-
 def zero_set_formulas(hull: Hull) -> dict:
     """Zero-set identities across the quotient map of a built Stone-Cech hull,
     checked exhaustively.
@@ -436,10 +402,11 @@ def ring_correspondence(hull: Hull) -> dict:
     return {"checked": checked, "failures": []}
 
 
-def hull_theorem_audit(spaces: Iterable[FinSpace], seed: int = 0) -> dict:
-    """Run every hull-side audit across a set of spaces.  The seed drives only
-    the two generator_subfamily families of hull_laws; every other check is
-    exhaustive."""
+def hull_theorem_audit(spaces: Iterable[FinSpace]) -> dict:
+    """Run every hull-side audit across a set of spaces.  Every check is
+    exhaustive and none reads a seed: hull_laws audits the Stone-Cech hull,
+    then the hull of each one-member family x + y over block indicators
+    x <= y, whose level sets are one block, or a union of two, and the rest."""
     names = [
         "stone_cech_equals_hewitt",
         "hull_laws",
@@ -457,8 +424,10 @@ def hull_theorem_audit(spaces: Iterable[FinSpace], seed: int = 0) -> dict:
 
         def hull_laws():
             hull_report(sc)
-            for t in range(2):
-                hull_report(build_hull(space, generator_subfamily(space, seed + t)))
+            indicators = list(sc.family.values())
+            for a, x in enumerate(indicators):
+                for y in indicators[a:]:
+                    hull_report(build_hull(space, {"f": tuple([u + v for u, v in zip(x, y)])}))
 
         audits = {
             "hull_laws": hull_laws,

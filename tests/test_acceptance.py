@@ -264,7 +264,7 @@ def test_criterion_9_compactness_identities(spaces_up_to_4):
 def test_criterion_10_theorem_audit(spaces_up_to_4):
     part3 = F.theorem_audit(spaces_up_to_4)
     assert part3["all_passed"], part3
-    hulls = HL.hull_theorem_audit(spaces_up_to_4, seed=SEED)
+    hulls = HL.hull_theorem_audit(spaces_up_to_4)
     assert hulls["all_passed"], hulls
     candidates = part3["descriptive"]["finite_star_space_t0"]["counterexample_candidates"]
     indiscrete_two_point = F.validate(["0", "1"], [[], ["0", "1"]])

@@ -125,4 +125,19 @@ def test_mutant_fails_its_key(key, fresh_facts, monkeypatch):
     assert report["all_passed"] is False
     if key == "zero_set_formulas":  # every space with two or more z-blocks
         assert len(entry["counterexamples"]) == 133
+    if key == "hull_laws":  # as many as every indicator family up to 4 points catches
+        assert len(entry["counterexamples"]) == 385
     assert len(kept) == 389
+
+
+def _one_nonconstant_member_distinguishes(space, family):
+    """The subtle mutant: a family counts as distinguishing as soon as one
+    member is nonconstant."""
+    return any(len(set(table)) > 1 for table in family.values())
+
+
+def test_hull_laws_catch_a_family_with_one_nonconstant_member(fresh_facts, monkeypatch):
+    monkeypatch.setattr(H, "distinguishes_points_and_closed_sets", _one_nonconstant_member_distinguishes)
+    entry = cli.run_full_audit(4)["hulls"]["asserted"]["hull_laws"]
+    assert entry["passed"] is False
+    assert len(entry["counterexamples"]) == 122

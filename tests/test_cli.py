@@ -703,9 +703,11 @@ class TestDeterminism:
         _, first = run(capsys, "topo", "check", fan3)
         _, second = run(capsys, "topo", "check", fan3)
         assert first == second
+        # no audit stage reads the seed, so --seed changes no byte
         a1 = run(capsys, "--seed", "7", "audit", "--max-points", "2")
-        a2 = run(capsys, "--seed", "7", "audit", "--max-points", "2")
-        assert a1 == a2 and a1[0] == 0 and json.loads(a1[1])["seed"] == 7
+        a2 = run(capsys, "--seed", "8", "audit", "--max-points", "2")
+        a3 = run(capsys, "audit", "--max-points", "2")
+        assert a1 == a2 == a3 and a1[0] == 0 and "seed" not in json.loads(a1[1])
 
     def test_table_format(self, capsys):
         code, out = run(capsys, "--format", "table", "hyper", "eval", "e")

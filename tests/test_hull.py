@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -241,7 +240,9 @@ class TestHullLaws:
         verdicts = set()
         for s in all_spaces(4):
             families = [H.canonical_family(s), H.clopen_family(s), {}]
-            families += [H.generator_subfamily(s, seed) for seed in range(2)]
+            indicators = list(H.canonical_family(s).values())
+            for k, x in enumerate(indicators):
+                families += [{"f": tuple([u + v for u, v in zip(x, y)])} for y in indicators[k:]]
             for fam in families:
                 got = H.distinguishes_points_and_closed_sets(s, fam)
                 assert got == pairwise(s, fam)
@@ -396,39 +397,6 @@ class TestRingReference:
             assert H._continuous_dimension(s) == len(F.z_partition(s).blocks), s.describe()
 
 
-def _old_subfamily(space, seed):
-    zp = F.z_partition(space)
-    rng = random.Random(seed)
-    indicators = [zp.indicator(k) for k in range(len(zp.blocks))]
-    fam = {}
-    for t, ind in enumerate(indicators):
-        if rng.random() < 0.7:
-            fam[f"ind{t}"] = ind
-    for t in range(rng.randint(0, 2)):
-        a, b = rng.choice(indicators), rng.choice(indicators)
-        fam[f"sum{t}"] = tuple([x + y for x, y in zip(a, b)])
-        fam[f"prod{t}"] = tuple([x * y for x, y in zip(a, b)])
-    for t in range(rng.randint(0, 2)):
-        c = 6 * rng.randint(-3, 3) // rng.randint(1, 3)
-        a = rng.choice(indicators)
-        fam[f"scale{t}"] = tuple([c * x for x in a])
-    return fam
-
-
-class TestDrawsPerShape:
-    """The draws kept per (seed, shape) equal fresh draws in the old call order."""
-
-    def test_families_equal_fresh_draws(self):
-        spaces = list(all_spaces(4))
-        assert len(spaces) == 389
-        for seed in range(5):
-            for other in (None, seed + 100):
-                for s in spaces:
-                    if other is not None:  # draws for another seed first
-                        H.generator_subfamily(s, other)
-                    assert H.generator_subfamily(s, seed) == _old_subfamily(s, seed)
-
-
 class TestQuotientMaps:
     def test_class_loops_equal_point_loops(self, monkeypatch):
         hulls = []
@@ -440,7 +408,9 @@ class TestQuotientMaps:
 
         monkeypatch.setattr(H, "_build_quotient", recording)
         assert H.hull_theorem_audit(all_spaces(4))["all_passed"]
-        assert len(hulls) == 389 * 6
+        # per space: Stone-Cech, Hewitt, the T0 reflection and its own
+        # reflection, and one hull per pair of block indicators (719 in all)
+        assert len(hulls) == 389 * 4 + 719 == 2275
         for hull in hulls:
             n, k = hull.source.n, len(hull.classes)
             for mask in range(1 << n):
