@@ -1,11 +1,13 @@
 """Command-line surface for the library.
 
-Subcommands
-    hyper eval|st|root      evaluate infinitesimal-field expressions
-    germ  compare|classify|los
-    bqf   eval|define
-    topo  check|hull|reflect|dot
-    audit
+Commands (options go before, between or after a command's positionals)
+    hyper eval|st EXPR                  hyper root EXPR N
+    germ compare LHS RHS eq|lt          germ classify GERM
+    germ los FORMULA [--bind NAME=GERM]...
+    bqf eval FORMULA [--bind NAME=JSON]...
+    bqf define FORMULA --bound JSON [--var NAME] [--bind NAME=JSON]...
+    topo check SPACE [--property P]     topo hull SPACE [FAMILY] [--stone-cech]
+    topo reflect|dot SPACE              audit [--max-points N]
 
 Exit codes: 0 success / property holds / all audits pass; 1 property false,
 verdict not established, or an audit counterexample (a machine-readable
@@ -36,18 +38,22 @@ Verdicts serialize as true-ae / false-ae / ultrafilter-dependent.
 Space JSON: {"points": ["a","b"], "opens": [[], ["a"], ["a","b"]]}.
 Family JSON: {"f": {"a": "0", "b": "1/2"}}; `topo hull` takes a family file
 or --stone-cech (the default), not both.
-Global flags: --format json|table (`topo dot` prints DOT under either) and
---seed S, which is accepted and has no effect: every audit stage is
-exhaustive and none reads a seed.  The flag stays parseable because the
-benchmark's audit workload passes it on every pass.
+Global flags, before the command: --format json|table (`topo dot` prints
+DOT under either) and --seed S, accepted with no effect (no audit stage
+reads a seed; the benchmark's audit workload passes it).  An option is its
+name or a unique prefix of it (--prop), with its value next or after '=';
+a token after '--', a negative number or a token holding a space is a
+positional.  -h or --help prints "usage: nsatop[ GROUP[ ACTION]] ..." and
+this text, and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import bqf, fintop, germs, hull, hyperreal
 from .poly import NumberTooLarge, Poly, _frac_str
@@ -352,93 +358,134 @@ def cmd_audit(args, fmt: str) -> int:
     return 0 if report["all_passed"] else 1
 
 
-# -- argument parsing ---------------------------------------------------------------
+# -- reading argv ------------------------------------------------------------------
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, path: tuple, message: str):
+        super().__init__(" ".join(("nsatop",) + path) + ": " + message)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises usage errors so that `main` reports them in the error schema;
-    subparsers inherit the class."""
+# The words read so far map to ({positional: kind}, {option: (kind, default)}).
+# A kind is str, int, a tuple of choices, bool (a flag), list (each use appends
+# its value) or, for a positional that may be left out, None.  The command and
+# action words lead on to the entry of the words read with them.  An option's
+# value is kept under its name without dashes, "-" read as "_".
+_REQUIRED = object()
+_HELP = dict.fromkeys(("-h", "--help"), (bool, None))
+_GLOBAL = {"--format": (("json", "table"), "json"), "--seed": (int, 0)}
+_BIND = {"--bind": (list, None)}
+_COMMANDS = {
+    (): ({"command": ("hyper", "germ", "bqf", "topo", "audit")}, _GLOBAL),
+    ("hyper",): ({"action": ("eval", "st", "root")}, {}),
+    ("hyper", "eval"): ({"expr": str}, {}),
+    ("hyper", "st"): ({"expr": str}, {}),
+    ("hyper", "root"): ({"expr": str, "degree": int}, {}),
+    ("germ",): ({"action": ("compare", "classify", "los")}, {}),
+    ("germ", "compare"): ({"lhs": str, "rhs": str, "relation": ("eq", "lt")}, {}),
+    ("germ", "classify"): ({"germ": str}, {}),
+    ("germ", "los"): ({"formula": str}, _BIND),
+    ("bqf",): ({"action": ("eval", "define")}, {}),
+    ("bqf", "eval"): ({"formula": str}, _BIND),
+    ("bqf", "define"): ({"formula": str}, {"--bound": (str, _REQUIRED), "--var": (str, None), **_BIND}),
+    ("topo",): ({"action": ("check", "hull", "reflect", "dot")}, {}),
+    ("topo", "check"): ({"space": str}, {"--property": (tuple(sorted(fintop.PROPERTY_CHECKS)), None)}),
+    ("topo", "hull"): ({"space": str, "family": None}, {"--stone-cech": (bool, False)}),
+    ("topo", "reflect"): ({"space": str}, {}),
+    ("topo", "dot"): ({"space": str}, {}),
+    ("audit",): ({}, {"--max-points": (int, 3)}),
+}
+# argparse's rule, kept: a token like these is a positional, not an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+
+def build_parser() -> dict:
+    """The command table `main` reads argv against: one object, shared by
+    every call, that reading leaves as it was."""
+    return _COMMANDS
 
 
-_PARSER = None
+def _option(token: str, options: dict, path: tuple):
+    """(name, its '=' value or None) for a token read as an option, the name
+    being the token itself when no option matches; None for a positional."""
+    if token in options:
+        return token, None
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    name, eq, value = token.partition("=")
+    if name not in options and token[:2] == "--":
+        matches = [option for option in options if option.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(path, f"ambiguous option: {name} could match {', '.join(matches)}")
+        name = matches[0] if matches else name
+    if name in options:
+        return name, value if eq else None
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (token, None)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on the first call and shared by later ones;
-    parsing leaves nothing on it (argparse fills a fresh Namespace)."""
-    global _PARSER
-    if _PARSER is not None:
-        return _PARSER
-    parser = _Parser(
-        prog="nsatop",
-        description="infinitesimal arithmetic, germs, bounded-quantifier formulas, "
-        "and monad-based finite topology",
-    )
-    parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--seed", type=int, default=0, help="accepted and ignored: no audit stage samples")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _enter(path: tuple, commands: dict, values: dict) -> tuple:
+    """The positionals and options after the words read; sets the defaults."""
+    positionals, options = commands[path]
+    values.update((name, default) for name, (_, default) in options.items())
+    return list(positionals.items()), {**options, **_HELP}
 
-    hyper = sub.add_parser("hyper", help="infinitesimal field expressions")
-    hyper_sub = hyper.add_subparsers(dest="action", required=True)
-    for action, doc in (("eval", "full report"), ("st", "standard part"), ("root", "n-th root")):
-        p = hyper_sub.add_parser(action, help=doc)
-        p.add_argument("expr")
-        if action == "root":
-            p.add_argument("degree", type=int)
-    germ = sub.add_parser("germ", help="sequence germs modulo a.e. agreement")
-    germ_sub = germ.add_subparsers(dest="action", required=True)
-    p = germ_sub.add_parser("compare", help="a.e. comparison of two germs")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.add_argument("relation", choices=("eq", "lt"))
-    p = germ_sub.add_parser("classify", help="infinitesimal / appreciable / infinite")
-    p.add_argument("germ")
-    p = germ_sub.add_parser("los", help="a.e. truth of a quantifier-free formula")
-    p.add_argument("formula")
-    p.add_argument("--bind", action="append", metavar="NAME=GERM")
 
-    bq = sub.add_parser("bqf", help="bounded-quantifier formulas over finite sets")
-    bq_sub = bq.add_subparsers(dest="action", required=True)
-    p = bq_sub.add_parser("eval", help="evaluate a formula (also checks transfer)")
-    p.add_argument("formula")
-    p.add_argument("--bind", action="append", metavar="NAME=JSON")
-    p = bq_sub.add_parser("define", help="comprehension inside a bounding set")
-    p.add_argument("formula")
-    p.add_argument("--bound", required=True, metavar="JSON")
-    p.add_argument("--var", default=None)
-    p.add_argument("--bind", action="append", metavar="NAME=JSON")
-
-    topo = sub.add_parser("topo", help="finite topological spaces")
-    topo_sub = topo.add_subparsers(dest="action", required=True)
-    p = topo_sub.add_parser("check", help="separation properties with oracles")
-    p.add_argument("space")
-    p.add_argument("--property", choices=sorted(fintop.PROPERTY_CHECKS), default=None)
-    p = topo_sub.add_parser("hull", help="function hull (default: canonical family)")
-    p.add_argument("space")
-    p.add_argument("family", nargs="?", default=None)
-    p.add_argument("--stone-cech", action="store_true", help="use the canonical family")
-    p = topo_sub.add_parser("reflect", help="T0 reflection")
-    p.add_argument("space")
-    p = topo_sub.add_parser("dot", help="specialization preorder as DOT")
-    p.add_argument("space")
-
-    audit = sub.add_parser("audit", help="run every audit over all small spaces")
-    audit.add_argument("--max-points", type=int, default=3)
-    _PARSER = parser
-    return parser
+def _read(argv: list, commands: dict) -> SimpleNamespace:
+    """The namespace the `cmd_*` handlers read, from one left-to-right pass.
+    A help flag, a bad value or an ambiguous prefix acts where it is read; a
+    missing, unknown or extra token is an error at the end."""
+    path, values, extra, dashed = (), {}, [], False
+    todo, options = _enter(path, commands, values)
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" and not dashed:
+            dashed = True
+            continue
+        hit = None if dashed else _option(token, options, path)
+        if hit is None and todo:
+            name, kind = todo.pop(0)
+            value = token
+        elif hit is None or hit[0] not in options:
+            extra.append(token)
+            continue
+        else:
+            name, value = hit
+            kind = options[name][0]
+            if kind is bool:
+                if value is not None:
+                    raise _UsageError(path, f"argument {name}: ignored explicit argument {value!r}")
+                if name in _HELP:
+                    print(" ".join(("usage: nsatop",) + path) + " ...\n\n" + __doc__.strip())
+                    raise SystemExit(0)
+                value = True
+            elif value is None:
+                value = next(tokens, "--")
+                if value == "--" or _option(value, options, path):
+                    raise _UsageError(path, f"argument {name}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(path, f"argument {name}: invalid int value: {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise _UsageError(path, f"argument {name}: invalid choice: {value!r}")
+        values[name] = (values[name] or []) + [value] if kind is list else value
+        if name in ("command", "action"):
+            path += (value,)
+            todo, options = _enter(path, commands, values)
+    missing = [name for name, kind in todo if kind is not None]
+    missing += [name for name in options if values.get(name) is _REQUIRED]
+    if missing or extra:
+        problem = "the following arguments are required" if missing else "unrecognized arguments"
+        raise _UsageError(path, f"{problem}: {' '.join(missing or extra)}")
+    values.update(dict.fromkeys(name for name, _ in todo))  # optional positionals left out
+    return SimpleNamespace(**{name.lstrip("-").replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv=None) -> int:
     try:
         try:
-            code = _dispatch(build_parser().parse_args(argv))
+            code = _dispatch(_read(sys.argv[1:] if argv is None else argv, build_parser()))
         except _UsageError as exc:
             code = _error("UsageError", str(exc), "json")
         sys.stdout.flush()

@@ -66,6 +66,11 @@ def _dense(p: "Poly") -> list:
     return [0] * p.val + list(p.ints)
 
 
+# The most terms a sum may span, zeros between its valuations included:
+# 1 + e^1000000 spans 1,000,001 and answers, 1 + e^100000000 is refused.
+_SUM_TERMS = 1 << 22
+
+
 def _combine(a: "Poly", b: "Poly", sign: int) -> "Poly":
     """a + sign*b."""
     # zero has val 0; aligning with it would pad the other side to dense form
@@ -73,6 +78,8 @@ def _combine(a: "Poly", b: "Poly", sign: int) -> "Poly":
         return a
     if not a.ints:
         return -b if sign < 0 else b
+    if abs(a.val - b.val) + len(a.ints) + len(b.ints) > _SUM_TERMS:
+        raise NumberTooLarge(f"a sum would span more than {_SUM_TERMS} terms")
     x, y = a.ints, b.ints
     if a.den == b.den:
         den = a.den

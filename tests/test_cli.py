@@ -1,6 +1,12 @@
+import argparse
+import contextlib
+import io
+import itertools
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -495,6 +501,17 @@ class TestDigitLimit:
             code, got = run_json(capsys, "hyper", *argv)
             assert code == 2 and got["error"]["type"] == "NumberTooLarge", argv
 
+    def test_sum_past_the_term_budget_exits_2_at_once(self, capsys):
+        # each sum would pad its operands to a dense span of over 10^8 terms,
+        # which ended in a MemoryError; a span of 10^6 still answers
+        for expr in ("1+e^-399999999999", "(1+e^100000000)^2", "(1+e^100000000)*(1+e)"):
+            start = time.perf_counter()
+            code, got = run_json(capsys, "hyper", "eval", expr)
+            assert time.perf_counter() - start < 1.0, expr
+            assert code == 2 and got["error"]["type"] == "NumberTooLarge", expr
+        code, got = run_json(capsys, "hyper", "eval", "1+e^1000000")
+        assert code == 0 and got["canonical"] == "1 + e^1000000"
+
     def test_power_that_a_later_step_shortens_still_answers(self, capsys):
         # only a power past four times the printable length is refused
         # unbuilt; shorter ones are built, and only the answer must print
@@ -713,3 +730,310 @@ class TestDeterminism:
         code, out = run(capsys, "--format", "table", "hyper", "eval", "e")
         assert code == 0
         assert "classification: infinitesimal" in out
+
+
+# -- the argv reader against the argparse tree it replaced ---------------------------
+#
+# Until the command table, `nsatop` read argv with the argparse tree below
+# (three nested parsers).  It stays here as the reference: on every argv of the
+# corpus both readers must build the same namespace, print the help of the same
+# level, or both refuse.  The only exceptions are the named classes in
+# ACCEPTED_NOW, argvs the tree refused that the table reads, each checked
+# against the tree's reading of a rewritten argv.
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class _Refused(Exception):
+    pass
+
+
+class _Helped(Exception):
+    pass
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Refused(message)
+
+    def print_help(self, file=None):
+        raise _Helped(self.prog)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    parser = _ReferenceParser(prog="nsatop")
+    parser.add_argument("--format", choices=("json", "table"), default="json")
+    parser.add_argument("--seed", type=int, default=0)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    hyper = sub.add_parser("hyper")
+    hyper_sub = hyper.add_subparsers(dest="action", required=True)
+    for action in ("eval", "st", "root"):
+        p = hyper_sub.add_parser(action)
+        p.add_argument("expr")
+        if action == "root":
+            p.add_argument("degree", type=int)
+    germ = sub.add_parser("germ")
+    germ_sub = germ.add_subparsers(dest="action", required=True)
+    p = germ_sub.add_parser("compare")
+    p.add_argument("lhs")
+    p.add_argument("rhs")
+    p.add_argument("relation", choices=("eq", "lt"))
+    p = germ_sub.add_parser("classify")
+    p.add_argument("germ")
+    p = germ_sub.add_parser("los")
+    p.add_argument("formula")
+    p.add_argument("--bind", action="append", metavar="NAME=GERM")
+
+    bq = sub.add_parser("bqf")
+    bq_sub = bq.add_subparsers(dest="action", required=True)
+    p = bq_sub.add_parser("eval")
+    p.add_argument("formula")
+    p.add_argument("--bind", action="append", metavar="NAME=JSON")
+    p = bq_sub.add_parser("define")
+    p.add_argument("formula")
+    p.add_argument("--bound", required=True, metavar="JSON")
+    p.add_argument("--var", default=None)
+    p.add_argument("--bind", action="append", metavar="NAME=JSON")
+
+    topo = sub.add_parser("topo")
+    topo_sub = topo.add_subparsers(dest="action", required=True)
+    p = topo_sub.add_parser("check")
+    p.add_argument("space")
+    p.add_argument("--property", choices=sorted(fintop.PROPERTY_CHECKS), default=None)
+    p = topo_sub.add_parser("hull")
+    p.add_argument("space")
+    p.add_argument("family", nargs="?", default=None)
+    p.add_argument("--stone-cech", action="store_true")
+    p = topo_sub.add_parser("reflect")
+    p.add_argument("space")
+    p = topo_sub.add_parser("dot")
+    p.add_argument("space")
+
+    audit = sub.add_parser("audit")
+    audit.add_argument("--max-points", type=int, default=3)
+    return parser
+
+
+REFERENCE = reference_parser()
+
+
+def reference_reading(argv) -> tuple:
+    try:
+        return "read", vars(REFERENCE.parse_args(list(argv)))
+    except _Refused:
+        return ("refused",)
+    except _Helped as exc:
+        return "help", str(exc)
+
+
+def table_reading(argv) -> tuple:
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "read", vars(cli._read(list(argv), cli.build_parser()))
+    except cli._UsageError as exc:
+        assert str(exc).startswith("nsatop"), (argv, str(exc))
+        return ("refused",)
+    except SystemExit as exc:
+        assert exc.code == 0, argv
+        usage = out.getvalue().splitlines()[0]
+        assert usage.startswith("usage: nsatop") and usage.endswith(" ..."), usage
+        return "help", usage[len("usage: ") : -len(" ...")]
+
+
+WORDS = {"hyper", "germ", "bqf", "topo", "audit", "eval", "st", "root", "compare", "classify", "los", "define",
+         "check", "hull", "reflect", "dot"}
+HELP_FLAGS = {"-h", "--help", "--he"}
+
+
+def _drop_first_dashes(argv):
+    i = argv.index("--")
+    return argv[:i] + argv[i + 1 :]
+
+
+def _family_first(argv):
+    i = argv.index("hull") + 2
+    return argv[:i] + argv[-1:] + argv[i:-1]
+
+
+def _cut_after_help(argv):
+    i = min(i for i, token in enumerate(argv) if token in HELP_FLAGS)
+    return argv[: i + 1]
+
+
+# class name -> (whether an argv is in the class, the rewrite the tree reads as
+# the table reads the argv itself)
+ACCEPTED_NOW = {
+    "a `--` before the command's words": (
+        lambda argv: "--" in argv and argv[argv.index("--") + 1 :][:1] in ([w] for w in WORDS),
+        _drop_first_dashes,
+    ),
+    "a trailing `--` after an option": (lambda argv: argv[-1:] == ["--"], lambda argv: argv[:-1]),
+    "`topo hull SPACE` with FAMILY after an option": (
+        lambda argv: "hull" in argv and argv[-1] == "FAM",
+        _family_first,
+    ),
+    "a help flag before an ambiguous prefix": (
+        lambda argv: any(t in HELP_FLAGS for t in argv) and "--b" in argv,
+        _cut_after_help,
+    ),
+}
+
+
+def compare_readers(corpus) -> dict:
+    """{class name: argvs} for the argvs the tree refused and the table reads;
+    fails on any other difference."""
+    found = {}
+    for argv in corpus:
+        want, got = reference_reading(argv), table_reading(argv)
+        if got == want:
+            continue
+        assert want == ("refused",), (argv, want, got)
+        names = [
+            name
+            for name, (member, rewrite) in ACCEPTED_NOW.items()
+            if member(argv) and reference_reading(rewrite(argv)) == got
+        ]
+        assert names, (argv, want, got)
+        found.setdefault(names[0], []).append(argv)
+    return found
+
+
+def readme_argvs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line, comments=True)[1:] for line in text.splitlines() if line.startswith("nsatop ")]
+
+
+def ci_argvs():
+    argvs = []
+    for line in (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8").splitlines():
+        if line.strip().startswith("#"):
+            continue
+        for match in re.finditer(r"(?:^|[\s(;])nsatop (?!import)(.*)", line):
+            lexer = shlex.shlex(match.group(1).replace("2>&1", ""), posix=True, punctuation_chars=True)
+            lexer.whitespace_split = True
+            argv = list(itertools.takewhile(lambda token: not set(token) <= set("();<>|&"), lexer))
+            argvs.append(argv)
+    return argvs
+
+
+def queries_argvs(tmp_path, seed: int, count: int = 6600):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import queries
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    stream = queries.ops(seed, queries.setup(seed, tmp_path / str(seed)))
+    return [next(stream)[0] for _ in range(count)]
+
+
+# one valid argv of each command after its words (hull's FAMILY is "FAM")
+LEAVES = {
+    ("hyper", "eval"): ["E"],
+    ("hyper", "st"): ["E"],
+    ("hyper", "root"): ["E", "2"],
+    ("germ", "compare"): ["A", "B", "lt"],
+    ("germ", "classify"): ["G"],
+    ("germ", "los"): ["F"],
+    ("bqf", "eval"): ["F"],
+    ("bqf", "define"): ["F", "--bound", "B"],
+    ("topo", "check"): ["S"],
+    ("topo", "hull"): ["S", "FAM"],
+    ("topo", "reflect"): ["S"],
+    ("topo", "dot"): ["S"],
+    ("audit",): [],
+}
+# each inserted as one run of tokens
+ANYWHERE = [
+    ["--"], ["-h"], ["--help"], ["--he"], ["-1"], ["-1.5"], ["-e"], ["a b"], ["X"], ["--bogus"], ["--bogus=1"],
+    ["--format", "table"], ["--format=table"], ["--form", "table"], ["--seed", "3"], ["--seed=3"], ["--seed", "x"],
+    ["--format", "xml"], ["--format", "xml", "-h"], ["--seed"], ["--", "-h"], ["--b", "x"], ["--b=x"],
+    ["-h", "--b", "x"], ["-hx"], ["--help=1"],
+]
+BIND = [
+    ["--bind", "x=1"], ["--bind=x=1"], ["--bi", "x=1"], ["--bind", "x=1", "--bind", "y=2"], ["--bind"],
+    ["--bind", "--"], ["--bind", "-e"], ["--bind", "-1"], ["--bind", "a b"], ["--bind", "-x=1"], ["--bind=-x=1"],
+]
+OPTIONS = {
+    ("germ", "los"): BIND,
+    ("bqf", "eval"): BIND,
+    ("bqf", "define"): BIND + [
+        ["--bound", "B2"], ["--bound=B2"], ["--bo", "B2"], ["--bound"], ["--bound", "B2", "--bound", "B3"],
+        ["--var", "v"], ["--var=v"], ["--v", "v"], ["--var", "v", "--var", "w"], ["--var", "-e"],
+    ],
+    ("topo", "check"): [
+        ["--property", "t0"], ["--property=t0"], ["--prop", "t0"], ["--property", "t9"],
+        ["--property", "t0", "--property", "t1"], ["--property", "t9", "-h"], ["--property"],
+    ],
+    ("topo", "hull"): [["--stone-cech"], ["--stone"], ["--stone-cech=1"], ["--stone-cech", "--stone-cech"]],
+    ("audit",): [
+        ["--max-points", "4"], ["--max-points=4"], ["--max", "4"], ["--max-points", "x"], ["--max-points", "-1"],
+        ["--max-points", "4", "--max-points", "2"], ["--max-points", "x", "-h"], ["--max-points"],
+    ],
+}
+
+
+def hostile_argvs():
+    """Each run of ANYWHERE and of the command's OPTIONS, inserted at every
+    place of each command's argv: before, between and after its words and
+    positionals, in the valid argv and in ones with a positional missing or
+    extra, no --bound, a bad int or a bad choice."""
+    for words, valid in LEAVES.items():
+        variants = [valid, valid + ["X"]]
+        positionals = [t for t in valid if t not in ("--bound", "B")]
+        if positionals:
+            variants.append([t for t in valid if t != positionals[-1]])
+        variants += {
+            ("hyper", "root"): [["E", "two"]],
+            ("germ", "compare"): [["A", "B", "gt"]],
+            ("bqf", "define"): [["F"]],
+        }.get(words, [])
+        for variant in variants:
+            argv = list(words) + variant
+            for run in ANYWHERE + OPTIONS.get(words, []):
+                for i in range(len(argv) + 1):
+                    yield argv[:i] + run + argv[i:]
+
+
+class TestArgvReader:
+    def test_same_reading_as_the_argparse_tree(self, tmp_path):
+        corpus = [case["argv"] for case in CASES] + readme_argvs() + ci_argvs()
+        corpus.append(["--seed", "3", "audit", "--max-points", "4"])  # what perfbench/audit.py sends
+        for seed in (5, 131):
+            corpus += queries_argvs(tmp_path, seed)
+        hostile = list(hostile_argvs())
+        assert len(corpus) > 13200 and len(hostile) > 4000
+        assert compare_readers(corpus) == {}
+        found = compare_readers(hostile)
+        assert set(found) == set(ACCEPTED_NOW)
+        # one example of each class, as CHANGES.md names them
+        for name, argv in zip(ACCEPTED_NOW, (
+            ["--", "hyper", "eval", "E"],
+            ["audit", "--max-points", "4", "--"],
+            ["topo", "hull", "S", "--stone-cech", "FAM"],
+            ["bqf", "define", "-h", "--b", "x"],
+        )):
+            assert compare_readers([argv]) == {name: [argv]}
+
+    def test_readme_and_ci_calls_are_in_the_corpus(self):
+        readme, ci = readme_argvs(), ci_argvs()
+        assert ["topo", "hull", "space.json", "--stone-cech"] in readme and len(readme) >= 15
+        assert ["--seed", "1", "audit", "--max-points", "4"] in ci and len(ci) >= 15
+
+    def test_help_at_every_level(self, capsys):
+        for words in [(), *{w[:1] for w in LEAVES}, *LEAVES]:
+            for flag in ("-h", "--help", "--he"):
+                with pytest.raises(SystemExit) as exc:
+                    main([*words, flag])
+                assert exc.value.code == 0
+                out = capsys.readouterr().out
+                assert out.startswith(" ".join(("usage: nsatop", *words, "...\n")))
+                assert cli.__doc__.strip() in out
+
+    def test_reading_leaves_the_table_as_it_was(self):
+        table = cli.build_parser()
+        before = repr(table)
+        for argv in hostile_argvs():
+            table_reading(argv)
+        assert repr(table) == before and cli.build_parser() is table

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nsatop import hyperreal
+from nsatop import hyperreal, poly
 from nsatop.hyperreal import EPSILON, Hyperreal
 from nsatop.poly import NumberTooLarge, Poly, _series_power, integer_nth_root, rational_nth_root
 
@@ -408,6 +408,26 @@ def test_power_far_too_long_to_print_is_refused_before_it_is_built():
     assert (Poly.const(10) ** 4299).ints == (10**4299,)
     assert (Poly.const(10) ** 17000).ints == (10**17000,)
     assert (Poly((1, 0, -7)) ** 7200).ints[-1] == 7**7200
+
+
+def test_sum_spanning_past_the_term_budget_is_refused_before_it_is_padded():
+    # a sum pads both operands to one dense span, zeros between their
+    # valuations included; past the budget it is refused with nothing built
+    budget = poly._SUM_TERMS
+    for a, b in (
+        (Poly.ONE, Poly.monomial(budget)),
+        (Poly.monomial(-399999999999), Poly.ONE),
+        (Poly((1, 1)), Poly.monomial(budget - 2)),
+    ):
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(NumberTooLarge, match="a sum would span more than"):
+                left + right
+            with pytest.raises(NumberTooLarge):
+                left - right
+    # at the budget the sum is built: the gap plus both lengths is budget
+    s = Poly.ONE + Poly.monomial(budget - 2)
+    assert (s.val, len(s.ints), s.ints[0], s.ints[-1]) == (0, budget - 1, 1, 1)
+    assert Poly.monomial(10**12) + Poly.monomial(10**12, 2) == Poly.monomial(10**12, 3)
 
 
 def test_root_is_checked_past_the_power_bound():
