@@ -154,6 +154,17 @@ def cmd_hyper(args, fmt: str) -> int:
 # -- germ --------------------------------------------------------------------------
 
 
+def _bindings(pairs, read, error: type, shape: str) -> dict:
+    """The NAME=TEXT values of --bind, each TEXT read by `read`."""
+    out = {}
+    for binding in pairs or []:
+        name, sep, text = binding.partition("=")
+        if not sep:
+            raise error(f"binding {binding!r} is not name={shape}")
+        out[name.strip()] = read(text)
+    return out
+
+
 def cmd_germ(args, fmt: str) -> int:
     if args.action == "compare":
         a = germs.parse_germ(args.lhs)
@@ -180,12 +191,7 @@ def cmd_germ(args, fmt: str) -> int:
         _emit(report, fmt)
         return 0
     # los
-    assignment = {}
-    for binding in args.bind or []:
-        name, _, text = binding.partition("=")
-        if not _:
-            raise germs.GermSyntaxError(f"binding {binding!r} is not name=germ")
-        assignment[name.strip()] = germs.parse_germ(text.strip())
+    assignment = _bindings(args.bind, lambda text: germs.parse_germ(text.strip()), germs.GermSyntaxError, "germ")
     verdict = germs.los_check_qf(args.formula, assignment)
     _emit({"formula": args.formula, "verdict": verdict.value}, fmt)
     return 0 if verdict is germs.AeVerdict.TRUE_AE else 1
@@ -210,18 +216,10 @@ def _entity(text: str) -> bqf.Entity:
     return bqf.entity_from_json(obj)
 
 
-def _parse_bindings(pairs) -> dict:
-    out = {}
-    for binding in pairs or []:
-        name, sep, text = binding.partition("=")
-        if not sep:
-            raise bqf.BqfError(f"binding {binding!r} is not name=json")
-        out[name.strip()] = _entity(text)
-    return out
 
 
 def cmd_bqf(args, fmt: str) -> int:
-    bindings = _parse_bindings(args.bind)
+    bindings = _bindings(args.bind, _entity, bqf.BqfError, "json")
     formula = bqf.parse(args.formula)
     if args.action == "eval":
         transfer = bqf.check_transfer_finite(formula, bindings)
@@ -366,11 +364,10 @@ class _UsageError(Exception):
         super().__init__(" ".join(("nsatop",) + path) + ": " + message)
 
 
-# The words read so far map to ({positional: kind}, {option: (kind, default)}).
-# A kind is str, int, a tuple of choices, bool (a flag), list (each use appends
-# its value) or, for a positional that may be left out, None.  The command and
-# action words lead on to the entry of the words read with them.  An option's
-# value is kept under its name without dashes, "-" read as "_".
+# The words read so far map to ({positional: kind}, {option: (kind, default)});
+# a command or action word leads on to the next entry.  A kind is str, int, a
+# tuple of choices, bool (a flag), list (each use appends its value) or None
+# (a positional that may be left out).  "--max-points" is read as max_points.
 _REQUIRED = object()
 _HELP = dict.fromkeys(("-h", "--help"), (bool, None))
 _GLOBAL = {"--format": (("json", "table"), "json"), "--seed": (int, 0)}
@@ -431,9 +428,8 @@ def _enter(path: tuple, commands: dict, values: dict) -> tuple:
 
 
 def _read(argv: list, commands: dict) -> SimpleNamespace:
-    """The namespace the `cmd_*` handlers read, from one left-to-right pass.
-    A help flag, a bad value or an ambiguous prefix acts where it is read; a
-    missing, unknown or extra token is an error at the end."""
+    """The namespace the `cmd_*` handlers read, in one left-to-right pass: a
+    missing, unknown or extra token is an error at the end, all else at once."""
     path, values, extra, dashed = (), {}, [], False
     todo, options = _enter(path, commands, values)
     tokens = iter(argv)
@@ -443,8 +439,7 @@ def _read(argv: list, commands: dict) -> SimpleNamespace:
             continue
         hit = None if dashed else _option(token, options, path)
         if hit is None and todo:
-            name, kind = todo.pop(0)
-            value = token
+            (name, kind), value = todo.pop(0), token
         elif hit is None or hit[0] not in options:
             extra.append(token)
             continue

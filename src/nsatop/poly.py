@@ -66,11 +66,6 @@ def _dense(p: "Poly") -> list:
     return [0] * p.val + list(p.ints)
 
 
-# The most terms a sum may span, zeros between its valuations included:
-# 1 + e^1000000 spans 1,000,001 and answers, 1 + e^100000000 is refused.
-_SUM_TERMS = 1 << 22
-
-
 def _combine(a: "Poly", b: "Poly", sign: int) -> "Poly":
     """a + sign*b."""
     # zero has val 0; aligning with it would pad the other side to dense form
@@ -452,6 +447,10 @@ def _ratio_str(num: int, den: int) -> str:
 # (10**(4*4300) takes under a millisecond) while a quotient of printable
 # length, as in (10*e)^5000/(10*e)^5000, still cancels to its answer.
 _POWER_DIGITS_PER_PRINTED = 4
+# A sum is refused, before it pads anything, when it would span more terms
+# than this, zeros between its valuations included: 1 + e^1000000 spans
+# 1,000,001 and answers, 1 + e^100000000 is refused.
+_SUM_TERMS = 1 << 22
 
 
 def _oversized_power(a, den: int, n: int) -> bool:

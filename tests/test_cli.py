@@ -5,7 +5,6 @@ import itertools
 import json
 import os
 import random
-import re
 import shlex
 import subprocess
 import sys
@@ -847,6 +846,10 @@ WORDS = {"hyper", "germ", "bqf", "topo", "audit", "eval", "st", "root", "compare
 HELP_FLAGS = {"-h", "--help", "--he"}
 
 
+def _dashes_before_a_word(argv):
+    return "--" in argv and argv[argv.index("--") + 1 :][:1] in [[word] for word in WORDS]
+
+
 def _drop_first_dashes(argv):
     i = argv.index("--")
     return argv[:i] + argv[i + 1 :]
@@ -866,7 +869,7 @@ def _cut_after_help(argv):
 # the table reads the argv itself)
 ACCEPTED_NOW = {
     "a `--` before the command's words": (
-        lambda argv: "--" in argv and argv[argv.index("--") + 1 :][:1] in ([w] for w in WORDS),
+        _dashes_before_a_word,
         _drop_first_dashes,
     ),
     "a trailing `--` after an option": (lambda argv: argv[-1:] == ["--"], lambda argv: argv[:-1]),
@@ -906,15 +909,21 @@ def readme_argvs():
 
 
 def ci_argvs():
+    """The argv of each shell command word `nsatop` in the CI workflow, up to
+    the next redirection, pipe or parenthesis."""
     argvs = []
     for line in (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8").splitlines():
-        if line.strip().startswith("#"):
+        lexer = shlex.shlex(line.replace("2>&1", ""), posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        try:
+            tokens = list(lexer)
+        except ValueError:
+            continue  # a line of a quoted multi-line script
+        if tokens[:1] == ["#"] or tokens[:2] == ["-", "name:"]:
             continue
-        for match in re.finditer(r"(?:^|[\s(;])nsatop (?!import)(.*)", line):
-            lexer = shlex.shlex(match.group(1).replace("2>&1", ""), posix=True, punctuation_chars=True)
-            lexer.whitespace_split = True
-            argv = list(itertools.takewhile(lambda token: not set(token) <= set("();<>|&"), lexer))
-            argvs.append(argv)
+        for i, token in enumerate(tokens):
+            if token == "nsatop" and tokens[i - 1 : i] != ["from"]:
+                argvs.append(list(itertools.takewhile(lambda t: not set(t) <= set("();<>|&"), tokens[i + 1 :])))
     return argvs
 
 
