@@ -216,8 +216,6 @@ def _entity(text: str) -> bqf.Entity:
     return bqf.entity_from_json(obj)
 
 
-
-
 def cmd_bqf(args, fmt: str) -> int:
     bindings = _bindings(args.bind, _entity, bqf.BqfError, "json")
     formula = bqf.parse(args.formula)

@@ -73,8 +73,6 @@ def _combine(a: "Poly", b: "Poly", sign: int) -> "Poly":
         return a
     if not a.ints:
         return -b if sign < 0 else b
-    if abs(a.val - b.val) + len(a.ints) + len(b.ints) > _SUM_TERMS:
-        raise NumberTooLarge(f"a sum would span more than {_SUM_TERMS} terms")
     x, y = a.ints, b.ints
     if a.den == b.den:
         den = a.den
@@ -85,12 +83,15 @@ def _combine(a: "Poly", b: "Poly", sign: int) -> "Poly":
         y = [c * kb for c in y]
     if sign < 0:
         y = [-c for c in y]
-    # align both at the lower valuation
+    # align both at the lower valuation, if the padding is within budget
     val = min(a.val, b.val)
-    if a.val > val:
-        x = [0] * (a.val - val) + list(x)
-    if b.val > val:
-        y = [0] * (b.val - val) + list(y)
+    if a.val != b.val:
+        if abs(a.val - b.val) + len(x) + len(y) > _SUM_TERMS:
+            raise NumberTooLarge(f"a sum would span more than {_SUM_TERMS} terms")
+        if a.val > val:
+            x = [0] * (a.val - val) + list(x)
+        else:
+            y = [0] * (b.val - val) + list(y)
     if len(x) < len(y):
         x, y = y, x
     out = list(x)
@@ -447,9 +448,8 @@ def _ratio_str(num: int, den: int) -> str:
 # (10**(4*4300) takes under a millisecond) while a quotient of printable
 # length, as in (10*e)^5000/(10*e)^5000, still cancels to its answer.
 _POWER_DIGITS_PER_PRINTED = 4
-# A sum is refused, before it pads anything, when it would span more terms
-# than this, zeros between its valuations included: 1 + e^1000000 spans
-# 1,000,001 and answers, 1 + e^100000000 is refused.
+# The most terms a padded sum may span (the valuation gap plus both lengths):
+# 1 + e^1000000 answers, 1 + e^100000000 is refused before anything is padded.
 _SUM_TERMS = 1 << 22
 
 

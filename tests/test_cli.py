@@ -1014,16 +1014,16 @@ class TestArgvReader:
         hostile = list(hostile_argvs())
         assert len(corpus) > 13200 and len(hostile) > 4000
         assert compare_readers(corpus) == {}
-        found = compare_readers(hostile)
-        assert set(found) == set(ACCEPTED_NOW)
-        # one example of each class, as CHANGES.md names them
-        for name, argv in zip(ACCEPTED_NOW, (
+        # on Python 3.11 the hostile set meets every class; argparse of other
+        # versions may read some of them as the table does
+        assert set(compare_readers(hostile)) <= set(ACCEPTED_NOW)
+        for (name, (member, rewrite)), argv in zip(ACCEPTED_NOW.items(), (
             ["--", "hyper", "eval", "E"],
             ["audit", "--max-points", "4", "--"],
             ["topo", "hull", "S", "--stone-cech", "FAM"],
             ["bqf", "define", "-h", "--b", "x"],
         )):
-            assert compare_readers([argv]) == {name: [argv]}
+            assert member(argv) and table_reading(argv) == reference_reading(rewrite(argv)) != ("refused",), name
 
     def test_readme_and_ci_calls_are_in_the_corpus(self):
         readme, ci = readme_argvs(), ci_argvs()
