@@ -39,12 +39,11 @@ Space JSON: {"points": ["a","b"], "opens": [[], ["a"], ["a","b"]]}.
 Family JSON: {"f": {"a": "0", "b": "1/2"}}; `topo hull` takes a family file
 or --stone-cech (the default), not both.
 Global flags, before the command: --format json|table (`topo dot` prints
-DOT under either) and --seed S, accepted with no effect (no audit stage
-reads a seed; the benchmark's audit workload passes it).  An option is its
-name or a unique prefix of it (--prop), with its value next or after '=';
-a token after '--', a negative number or a token holding a space is a
-positional.  -h or --help prints "usage: nsatop[ GROUP[ ACTION]] ..." and
-this text, and exits 0.
+DOT under either) and --seed S, accepted with no effect (the benchmark's
+audit workload passes it).  An option is its name or a unique prefix of it
+(--prop), its value the next token or after '='.  Any token after '--', a
+negative number and a token holding a space are positionals.  -h or --help
+prints "usage: nsatop[ GROUP[ ACTION]] ..." and this text, and exits 0.
 """
 
 from __future__ import annotations
@@ -369,7 +368,6 @@ class _UsageError(Exception):
 _REQUIRED = object()
 _HELP = dict.fromkeys(("-h", "--help"), (bool, None))
 _GLOBAL = {"--format": (("json", "table"), "json"), "--seed": (int, 0)}
-_BIND = {"--bind": (list, None)}
 _COMMANDS = {
     (): ({"command": ("hyper", "germ", "bqf", "topo", "audit")}, _GLOBAL),
     ("hyper",): ({"action": ("eval", "st", "root")}, {}),
@@ -379,10 +377,10 @@ _COMMANDS = {
     ("germ",): ({"action": ("compare", "classify", "los")}, {}),
     ("germ", "compare"): ({"lhs": str, "rhs": str, "relation": ("eq", "lt")}, {}),
     ("germ", "classify"): ({"germ": str}, {}),
-    ("germ", "los"): ({"formula": str}, _BIND),
+    ("germ", "los"): ({"formula": str}, {"--bind": (list, None)}),
     ("bqf",): ({"action": ("eval", "define")}, {}),
-    ("bqf", "eval"): ({"formula": str}, _BIND),
-    ("bqf", "define"): ({"formula": str}, {"--bound": (str, _REQUIRED), "--var": (str, None), **_BIND}),
+    ("bqf", "eval"): ({"formula": str}, {"--bind": (list, None)}),
+    ("bqf", "define"): ({"formula": str}, {"--bound": (str, _REQUIRED), "--var": (str, None), "--bind": (list, None)}),
     ("topo",): ({"action": ("check", "hull", "reflect", "dot")}, {}),
     ("topo", "check"): ({"space": str}, {"--property": (tuple(sorted(fintop.PROPERTY_CHECKS)), None)}),
     ("topo", "hull"): ({"space": str, "family": None}, {"--stone-cech": (bool, False)}),
@@ -390,21 +388,16 @@ _COMMANDS = {
     ("topo", "dot"): ({"space": str}, {}),
     ("audit",): ({}, {"--max-points": (int, 3)}),
 }
-# argparse's rule, kept: a token like these is a positional, not an option
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def build_parser() -> dict:
-    """The command table `main` reads argv against: one object, shared by
-    every call, that reading leaves as it was."""
+    """The command table `main` reads argv against, shared and left as it was."""
     return _COMMANDS
 
 
 def _option(token: str, options: dict, path: tuple):
-    """(name, its '=' value or None) for a token read as an option, the name
-    being the token itself when no option matches; None for a positional."""
-    if token in options:
-        return token, None
+    """(name, its '=' value or None) for a token read as an option, an unknown
+    name kept as it is; None for a positional, as argparse has it."""
     if token[:1] != "-" or token in ("-", "--"):
         return None
     name, eq, value = token.partition("=")
@@ -415,22 +408,14 @@ def _option(token: str, options: dict, path: tuple):
         name = matches[0] if matches else name
     if name in options:
         return name, value if eq else None
-    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (token, None)
-
-
-def _enter(path: tuple, commands: dict, values: dict) -> tuple:
-    """The positionals and options after the words read; sets the defaults."""
-    positionals, options = commands[path]
-    values.update((name, default) for name, (_, default) in options.items())
-    return list(positionals.items()), {**options, **_HELP}
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else (token, None)
 
 
 def _read(argv: list, commands: dict) -> SimpleNamespace:
     """The namespace the `cmd_*` handlers read, in one left-to-right pass: a
     missing, unknown or extra token is an error at the end, all else at once."""
-    path, values, extra, dashed = (), {}, [], False
-    todo, options = _enter(path, commands, values)
-    tokens = iter(argv)
+    path, values, extra, dashed, tokens = (), {}, [], False, iter(argv)
+    todo, options = list(commands[path][0].items()), {**commands[path][1], **_HELP}
     for token in tokens:
         if token == "--" and not dashed:
             dashed = True
@@ -462,12 +447,13 @@ def _read(argv: list, commands: dict) -> SimpleNamespace:
                 raise _UsageError(path, f"argument {name}: invalid int value: {value!r}") from None
         elif isinstance(kind, tuple) and value not in kind:
             raise _UsageError(path, f"argument {name}: invalid choice: {value!r}")
-        values[name] = (values[name] or []) + [value] if kind is list else value
+        values[name] = values.get(name, []) + [value] if kind is list else value
         if name in ("command", "action"):
             path += (value,)
-            todo, options = _enter(path, commands, values)
-    missing = [name for name, kind in todo if kind is not None]
-    missing += [name for name in options if values.get(name) is _REQUIRED]
+            todo, options = list(commands[path][0].items()), {**commands[path][1], **_HELP}
+    for level in (commands[path[:i]][1] for i in range(len(path) + 1)):  # options left out
+        values.update((name, default) for name, (_, default) in level.items() if name not in values)
+    missing = [name for name, kind in todo if kind is not None] + [n for n in values if values[n] is _REQUIRED]
     if missing or extra:
         problem = "the following arguments are required" if missing else "unrecognized arguments"
         raise _UsageError(path, f"{problem}: {' '.join(missing or extra)}")

@@ -85,13 +85,12 @@ def _combine(a: "Poly", b: "Poly", sign: int) -> "Poly":
         y = [-c for c in y]
     # align both at the lower valuation, if the padding is within budget
     val = min(a.val, b.val)
-    if a.val != b.val:
-        if abs(a.val - b.val) + len(x) + len(y) > _SUM_TERMS:
-            raise NumberTooLarge(f"a sum would span more than {_SUM_TERMS} terms")
-        if a.val > val:
-            x = [0] * (a.val - val) + list(x)
-        else:
-            y = [0] * (b.val - val) + list(y)
+    if a.val != b.val and abs(a.val - b.val) + len(x) + len(y) > _SUM_TERMS:
+        raise NumberTooLarge(f"a sum would span more than {_SUM_TERMS} terms")
+    if a.val > val:
+        x = [0] * (a.val - val) + list(x)
+    if b.val > val:
+        y = [0] * (b.val - val) + list(y)
     if len(x) < len(y):
         x, y = y, x
     out = list(x)
@@ -448,8 +447,7 @@ def _ratio_str(num: int, den: int) -> str:
 # (10**(4*4300) takes under a millisecond) while a quotient of printable
 # length, as in (10*e)^5000/(10*e)^5000, still cancels to its answer.
 _POWER_DIGITS_PER_PRINTED = 4
-# The most terms a padded sum may span (the valuation gap plus both lengths):
-# 1 + e^1000000 answers, 1 + e^100000000 is refused before anything is padded.
+# The most terms a padded sum may span: 1 + e^1000000 answers, 1 + e^100000000 is refused.
 _SUM_TERMS = 1 << 22
 
 
