@@ -399,8 +399,17 @@ def _point_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(n), 2))
 
 
-def _pair_witness(space: FinSpace, i: int, j: int):
-    return [str(space.points[i]), str(space.points[j])]
+def _first(items, fails):
+    """The first item that fails, or None; no item after it is tried."""
+    return next(filter(fails, items), None)
+
+
+def _pair_verdict(space: FinSpace, name: str, fails, oracle: bool, forms: dict) -> PropertyVerdict:
+    """The verdict of a point-pair property: the monad route holds when no
+    pair (i, j), i < j, fails(i, j), and the first that fails is the witness."""
+    pair = _first(_point_pairs(space.n), lambda p: fails(*p))
+    witness = None if pair is None else [str(space.points[i]) for i in pair]
+    return PropertyVerdict(name, pair is None, oracle, forms, witness)
 
 
 def _separated_by_disjoint_opens(space: FinSpace, a: int, b: int) -> bool:
@@ -423,90 +432,65 @@ def _point_closed_pairs(space: FinSpace):
                 yield i, k
 
 
-def is_t0(space: FinSpace) -> PropertyVerdict:
-    holds, witness = True, None
-    robinson = True
-    oracle = True
-    for i, j in _point_pairs(space.n):
-        mi, mj = space._monad[i], space._monad[j]
-        if mi == mj:
-            holds = False
-            witness = witness or _pair_witness(space, i, j)
-        if (mi >> j & 1) and (mj >> i & 1):
-            robinson = False
-        some_open = any(bool(o >> i & 1) != bool(o >> j & 1) for o in space.opens)
-        if not some_open:
-            oracle = False
-    return PropertyVerdict("t0", holds, oracle, {"robinson_form": robinson}, witness)
+def _point_closed_verdict(space: FinSpace, name: str, fails, oracle: bool, forms: dict) -> PropertyVerdict:
+    """The verdict of a point/closed-set property: the monad route holds when
+    no (i, k) of _point_closed_pairs fails(i, k), and the first that fails
+    names the witness [point, closed set]."""
+    pair = _first(_point_closed_pairs(space), lambda p: fails(*p))
+    witness = None
+    if pair is not None:
+        witness = [str(space.points[pair[0]]), space.sorted_labels(space.closed_sets()[pair[1]])]
+    return PropertyVerdict(name, pair is None, oracle, forms, witness)
 
 
-def is_t1(space: FinSpace) -> PropertyVerdict:
-    holds, witness = True, None
-    robinson = True
-    oracle = all(c == 1 << i for i, c in enumerate(space.point_closures()))
-    for i, j in _point_pairs(space.n):
-        mi, mj = space._monad[i], space._monad[j]
-        comparable = (mi | mj == mj) or (mj | mi == mi)
-        if comparable:
-            holds = False
-            witness = witness or _pair_witness(space, i, j)
-        if (mj >> i & 1) or (mi >> j & 1):
-            robinson = False
-    return PropertyVerdict("t1", holds, oracle, {"robinson_form": robinson}, witness)
-
-
-def is_t2(space: FinSpace) -> PropertyVerdict:
-    holds, witness = True, None
-    oracle = True
-    for i, j in _point_pairs(space.n):
-        if space._monad[i] & space._monad[j]:
-            holds = False
-            witness = witness or _pair_witness(space, i, j)
-        if not _separated_by_disjoint_opens(space, 1 << i, 1 << j):
-            oracle = False
-    return PropertyVerdict("t2", holds, oracle, {}, witness)
-
-
-def is_weakly_hausdorff(space: FinSpace) -> PropertyVerdict:
-    holds, witness = True, None
-    for i, j in _point_pairs(space.n):
-        mi, mj = space._monad[i], space._monad[j]
-        if mi != mj and mi & mj:
-            holds = False
-            witness = witness or _pair_witness(space, i, j)
-    # classical reading: inside any open neighbourhood, the centre point is
-    # separated from every point outside it; each such point is tested once
-    oracle = True
+def _outside_pairs(space: FinSpace):
+    """(i, j) for every point j outside some open around the point i, once each."""
     for i in range(space.n):
         outside = 0
         for g in space.opens:
             if g >> i & 1:
                 outside |= space.full ^ g
-        for j in range(space.n):
-            if outside >> j & 1 and not _separated_by_disjoint_opens(space, 1 << i, 1 << j):
-                oracle = False
-    return PropertyVerdict("weakly_hausdorff", holds, oracle, {}, witness)
+        yield from ((i, j) for j in range(space.n) if outside >> j & 1)
+
+
+def is_t0(space: FinSpace) -> PropertyVerdict:
+    m, pairs = space._monad, _point_pairs(space.n)
+    robinson = not any(m[i] >> j & 1 and m[j] >> i & 1 for i, j in pairs)
+    oracle = all(any(o >> i & 1 != o >> j & 1 for o in space.opens) for i, j in pairs)
+    return _pair_verdict(space, "t0", lambda i, j: m[i] == m[j], oracle, {"robinson_form": robinson})
+
+
+def is_t1(space: FinSpace) -> PropertyVerdict:
+    m = space._monad
+    robinson = not any(m[j] >> i & 1 or m[i] >> j & 1 for i, j in _point_pairs(space.n))
+    oracle = all(c == 1 << i for i, c in enumerate(space.point_closures()))
+    # fails where one monad holds the other
+    return _pair_verdict(space, "t1", lambda i, j: m[i] | m[j] in (m[i], m[j]), oracle, {"robinson_form": robinson})
+
+
+def is_t2(space: FinSpace) -> PropertyVerdict:
+    m = space._monad
+    oracle = all(_separated_by_disjoint_opens(space, 1 << i, 1 << j) for i, j in _point_pairs(space.n))
+    return _pair_verdict(space, "t2", lambda i, j: m[i] & m[j], oracle, {})
+
+
+def is_weakly_hausdorff(space: FinSpace) -> PropertyVerdict:
+    m = space._monad
+    # classical reading: inside any open neighbourhood, the centre point is
+    # separated from every point outside it
+    oracle = all(_separated_by_disjoint_opens(space, 1 << i, 1 << j) for i, j in _outside_pairs(space))
+    return _pair_verdict(space, "weakly_hausdorff", lambda i, j: m[i] != m[j] and m[i] & m[j], oracle, {})
 
 
 def is_regular(space: FinSpace) -> PropertyVerdict:
-    holds, witness = True, None
-    closed, mu = space.closed_sets(), space._fact("closed_monads", _closed_monads)
-    for i, k in _point_closed_pairs(space):
-        if space._monad[i] & mu[k]:
-            holds = False
-            witness = witness or [str(space.points[i]), space.sorted_labels(closed[k])]
-    point_form = True
-    for i in range(space.n):
-        for j in range(space.n):
-            if not space._monad[j] >> i & 1:
-                if space._monad[i] & space._monad[j]:
-                    point_form = False
+    m, closed, mu = space._monad, space.closed_sets(), space._fact("closed_monads", _closed_monads)
+    point_form = not any(m[i] & m[j] for i in range(space.n) for j in range(space.n) if not m[j] >> i & 1)
     oracle = all(
         _separated_by_disjoint_opens(space, 1 << i, closed[k])
         for i, k in _point_closed_pairs(space)
         if closed[k]
     )
-    return PropertyVerdict("regular", holds, oracle, {"point_form": point_form}, witness)
+    return _point_closed_verdict(space, "regular", lambda i, k: m[i] & mu[k], oracle, {"point_form": point_form})
 
 
 def _closed_monads(space: FinSpace) -> tuple[int, ...]:
@@ -531,15 +515,17 @@ def _classically_normal(space: FinSpace) -> bool:
     )
 
 
+def _closed_pair_verdict(space: FinSpace, name: str, mu: tuple[int, ...]) -> PropertyVerdict:
+    """Normality read through mu, one monad per closed set: the first pair of
+    disjoint closed sets whose monads meet is the witness.  The oracle is
+    classical normality, kept as a fact of the space."""
+    pair = _first(space._fact("disjoint_closed", _disjoint_closed_pairs), lambda p: mu[p[0]] & mu[p[1]])
+    witness = None if pair is None else [space.sorted_labels(space.closed_sets()[k]) for k in pair]
+    return PropertyVerdict(name, pair is None, space._fact("classically_normal", _classically_normal), {}, witness)
+
+
 def is_normal(space: FinSpace) -> PropertyVerdict:
-    holds, witness = True, None
-    closed, mu = space.closed_sets(), space._fact("closed_monads", _closed_monads)
-    for k, l in space._fact("disjoint_closed", _disjoint_closed_pairs):
-        if mu[k] & mu[l]:
-            holds = False
-            witness = witness or [space.sorted_labels(closed[k]), space.sorted_labels(closed[l])]
-    oracle = space._fact("classically_normal", _classically_normal)  # shared with is_z_normal
-    return PropertyVerdict("normal", holds, oracle, {}, witness)
+    return _closed_pair_verdict(space, "normal", space._fact("closed_monads", _closed_monads))
 
 
 # -- zero-set blocks ---------------------------------------------------------------
@@ -605,53 +591,33 @@ def _block_indicators(space: FinSpace, zp: ZBlockPartition) -> list[tuple[tuple,
 
 def is_functionally_separated(space: FinSpace) -> PropertyVerdict:
     zp = z_partition(space)
-    indicators = _block_indicators(space, zp)
-    holds, witness = True, None
-    oracle = True
-    for i, j in _point_pairs(space.n):
-        if zp.block_of[i] == zp.block_of[j]:
-            holds = False
-            witness = witness or _pair_witness(space, i, j)
-        # oracle: an explicit 0/1 continuous function taking different values
-        ind, continuous = indicators[zp.block_of[j]]
-        if not (continuous and ind[i] != ind[j]):
-            oracle = False
-    return PropertyVerdict("functionally_separated", holds, oracle, {}, witness)
+    indicators, block_of = _block_indicators(space, zp), zp.block_of
+    # oracle: an explicit 0/1 continuous function taking different values
+    oracle = all(
+        continuous and ind[i] != ind[j]
+        for i, j in _point_pairs(space.n)
+        for ind, continuous in [indicators[block_of[j]]]
+    )
+    return _pair_verdict(space, "functionally_separated", lambda i, j: block_of[i] == block_of[j], oracle, {})
 
 
 def is_completely_regular(space: FinSpace) -> PropertyVerdict:
     zp = z_partition(space)
     indicators = _block_indicators(space, zp)
-    holds, witness = True, None
-    oracle = True
     closed, mu_z = space.closed_sets(), space._fact("closed_mu_z", _closed_mu_z)
-    for i, k in _point_closed_pairs(space):
-        f = closed[k]
-        if zp.block_mask(i) & mu_z[k]:
-            holds = False
-            witness = witness or [str(space.points[i]), space.sorted_labels(f)]
-        if f:
-            ind, continuous = indicators[zp.block_of[i]]
-            ok = (
-                continuous
-                and ind[i] == 1
-                and all(ind[j] == 0 for j in range(space.n) if f >> j & 1)
-            )
-            if not ok:
-                oracle = False
-    return PropertyVerdict("completely_regular", holds, oracle, {}, witness)
+    # oracle: the indicator of the point's block is continuous, 1 at the point and 0 on F
+    oracle = all(
+        continuous and ind[i] == 1 and all(ind[j] == 0 for j in range(space.n) if closed[k] >> j & 1)
+        for i, k in _point_closed_pairs(space)
+        if closed[k]
+        for ind, continuous in [indicators[zp.block_of[i]]]
+    )
+    return _point_closed_verdict(space, "completely_regular", lambda i, k: zp.block_mask(i) & mu_z[k], oracle, {})
 
 
 def is_z_normal(space: FinSpace) -> PropertyVerdict:
     """Normality phrased through zero-set monads; its oracle is plain normality."""
-    holds, witness = True, None
-    closed, mu_z = space.closed_sets(), space._fact("closed_mu_z", _closed_mu_z)
-    for k, l in space._fact("disjoint_closed", _disjoint_closed_pairs):
-        if mu_z[k] & mu_z[l]:
-            holds = False
-            witness = witness or [space.sorted_labels(closed[k]), space.sorted_labels(closed[l])]
-    oracle = space._fact("classically_normal", _classically_normal)  # shared with is_normal
-    return PropertyVerdict("z_normal", holds, oracle, {}, witness)
+    return _closed_pair_verdict(space, "z_normal", space._fact("closed_mu_z", _closed_mu_z))
 
 
 def _discontinuity(space: FinSpace, values: Sequence) -> Optional[int]:
@@ -672,11 +638,7 @@ def _discontinuity(space: FinSpace, values: Sequence) -> Optional[int]:
 def irreducible_closed_sets(space: FinSpace) -> list[int]:
     """Nonempty closed sets not expressible as a union of two proper closed subsets."""
     closed = space.closed_sets()
-    out = []
-    for a in closed:
-        if a and _is_irreducible_closed(space, a, closed):
-            out.append(a)
-    return out
+    return [a for a in closed if a and _is_irreducible_closed(space, a, closed)]
 
 
 def _is_irreducible_closed(space: FinSpace, a: int, closed: Sequence[int]) -> bool:
@@ -684,68 +646,49 @@ def _is_irreducible_closed(space: FinSpace, a: int, closed: Sequence[int]) -> bo
         return False
     # the union is symmetric, and a part never joins itself to `a`
     parts = [c for c in closed if c & a == c and c != a]
-    for x, y in combinations(parts, 2):
-        if x | y == a:
-            return False
-    return True
+    return not any(x | y == a for x, y in combinations(parts, 2))
 
 
 def is_downward_directed(space: FinSpace, subset: SubsetLike) -> bool:
     """Every two members have a common lower bound inside the set (nonempty)."""
     mask = space.mask(subset)
-    if not mask:
-        return False
     # the relation is symmetric, and a member is its own lower bound
     monads = [space._monad[i] for i in range(space.n) if mask >> i & 1]
-    for x, y in combinations(monads, 2):
-        meet = x & y
-        if not any(m | meet == meet for m in monads):
-            return False
-    return True
+    return bool(mask) and all(any(m & x & y == m for m in monads) for x, y in combinations(monads, 2))
 
 
-def _smallest_element(space: FinSpace, mask: int) -> Optional[int]:
-    members = [i for i in range(space.n) if mask >> i & 1]
+def _has_least_member(space: FinSpace, mask: int) -> bool:
+    """Whether some member's monad lies inside every member's monad."""
+    monads = [space._monad[i] for i in range(space.n) if mask >> i & 1]
+    return any(all(x | y == y for y in monads) for x in monads)
+
+
+def _generic_point_forms_agree(space: FinSpace, a: int, closures: tuple[int, ...]) -> bool:
+    """Whether "x generates A" reads alike two ways for every x in A: the
+    closure of x is A, and the monad of x is the intersection of the monads
+    of A's members."""
+    members = [i for i in range(space.n) if a >> i & 1]
+    inter = space.full
     for i in members:
-        if all(space._monad[i] | space._monad[j] == space._monad[j] for j in members):
-            return i
-    return None
+        inter &= space._monad[i]
+    return all((closures[i] == a) == (space._monad[i] == inter) for i in members)
 
 
 def is_sober(space: FinSpace) -> PropertyVerdict:
-    closed = space.closed_sets()
+    closed, closures = space.closed_sets(), space.point_closures()
     # each route decides every closed set once; both lists keep the order of closed
     directed = [a for a in closed if a and is_downward_directed(space, a)]
     irreducible = irreducible_closed_sets(space)
-    holds, witness = True, None
-    for a in directed:
-        if _smallest_element(space, a) is None:
-            holds = False
-            witness = witness or space.sorted_labels(a)
-    oracle = True
-    closures = space.point_closures()
-    for a in irreducible:
-        if not any(closures[i] == a for i in range(space.n) if a >> i & 1):
-            oracle = False
-            witness = witness or space.sorted_labels(a)
-    # the irreducibility and directedness routes must also coincide setwise
-    equiv = directed == irreducible
-    # "x generates A", for x in A, read two ways: the closure of x is A, and
-    # the monad of x is the intersection of the monads of A's members
-    forms_agree = True
-    for a in closed:
-        members = [i for i in range(space.n) if a >> i & 1]
-        inter = space.full
-        for i in members:
-            inter &= space._monad[i]
-        if any((closures[i] == a) != (space._monad[i] == inter) for i in members):
-            forms_agree = False
+    failure = _first(directed, lambda a: not _has_least_member(space, a))
+    missed = _first(irreducible, lambda a: not any(closures[i] == a for i in range(space.n) if a >> i & 1))
+    witness = failure if failure is not None else missed  # the monad route's first failure, else the oracle's
+    forms = {
+        # the irreducibility and directedness routes must also coincide setwise
+        "irreducible_iff_directed": directed == irreducible,
+        "generic_point_forms_agree": all(_generic_point_forms_agree(space, a, closures) for a in closed),
+    }
     return PropertyVerdict(
-        "sober",
-        holds,
-        oracle,
-        {"irreducible_iff_directed": equiv, "generic_point_forms_agree": forms_agree},
-        witness,
+        "sober", failure is None, missed is None, forms, None if witness is None else space.sorted_labels(witness)
     )
 
 

@@ -13,6 +13,7 @@ results are not mistaken for the infinite theory.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -42,11 +43,16 @@ class DiscontinuousFamilyMember(SpaceError):
 
 Family = dict  # name -> tuple of values by point index
 
+# an exact rational as family JSON writes it in a string: [+|-] INT ['/' INT]
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def validate_family(space: FinSpace, family: dict) -> Family:
     """Read a label-keyed family ({name: {point label: value}}, the JSON
     format) into value tuples by point index; every point needs a rational
-    value.  Continuity is checked by build_hull."""
+    value, a JSON integer or a string matching _RATIONAL, which is checked
+    before Fraction reads it (so "1e99999999" is refused at once, not
+    expanded).  Continuity is checked by build_hull."""
     if not isinstance(family, dict) or not all(isinstance(v, dict) for v in family.values()):
         raise SpaceError("a family maps names to point->value tables")
     out = {}
@@ -58,9 +64,12 @@ def validate_family(space: FinSpace, family: dict) -> Family:
         for p in space.points:
             if p not in values:
                 raise SpaceError(f"family member {name!r} missing a value at {p!r}")
+            value = values[p]
             try:
-                table.append(Fraction(values[p]))
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                if not (type(value) is int or isinstance(value, str) and _RATIONAL.fullmatch(value)):
+                    raise ValueError
+                table.append(Fraction(value))
+            except (ValueError, ZeroDivisionError):
                 raise SpaceError(f"family member {name!r} has no rational value at {p!r}") from None
         out[name] = tuple(table)
     return out
@@ -121,10 +130,18 @@ class Hull:
 
 
 def _build_quotient(space: FinSpace, classes, class_of, family: Family, kind: str) -> Hull:
-    pre = [0]  # pre[v]: the preimage of the class subset v
-    for c in classes:
-        pre += [p | c for p in pre]
-    opens = [v for v, m in enumerate(pre) if m in space._opens_set]
+    # the quotient opens are the images of the saturated opens: |opens| * k
+    # steps, where a walk over all 2^k class subsets outgrows any memory
+    opens = []
+    for g in space.opens:
+        image = 0
+        for c, m in enumerate(classes):
+            if m & g:
+                if m & ~g:
+                    break  # the class leaks out of g: g is not saturated
+                image |= 1 << c
+        else:
+            opens.append(image)
     quotient = FinSpace(range(len(classes)), opens, _validated=True)
     return Hull(space, classes, quotient, class_of, kind, family)
 

@@ -424,6 +424,41 @@ class TestTopo:
             code, got = run_json(capsys, "topo", "hull", sierp, str(fam))
             assert code == 2 and got["error"]["type"] == "SpaceError", body
 
+    # a family value is a JSON integer or a string [+|-] INT ['/' INT]; any
+    # other form is refused before Fraction reads it, so an exponent string
+    # is not expanded (it ran past 20 s when Fraction read it)
+    def test_family_values_are_integers_or_rational_strings(self, capsys, disc3, tmp_path):
+        fam = tmp_path / "fam.json"
+        for value, want in ((7, "7"), ("-3/4", "-3/4"), ("+6/8", "3/4"), ("0", "0")):
+            fam.write_text(json.dumps({"f": {"a": value, "b": value, "c": 1}}))
+            code, got = run_json(capsys, "topo", "hull", disc3, str(fam))
+            assert code == 0 and got["hull"]["lifted"]["f"]["a|b"] == want, value
+        for value in ("1e99999999", "1e3", "0.5", " 1", "1_0", "1/-2", "", 0.5, 2.0, True, False, None):
+            fam.write_text(json.dumps({"f": {"a": value, "b": value, "c": 1}}))
+            start = time.perf_counter()
+            code, got = run_json(capsys, "topo", "hull", disc3, str(fam))
+            assert time.perf_counter() - start < 1.0, value
+            assert code == 2 and got["error"] == {
+                "type": "SpaceError",
+                "message": "family member 'f' has no rational value at 'a'",
+            }, value
+
+    # the quotient opens are read from the saturated opens, not from the 2^k
+    # class subsets, so a chain of 40 points, 40 classes, answers at once (at
+    # 27 points the subsets ended in a MemoryError under an 800 MB cap)
+    def test_chain_quotients_are_quick(self, capsys, tmp_path):
+        points = [f"p{i}" for i in range(40)]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"points": points, "opens": [points[:k] for k in range(41)]}))
+        for command in ("reflect", "hull"):
+            start = time.perf_counter()
+            code, got = run_json(capsys, "topo", command, str(path))
+            assert time.perf_counter() - start < 1.0, command
+            assert code == 0, command
+        assert len(got["hull"]["classes"]) == 1  # the chain is connected: one z-block
+        code, got = run_json(capsys, "topo", "reflect", str(path))
+        assert len(got["hull"]["classes"]) == 40 and len(got["hull"]["quotient"]["opens"]) == 41
+
     def test_hull_takes_one_input(self, capsys, disc3, tmp_path):
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps({"f": {"a": "0", "b": "0", "c": "1"}}))

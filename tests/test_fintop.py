@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import time
 
 import pytest
@@ -229,6 +231,38 @@ class TestWeaklyHausdorffOracle:
         verdicts = [F.is_weakly_hausdorff(s).oracle for s in all_spaces(4)]
         assert verdicts == [_weakly_hausdorff_by_triple_loop(s) for s in all_spaces(4)]
         assert len(verdicts) == 389 and 0 < sum(verdicts) < 389
+
+
+# (verdicts, sha256 over json.dumps(v.to_json(), sort_keys=True) of each
+# check_properties verdict in enumeration order) on every space with at most
+# n points; a change made by design to a verdict or a witness records anew
+VERDICT_DIGESTS = {
+    4: (3890, "ec0d613deddd045b2b840d403918ba3811b574364c1a9783c15b091e9d640203"),
+    5: (73310, "e665e9f1ec4def0bb0faf3583c47aff085753db0967aef56865967fa93051c2e"),
+}
+
+
+def verdict_digest(max_n):
+    digest, count = hashlib.sha256(), 0
+    for s in all_spaces(max_n):
+        for v in F.check_properties(s):
+            digest.update(json.dumps(v.to_json(), sort_keys=True).encode())
+            count += 1
+    return count, digest.hexdigest()
+
+
+class TestVerdicts:
+    def test_every_verdict_and_witness_up_to_four_points(self):
+        assert verdict_digest(4) == VERDICT_DIGESTS[4]
+
+    # caught mutant: a route that scans every pair after its answer is known
+    def test_a_route_stops_at_its_first_failure(self, monkeypatch):
+        calls = []
+        separated = F._separated_by_disjoint_opens
+        monkeypatch.setattr(F, "_separated_by_disjoint_opens", lambda *a: calls.append(a[1:]) or separated(*a))
+        v = F.is_t2(space(["a", "b", "c", "d"], [[], ["a", "b", "c", "d"]]))
+        assert (v.holds, v.oracle, v.witness) == (False, False, ["a", "b"])
+        assert calls == [(0b1, 0b10)]
 
 
 class TestDisjointMonadSeparation:
